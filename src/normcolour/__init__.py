@@ -6,7 +6,7 @@ extension, or curtailed so that every norm survives in some form. A
 brute-force argumentation oracle and a benchmark harness sit alongside the
 algorithms for verification and experiments.
 """
-from .colouring import Colouring, colour_classes, dsatur, greedy_colouring, is_valid_colouring
+from .colouring import Colouring, dsatur, is_valid_colouring
 from .errors import (
     DocumentSyntaxError,
     DuplicateNormId,
@@ -64,13 +64,11 @@ __all__ = [
     "UnknownColour",
     "UnknownNormId",
     "build_graph",
-    "colour_classes",
     "colour_curtail",
     "colour_curtail_complete",
     "colour_resolve",
     "colour_resolve_complete",
     "dsatur",
-    "greedy_colouring",
     "is_valid_colouring",
     "ordering_from_metadata",
     "policy_label",

@@ -75,6 +75,8 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise NormColourError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise NormColourError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -1,20 +1,17 @@
 """Proper vertex colourings of conflict graphs.
 
-The work-horse is a saturation-degree greedy colouring with pinned
-tie-breaks so that every run of every algorithm downstream is reproducible:
+Colourings come from DSATUR, a saturation-degree greedy colouring whose
+pinned tie-breaks make every run of every algorithm downstream reproducible:
 
 * vertex selection: highest saturation, then highest degree, then norm
   insertion order;
 * colour selection: the lowest already-used colour that no neighbour holds,
   else the smallest unused colour index.
-
-A sequential greedy colouring over an explicit vertex order is provided as
-well, for experiments on how colouring choice changes resolution outputs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import IncompleteColouring
 from .graph import ConflictGraph, NormId
@@ -72,25 +69,6 @@ def dsatur(g: ConflictGraph) -> Colouring:
     return Colouring(assignment, num_used)
 
 
-def greedy_colouring(g: ConflictGraph, order: Sequence[NormId]) -> Colouring:
-    """Colour vertices one by one in the given order, lowest free colour first.
-
-    `order` must list every vertex of g exactly once.
-    """
-    seen = set(order)
-    if len(order) != len(g) or seen != set(g.ids):
-        raise IncompleteColouring("order must enumerate every vertex exactly once")
-
-    assignment: dict[NormId, int] = {}
-    num_used = 0
-    for v in order:
-        blocked = {assignment[w] for w in g.neighbours(v) if w in assignment}
-        colour = next(c for c in range(num_used + 1) if c not in blocked)
-        assignment[v] = colour
-        num_used = max(num_used, colour + 1)
-    return Colouring(assignment, num_used)
-
-
 def is_valid_colouring(g: ConflictGraph, phi: Colouring) -> bool:
     """True iff phi is proper: no conflict joins two same-coloured norms."""
     for v in g.ids:
@@ -98,11 +76,3 @@ def is_valid_colouring(g: ConflictGraph, phi: Colouring) -> bool:
             raise IncompleteColouring(f"vertex {v!r} has no colour")
     return all(phi.assignment[a] != phi.assignment[b] for a, b in g.edges)
 
-
-def colour_classes(g: ConflictGraph, phi: Colouring) -> dict[int, set[NormId]]:
-    """Group vertices by colour. Classes of a proper colouring partition the
-    vertex set and each class is an independent set."""
-    classes: dict[int, set[NormId]] = {c: set() for c in range(phi.num_colours)}
-    for v in g.ids:
-        classes[phi.assignment[v]].add(v)
-    return classes

@@ -32,6 +32,8 @@ def _loads(text: str) -> object:
         raise DocumentSyntaxError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise DocumentSyntaxError("JSON nested too deeply") from None
 
 
 def _require_str(value: object, where: str, *, nonempty: bool = False) -> str:

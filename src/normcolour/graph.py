@@ -45,10 +45,11 @@ class ConflictGraph:
     all tie-breaking downstream relies on it.
     """
 
-    __slots__ = ("norms", "edges", "_by_id", "_index", "_adj")
+    __slots__ = ("norms", "ids", "edges", "_by_id", "_index", "_adj")
 
     def __init__(self, norms: Sequence[Norm], conflicts: Iterable[tuple[NormId, NormId]]):
         self.norms: tuple[Norm, ...] = tuple(norms)
+        self.ids: tuple[NormId, ...] = tuple(norm.id for norm in self.norms)
         by_id: dict[NormId, Norm] = {}
         index: dict[NormId, int] = {}
         for pos, norm in enumerate(self.norms):
@@ -81,10 +82,6 @@ class ConflictGraph:
         }
 
     # -- vertex access -------------------------------------------------
-
-    @property
-    def ids(self) -> tuple[NormId, ...]:
-        return tuple(norm.id for norm in self.norms)
 
     def norm(self, v: NormId) -> Norm:
         try:

@@ -8,9 +8,12 @@ preference comparisons against the norms they conflict with:
 * lex superior — the norm from the stronger authority wins;
 * lex specialis — a norm whose antecedents are a strict subset of the
   other's wins, and incomparable antecedent sets are a tie;
-* weak-order — an explicit rank map, higher rank wins (generalises the
-  three above);
+* weak-order — an explicit rank map that must rank every norm; higher wins;
 * max-class — ignores preferences entirely and scores class size.
+
+Lex posterior and lex superior are weak orders too (``ordering_from_metadata``),
+so those two and weak-order are scored by one rank-map kernel, the one
+``score_admitted_set`` uses; lex specialis, a partial order, compares pairs.
 
 GROSS scoring counts wins only; NET subtracts losses. Ties contribute
 nothing either way. Any callable ``(graph, colouring, colour) -> float``
@@ -19,8 +22,9 @@ can stand in for a policy wherever one is accepted, so bespoke heuristics
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Union
 
 from .colouring import Colouring
@@ -47,7 +51,7 @@ class PolicyKind(Enum):
 class Policy:
     kind: PolicyKind
     mode: ScoreMode = ScoreMode.NET
-    ranks: WeakOrdering | None = None
+    ranks: WeakOrdering | None = field(default=None, hash=False)
     # Direction switch for lex posterior only: False follows the formula as
     # defined (earlier declaration wins), True prefers the newer norm.
     prefer_recent: bool = False
@@ -55,6 +59,13 @@ class Policy:
     def __post_init__(self) -> None:
         if self.kind is PolicyKind.WEAK_ORDER and self.ranks is None:
             raise ValueError("weak-order policy requires a rank map")
+        if self.ranks is not None:
+            # a read-only copy, so that a hashed policy cannot change
+            object.__setattr__(self, "ranks", MappingProxyType(dict(self.ranks)))
+
+    def __reduce__(self) -> tuple:
+        ranks = None if self.ranks is None else dict(self.ranks)
+        return (Policy, (self.kind, self.mode, ranks, self.prefer_recent))
 
     @classmethod
     def lex_posterior(
@@ -72,7 +83,7 @@ class Policy:
 
     @classmethod
     def weak_order(cls, ranks: WeakOrdering, mode: ScoreMode = ScoreMode.NET) -> "Policy":
-        return cls(PolicyKind.WEAK_ORDER, mode, ranks=dict(ranks))
+        return cls(PolicyKind.WEAK_ORDER, mode, ranks=ranks)
 
     @classmethod
     def max_class(cls) -> "Policy":
@@ -80,27 +91,54 @@ class Policy:
 
     def prefers(self, g: ConflictGraph, a: NormId, b: NormId) -> bool:
         """Strict preference of a over b under this policy."""
-        if self.kind is PolicyKind.LEX_POSTERIOR:
-            ta, tb = g.norm(a).declared_at, g.norm(b).declared_at
-            return ta > tb if self.prefer_recent else ta < tb
-        if self.kind is PolicyKind.LEX_SUPERIOR:
-            return g.norm(a).authority_rank > g.norm(b).authority_rank
         if self.kind is PolicyKind.LEX_SPECIALIS:
             return g.norm(a).antecedents < g.norm(b).antecedents
-        if self.kind is PolicyKind.WEAK_ORDER:
-            return _rank(self.ranks, a) > _rank(self.ranks, b)
-        raise ValueError(f"{self.kind.value} is not a pairwise-preference policy")
+        ranks = _rank_map(g, self)
+        if ranks is None:
+            raise ValueError(f"{self.kind.value} is not a pairwise-preference policy")
+        return _rank(ranks, a) > _rank(ranks, b)
 
 
 Heuristic = Union[Policy, Callable[[ConflictGraph, Colouring, int], float]]
 
 
-def _rank(ranks: WeakOrdering | None, v: NormId) -> int:
-    assert ranks is not None
+def _rank(ranks: WeakOrdering, v: NormId) -> int:
     try:
         return ranks[v]
     except KeyError:
         raise UnknownNormId(f"weak ordering assigns no rank to {v!r}") from None
+
+
+def _rank_map(g: ConflictGraph, policy: Heuristic) -> WeakOrdering | None:
+    """The rank map a policy orders g's norms by, if it has one. Raises
+    UnknownNormId naming the first norm a weak order leaves unranked."""
+    if not isinstance(policy, Policy):
+        return None
+    if policy.kind is PolicyKind.WEAK_ORDER:
+        for v in g.ids:
+            if v not in policy.ranks:
+                raise UnknownNormId(f"weak ordering assigns no rank to {v!r}")
+        return policy.ranks
+    if policy.kind in (PolicyKind.LEX_POSTERIOR, PolicyKind.LEX_SUPERIOR):
+        return ordering_from_metadata(g, policy.kind, prefer_recent=policy.prefer_recent)
+    return None
+
+
+def _rank_score(
+    g: ConflictGraph, members: Iterable[NormId], ranks: WeakOrdering, net: bool
+) -> int:
+    """+1 for every conflicting neighbour a member outranks and, when net,
+    -1 for every one that outranks it; ties contribute 0."""
+    total = 0
+    for v in members:
+        rv = _rank(ranks, v)
+        for w in g.neighbours(v):
+            rw = _rank(ranks, w)
+            if rv > rw:
+                total += 1
+            elif net and rw > rv:
+                total -= 1
+    return total
 
 
 def policy_label(policy: Heuristic) -> str:
@@ -119,26 +157,40 @@ def score_colour(g: ConflictGraph, phi: Colouring, c: int, policy: Heuristic) ->
     """
     if not 0 <= c < phi.num_colours:
         raise UnknownColour(f"colour {c} not in 0..{phi.num_colours - 1}")
+    return _score_colour(g, phi, c, policy, _rank_map(g, policy))
+
+
+def _score_colour(
+    g: ConflictGraph, phi: Colouring, c: int, policy: Heuristic, ranks: WeakOrdering | None
+) -> float:
     if not isinstance(policy, Policy):
         return float(policy(g, phi, c))
 
     members = [v for v in g.ids if phi.assignment[v] == c]
     if policy.kind is PolicyKind.MAX_CLASS:
         return float(len(members))
+    net = policy.mode is ScoreMode.NET
+    if ranks is not None:
+        return float(_rank_score(g, members, ranks, net))
 
+    # lex specialis is a partial order: compare each conflicting pair
     total = 0
     for v in members:
         for w in g.neighbours(v):
             if policy.prefers(g, v, w):
                 total += 1
-            elif policy.mode is ScoreMode.NET and policy.prefers(g, w, v):
+            elif net and policy.prefers(g, w, v):
                 total -= 1
     return float(total)
 
 
 def rank_colours(g: ConflictGraph, phi: Colouring, policy: Heuristic) -> list[int]:
-    """All colour ids, best score first; ties go to the lower colour id."""
-    scores = {c: score_colour(g, phi, c, policy) for c in range(phi.num_colours)}
+    """All colour ids, best score first; ties go to the lower colour id.
+
+    Raises UnknownNormId when a weak-order policy leaves a norm of g unranked.
+    """
+    ranks = _rank_map(g, policy)
+    scores = {c: _score_colour(g, phi, c, policy, ranks) for c in range(phi.num_colours)}
     return sorted(scores, key=lambda c: (-scores[c], c))
 
 
@@ -168,13 +220,4 @@ def score_admitted_set(
     Over the full vertex set the two signs cancel edge by edge, so the
     total is 0.
     """
-    total = 0
-    for v in admitted:
-        rv = _rank(ranks, v)
-        for w in g.neighbours(v):
-            rw = _rank(ranks, w)
-            if rv > rw:
-                total += 1
-            elif rw > rv:
-                total -= 1
-    return total
+    return _rank_score(g, admitted, ranks, net=True)

@@ -1,12 +1,13 @@
 """The four conflict-resolution algorithms.
 
-All of them colour the graph (saturation-degree greedy), rank the colour
-classes with a policy, and then differ in how much of the graph they admit:
+All four are one admission loop: colour the graph (saturation-degree
+greedy), rank the colour classes with a policy, admit the classes best
+first. Two switches, ``complete`` and ``first_class_only``, tell them apart:
 
 * ``colour_resolve``        — admit the single best colour class.
 * ``colour_resolve_complete`` — additionally pull in every vertex with no
   neighbour in that class, which turns the admitted set into a complete
-  extension of the underlying argumentation framework.
+  extension of the underlying argumentation framework (Dung 1995).
 * ``colour_curtail``        — walk all classes from best to worst and admit
   everything, recording for each norm which previously-admitted conflicting
   norms it must yield to (its curtailments).
@@ -14,14 +15,14 @@ classes with a policy, and then differ in how much of the graph they admit:
   topped up with eligible unadmitted vertices before it is admitted, so
   norms enter earlier and carry fewer curtailments.
 
-Vertices are always swept in norm insertion order and recoloured one at a
-time; recolouring everything at once could put two conflicting vertices
-into the same class.
+So ``resolve`` is the first class of ``curtail``, and ``resolve-complete``
+the first class of ``curtail-complete``. Vertices are always swept in norm
+insertion order and recoloured one at a time; recolouring everything at
+once could put two conflicting vertices into the same class.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .colouring import Colouring, dsatur
 from .graph import ConflictGraph, NormId
@@ -68,73 +69,48 @@ class Resolution:
         return sum(len(e.curtailed_wrt) for e in self.entries)
 
 
-def _prepare(g: ConflictGraph, policy: Heuristic) -> tuple[Colouring, list[int]]:
+def _admit(
+    g: ConflictGraph, policy: Heuristic, *, complete: bool, first_class_only: bool
+) -> Resolution:
+    """Colour g, rank its classes, and admit them best first; see the module docstring."""
     phi = dsatur(g)
-    return phi, rank_colours(g, phi, policy)
-
-
-def _complete_into(
-    g: ConflictGraph,
-    assignment: dict[NormId, int],
-    c: int,
-    members: set[NormId],
-    skip: set[NormId],
-) -> None:
-    """Recolour every eligible vertex to colour c, one vertex at a time.
-
-    A vertex is eligible when it is not in ``skip`` and none of its
-    neighbours currently holds colour c; each recolouring immediately
-    constrains the vertices after it, keeping the colouring proper.
-    """
-    for v in g.ids:
-        if v in skip:
-            continue
-        if g.neighbours(v).isdisjoint(members):
-            assignment[v] = c
-            members.add(v)
-
-
-def _class_members(g: ConflictGraph, assignment: Mapping[NormId, int], c: int) -> list[NormId]:
-    return [v for v in g.ids if assignment[v] == c]
+    order = rank_colours(g, phi, policy)
+    assignment = dict(phi.assignment)
+    # admitted norm -> admission index: the completion skip-set, and the
+    # order in which a norm's earlier-admitted neighbours are listed
+    index: dict[NormId, int] = {}
+    entries: list[CurtailedNorm] = []
+    for c in order[:1] if first_class_only else order:
+        if complete:
+            members = {v for v in g.ids if assignment[v] == c}
+            for v in g.ids:
+                if v not in index and g.neighbours(v).isdisjoint(members):
+                    assignment[v] = c
+                    members.add(v)
+        # a class is independent, so its members never curtail each other
+        for v in g.ids:
+            if assignment[v] == c:
+                wrt = sorted((w for w in g.neighbours(v) if w in index), key=index.__getitem__)
+                entries.append(CurtailedNorm(v, tuple(wrt)))
+                index[v] = len(index)
+    algorithm = ("resolve" if first_class_only else "curtail") + ("-complete" if complete else "")
+    final = Colouring(assignment, phi.num_colours)
+    return Resolution(algorithm, policy_label(policy), tuple(entries), final, tuple(order))
 
 
 def colour_resolve(g: ConflictGraph, policy: Heuristic) -> Resolution:
     """Admit the colour class the policy scores highest."""
-    phi, order = _prepare(g, policy)
-    entries: tuple[CurtailedNorm, ...] = ()
-    if order:
-        best = order[0]
-        entries = tuple(CurtailedNorm(v) for v in _class_members(g, phi.assignment, best))
-    return Resolution("resolve", policy_label(policy), entries, phi, tuple(order))
+    return _admit(g, policy, complete=False, first_class_only=True)
 
 
 def colour_resolve_complete(g: ConflictGraph, policy: Heuristic) -> Resolution:
     """Admit the best class plus every vertex it does not conflict with."""
-    phi, order = _prepare(g, policy)
-    if not order:
-        return Resolution("resolve-complete", policy_label(policy), (), phi, ())
-    best = order[0]
-    assignment = dict(phi.assignment)
-    members = set(_class_members(g, assignment, best))
-    _complete_into(g, assignment, best, members, skip=set())
-    entries = tuple(CurtailedNorm(v) for v in _class_members(g, assignment, best))
-    final = Colouring(assignment, phi.num_colours)
-    return Resolution("resolve-complete", policy_label(policy), entries, final, tuple(order))
+    return _admit(g, policy, complete=True, first_class_only=True)
 
 
 def colour_curtail(g: ConflictGraph, policy: Heuristic) -> Resolution:
     """Admit every norm, curtailing it against earlier-admitted conflicts."""
-    phi, order = _prepare(g, policy)
-    entries: list[CurtailedNorm] = []
-    admitted_order: list[NormId] = []
-    for c in order:
-        members = _class_members(g, phi.assignment, c)
-        for v in members:
-            nbrs = g.neighbours(v)
-            wrt = tuple(w for w in admitted_order if w in nbrs)
-            entries.append(CurtailedNorm(v, wrt))
-        admitted_order.extend(members)
-    return Resolution("curtail", policy_label(policy), tuple(entries), phi, tuple(order))
+    return _admit(g, policy, complete=False, first_class_only=False)
 
 
 def colour_curtail_complete(g: ConflictGraph, policy: Heuristic) -> Resolution:
@@ -144,25 +120,7 @@ def colour_curtail_complete(g: ConflictGraph, policy: Heuristic) -> Resolution:
     yet, so earlier (better) classes can absorb vertices from later ones,
     admitting them with fewer curtailments.
     """
-    phi, order = _prepare(g, policy)
-    assignment = dict(phi.assignment)
-    entries: list[CurtailedNorm] = []
-    admitted_order: list[NormId] = []
-    admitted: set[NormId] = set()
-    for c in order:
-        members_set = set(_class_members(g, assignment, c))
-        _complete_into(g, assignment, c, members_set, skip=admitted)
-        members = _class_members(g, assignment, c)
-        for v in members:
-            nbrs = g.neighbours(v)
-            wrt = tuple(w for w in admitted_order if w in nbrs)
-            entries.append(CurtailedNorm(v, wrt))
-        admitted_order.extend(members)
-        admitted.update(members)
-    final = Colouring(assignment, phi.num_colours)
-    return Resolution(
-        "curtail-complete", policy_label(policy), tuple(entries), final, tuple(order)
-    )
+    return _admit(g, policy, complete=True, first_class_only=False)
 
 
 ALGORITHMS = {

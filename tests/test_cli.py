@@ -98,6 +98,18 @@ class TestResolveCommand:
         bad.write_text('{"norms": [{"label": "missing id"}]}')
         assert main(["resolve", "--input", str(bad), "--policy", "max-class"]) == 2
 
+    def test_invalid_utf8_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"norms": [{"id": "\xff"}]}')
+        assert main(["resolve", "--input", str(bad), "--policy", "max-class"]) == 2
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_deeply_nested_document_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["resolve", "--input", str(bad), "--policy", "max-class"]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
 
 class TestCheckCommand:
     def test_conflicting_pair(self, k2_file, capsys):

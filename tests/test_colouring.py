@@ -1,13 +1,6 @@
 import pytest
 
-from normcolour import (
-    Colouring,
-    IncompleteColouring,
-    colour_classes,
-    dsatur,
-    greedy_colouring,
-    is_valid_colouring,
-)
+from normcolour import Colouring, IncompleteColouring, dsatur, is_valid_colouring
 from normcolour.oracle import chromatic_number
 
 from .conftest import complete_graph, make_graph
@@ -52,38 +45,6 @@ class TestDsatur:
         assert sorted(set(phi.assignment.values())) == list(range(phi.num_colours))
 
 
-class TestGreedyColouring:
-    def test_respects_explicit_order(self):
-        g = make_graph("abc", [("a", "b"), ("b", "c")])
-        phi = greedy_colouring(g, ["a", "c", "b"])
-        assert phi.assignment == {"a": 0, "c": 0, "b": 1}
-        assert is_valid_colouring(g, phi)
-
-    def test_order_must_cover_all_vertices(self):
-        g = make_graph("ab")
-        with pytest.raises(IncompleteColouring):
-            greedy_colouring(g, ["a"])
-        with pytest.raises(IncompleteColouring):
-            greedy_colouring(g, ["a", "a"])
-
-    def test_suboptimal_order_can_expose_a_larger_class(self):
-        # the sensitivity the explicit-order entry point exists to explore:
-        # ordering the independent trio first wastes a colour overall but
-        # groups all three into one class
-        edges = [
-            ("u", "v"), ("u", "w"), ("v", "w"),
-            ("x", "v"), ("x", "w"),
-            ("y", "u"), ("y", "w"),
-            ("z", "u"), ("z", "v"),
-        ]
-        g = make_graph("uvwxyz", edges)
-        assert dsatur(g).num_colours == 3
-        phi = greedy_colouring(g, ["x", "y", "z", "u", "v", "w"])
-        assert is_valid_colouring(g, phi)
-        assert phi.num_colours == 4
-        assert {v for v, c in phi.assignment.items() if c == 0} == {"x", "y", "z"}
-
-
 class TestValidity:
     def test_proper_two_colouring_of_even_cycle(self):
         g = make_graph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
@@ -108,23 +69,20 @@ class TestValidity:
 class TestColourClasses:
     def test_triangle_gives_singletons(self):
         g = make_graph("abc", [("a", "b"), ("a", "c"), ("b", "c")])
-        classes = colour_classes(g, dsatur(g))
-        assert sorted(len(c) for c in classes.values()) == [1, 1, 1]
+        assert sorted(dsatur(g).assignment.values()) == [0, 1, 2]
 
     def test_path_trace(self):
         # dsatur on a-b-c colours the centre first
         g = make_graph("abc", [("a", "b"), ("b", "c")])
-        assert colour_classes(g, dsatur(g)) == {0: {"b"}, 1: {"a", "c"}}
+        assert dsatur(g).assignment == {"b": 0, "a": 1, "c": 1}
 
     def test_edgeless_graph_single_class(self):
         g = make_graph("abcde")
-        assert colour_classes(g, dsatur(g)) == {0: {"a", "b", "c", "d", "e"}}
+        assert dsatur(g).assignment == dict.fromkeys("abcde", 0)
 
     def test_classes_partition_vertices_and_are_independent(self):
         g = make_graph("abcdef", [("a", "b"), ("c", "d"), ("e", "f"), ("a", "c")])
         phi = dsatur(g)
-        classes = colour_classes(g, phi)
-        seen = [v for members in classes.values() for v in members]
-        assert sorted(seen) == sorted(g.ids)
-        for members in classes.values():
-            assert all(g.neighbours(v).isdisjoint(members) for v in members)
+        assert sorted(phi.assignment) == sorted(g.ids)
+        for v, c in phi.assignment.items():
+            assert all(phi.assignment[w] != c for w in g.neighbours(v))

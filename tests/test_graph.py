@@ -106,6 +106,12 @@ def test_vertex_iteration_follows_insertion_order():
     assert list(g) == ["z", "m", "a"]
 
 
+def test_ids_are_computed_once():
+    g = make_graph("abc", [("a", "b")])
+    assert g.ids == ("a", "b", "c")
+    assert g.ids is g.ids
+
+
 def test_norm_lookup_and_metadata():
     g = make_graph(["a"], declared_at={"a": 7}, antecedents={"a": ["p", "q"]})
     norm = g.norm("a")

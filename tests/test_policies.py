@@ -1,3 +1,7 @@
+import pickle
+from collections import Counter
+from collections.abc import Mapping
+
 import pytest
 
 from normcolour import (
@@ -6,6 +10,7 @@ from normcolour import (
     ScoreMode,
     UnknownColour,
     UnknownNormId,
+    colour_resolve,
     dsatur,
     ordering_from_metadata,
     policy_label,
@@ -13,7 +18,8 @@ from normcolour import (
     score_admitted_set,
     score_colour,
 )
-from normcolour.colouring import Colouring, colour_classes
+from normcolour.bench import preset_config
+from normcolour.colouring import Colouring
 
 from .conftest import complete_graph, make_graph
 
@@ -31,7 +37,7 @@ def fork_graph():
 class TestScoreColour:
     def test_lex_posterior_gross_on_fork(self, fork_graph):
         phi = dsatur(fork_graph)
-        assert colour_classes(fork_graph, phi) == {0: {"v1"}, 1: {"v2", "v3"}}
+        assert phi.assignment == {"v1": 0, "v2": 1, "v3": 1}
         policy = Policy.lex_posterior(ScoreMode.GROSS)
         assert score_colour(fork_graph, phi, 0, policy) == 2.0
         assert score_colour(fork_graph, phi, 1, policy) == 0.0
@@ -58,7 +64,7 @@ class TestScoreColour:
         # C4 plus an isolated vertex: dsatur classes of sizes 3 and 2
         g = make_graph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
         phi = dsatur(g)
-        sizes = {c: len(m) for c, m in colour_classes(g, phi).items()}
+        sizes = Counter(phi.assignment.values())
         assert sorted(sizes.values()) == [2, 3]
         for c, size in sizes.items():
             assert score_colour(g, phi, c, Policy.max_class()) == float(size)
@@ -221,6 +227,47 @@ class TestScoreAdmittedSet:
         g = make_graph("ab", [("a", "b")])
         with pytest.raises(UnknownNormId):
             score_admitted_set(g, {"a"}, {"a": 1})
+
+
+class TestWeakOrderCoverage:
+    def test_unranked_isolated_norm_is_rejected(self):
+        g = make_graph("abx", [("a", "b")])
+        with pytest.raises(UnknownNormId, match="'x'"):
+            colour_resolve(g, Policy.weak_order({"a": 2, "b": 1}))
+
+    def test_first_unranked_norm_in_insertion_order_is_named(self):
+        # scoring would meet d first (a neighbour of c); b is isolated
+        g = make_graph("abcd", [("c", "d")])
+        with pytest.raises(UnknownNormId, match="'b'"):
+            rank_colours(g, dsatur(g), Policy.weak_order({"a": 1, "c": 2}))
+
+    def test_extra_ranks_are_ignored(self):
+        g = make_graph("ab", [("a", "b")])
+        assert colour_resolve(g, Policy.weak_order({"a": 2, "b": 1, "zz": 9})).admitted == ("a",)
+
+
+class TestPolicyHashing:
+    def test_weak_order_policy_is_hashable(self):
+        a = Policy.weak_order({"a": 2, "b": 1})
+        b = Policy.weak_order({"b": 1, "a": 2})
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, Policy.weak_order({"a": 1, "b": 2}), Policy.lex_posterior()}) == 3
+
+    def test_bench_config_with_a_weak_order_is_hashable(self):
+        hash(preset_config("score-sum"))
+
+    def test_ranks_stay_a_read_only_mapping(self):
+        ranks = {"a": 2, "b": 1}
+        policy = Policy.weak_order(ranks)
+        ranks["a"] = 0
+        assert isinstance(policy.ranks, Mapping)
+        assert dict(policy.ranks) == {"a": 2, "b": 1}
+        with pytest.raises(TypeError):
+            policy.ranks["a"] = 5  # type: ignore[index]
+
+    def test_pickle_round_trip(self):
+        policy = Policy.weak_order({"a": 2, "b": 1}, ScoreMode.GROSS)
+        assert pickle.loads(pickle.dumps(policy)) == policy
 
 
 def test_weak_order_requires_ranks():

@@ -13,7 +13,6 @@ from normcolour import (
     Policy,
     ScoreMode,
     build_graph,
-    colour_classes,
     colour_curtail,
     colour_curtail_complete,
     colour_resolve,
@@ -128,20 +127,10 @@ class TestColouringProperties:
     @given(graphs())
     def test_classes_partition_and_are_independent(self, g):
         phi = dsatur(g)
-        classes = colour_classes(g, phi)
-        assert sorted(v for c in classes.values() for v in c) == sorted(g.ids)
-        assert all(classes[c] for c in range(phi.num_colours))
-        for members in classes.values():
-            for v in members:
-                assert g.neighbours(v).isdisjoint(members)
-
-    @given(graphs(), st.randoms(use_true_random=False))
-    def test_explicit_order_colouring_is_proper(self, g, rnd):
-        order = list(g.ids)
-        rnd.shuffle(order)
-        from normcolour import greedy_colouring
-
-        assert is_valid_colouring(g, greedy_colouring(g, order))
+        assert sorted(phi.assignment) == sorted(g.ids)
+        assert set(phi.assignment.values()) == set(range(phi.num_colours))
+        for v, c in phi.assignment.items():
+            assert all(phi.assignment[w] != c for w in g.neighbours(v))
 
 
 class TestPolicyProperties:
