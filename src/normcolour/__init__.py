@@ -12,6 +12,7 @@ from .errors import (
     DuplicateNormId,
     EmptyInput,
     IncompleteColouring,
+    InvalidScore,
     NormColourError,
     SchemaError,
     SelfConflict,
@@ -50,6 +51,7 @@ __all__ = [
     "DuplicateNormId",
     "EmptyInput",
     "IncompleteColouring",
+    "InvalidScore",
     "Norm",
     "NormColourError",
     "NormId",

@@ -18,7 +18,7 @@ import io
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import EmptyInput, TooManyConflicts
 from .graph import ConflictGraph, Norm, NormId, build_graph
@@ -121,14 +121,6 @@ def generate_random_conflicts(
     return [(ids[i], ids[j]) for i, j in chosen]
 
 
-def _scores(
-    g: ConflictGraph, admitted: Sequence[NormId] | frozenset[NormId], ranks: WeakOrdering
-) -> tuple[float, float]:
-    total = float(score_admitted_set(g, admitted, ranks))
-    avg = total / len(admitted) if admitted else 0.0
-    return total, avg
-
-
 def _measure(
     algorithm: str,
     g: ConflictGraph,
@@ -137,34 +129,30 @@ def _measure(
     point_seed: int,
 ) -> list[tuple[str, str, float]]:
     """Run one algorithm on one instance; returns (policy, metric, value) rows."""
-    if algorithm in BASELINES:
-        if algorithm == "random-drop":
-            rng = random.Random(derive_seed(point_seed, "random-drop"))
-            admitted: frozenset[NormId] = random_drop(g, rng)
-        else:
-            admitted = max_cardinality_admissible(g)
-        label = "none"
-        if cfg.metric is Metric.ADMITTED_COUNT:
-            return [(label, "admitted_count", float(len(admitted)))]
-        total, avg = _scores(g, admitted, ranks)
-        value = total if cfg.metric is Metric.SCORE_SUM else avg
-        return [(label, cfg.metric.value.replace("-", "_"), value)]
+    if algorithm == "random-drop":
+        rng = random.Random(derive_seed(point_seed, "random-drop"))
+        label, admitted = "none", random_drop(g, rng)
+    elif algorithm == "preferred":
+        label, admitted = "none", max_cardinality_admissible(g)
+    else:
+        res: Resolution = ALGORITHMS[algorithm](g, cfg.policy)
+        label = policy_label(cfg.policy)
+        admitted = res.admitted
+        if algorithm in ("curtail", "curtail-complete"):
+            if cfg.metric is Metric.ADMITTED_COUNT:
+                # Curtailing algorithms admit everything, so a raw count says
+                # nothing; report how much survived uncurtailed instead.
+                return [
+                    (label, "uncurtailed_count", float(len(res.admitted_unconditionally))),
+                    (label, "curtailment_total", float(res.total_curtailments)),
+                ]
+            admitted = res.admitted_unconditionally
 
-    res: Resolution = ALGORITHMS[algorithm](g, cfg.policy)
-    label = policy_label(cfg.policy)
-    curtailing = algorithm in ("curtail", "curtail-complete")
     if cfg.metric is Metric.ADMITTED_COUNT:
-        if curtailing:
-            # Curtailing algorithms admit everything, so a raw count says
-            # nothing; report how much survived uncurtailed instead.
-            return [
-                (label, "uncurtailed_count", float(len(res.admitted_unconditionally))),
-                (label, "curtailment_total", float(res.total_curtailments)),
-            ]
-        return [(label, "admitted_count", float(len(res.entries)))]
-    scored = res.admitted_unconditionally if curtailing else res.admitted
-    total, avg = _scores(g, scored, ranks)
-    value = total if cfg.metric is Metric.SCORE_SUM else avg
+        return [(label, "admitted_count", float(len(admitted)))]
+    value = float(score_admitted_set(g, admitted, ranks))
+    if cfg.metric is Metric.SCORE_AVG:
+        value = value / len(admitted) if admitted else 0.0
     return [(label, cfg.metric.value.replace("-", "_"), value)]
 
 

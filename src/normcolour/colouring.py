@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import IncompleteColouring
+from .errors import IncompleteColouring, UnknownColour
 from .graph import ConflictGraph, NormId
 
 
@@ -27,8 +27,12 @@ class Colouring:
     assignment: Mapping[NormId, int]
     num_colours: int
 
-    def colour_of(self, v: NormId) -> int:
-        return self.assignment[v]
+    def __post_init__(self) -> None:
+        for v, c in self.assignment.items():
+            if not 0 <= c < self.num_colours:
+                raise UnknownColour(
+                    f"vertex {v!r} has colour {c}, not in 0..{self.num_colours - 1}"
+                )
 
 
 def dsatur(g: ConflictGraph) -> Colouring:

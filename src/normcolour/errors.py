@@ -29,6 +29,10 @@ class UnknownColour(NormColourError):
     """A colour id outside the colouring's range was requested."""
 
 
+class InvalidScore(NormColourError):
+    """A policy gave a colour class a score that cannot be ranked (NaN)."""
+
+
 class TooLarge(NormColourError):
     """The instance exceeds an exhaustive-search budget."""
 

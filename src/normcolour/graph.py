@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DuplicateNormId, SelfConflict, UnknownNormId
+from .errors import DuplicateNormId, SchemaError, SelfConflict, UnknownNormId
 
 NormId = str
 
@@ -33,7 +33,7 @@ class Norm:
 
     def __post_init__(self) -> None:
         if not self.id:
-            raise UnknownNormId("norm id must be a non-empty string")
+            raise SchemaError("norm id must be a non-empty string")
         if not isinstance(self.antecedents, frozenset):
             object.__setattr__(self, "antecedents", frozenset(self.antecedents))
 
@@ -45,7 +45,7 @@ class ConflictGraph:
     all tie-breaking downstream relies on it.
     """
 
-    __slots__ = ("norms", "ids", "edges", "_by_id", "_index", "_adj")
+    __slots__ = ("norms", "ids", "edges", "_by_id", "_adj")
 
     def __init__(self, norms: Sequence[Norm], conflicts: Iterable[tuple[NormId, NormId]]):
         self.norms: tuple[Norm, ...] = tuple(norms)
@@ -58,7 +58,6 @@ class ConflictGraph:
             by_id[norm.id] = norm
             index[norm.id] = pos
         self._by_id = by_id
-        self._index = index
 
         adj: dict[NormId, set[NormId]] = {norm.id: set() for norm in self.norms}
         edge_set: set[tuple[NormId, NormId]] = set()

@@ -1,34 +1,34 @@
 """Policy heuristics that score colour classes.
 
-A policy evaluates a colour class by how often its members win pairwise
-preference comparisons against the norms they conflict with:
+A policy scores each norm against its conflicting neighbours: +1 for each
+neighbour the norm is preferred to and, under NET scoring, -1 for each one
+preferred to it (GROSS counts wins only; ties count 0). A colour class
+scores the sum over its members. A pairwise policy keys every norm, and v
+is preferred to w exactly when key[w] < key[v]:
 
-* lex posterior — the earlier-declared norm wins a comparison (the textbook
-  reading prefers the newer norm; ``prefer_recent`` flips the direction);
-* lex superior — the norm from the stronger authority wins;
-* lex specialis — a norm whose antecedents are a strict subset of the
-  other's wins, and incomparable antecedent sets are a tie;
-* weak-order — an explicit rank map that must rank every norm; higher wins;
-* max-class — ignores preferences entirely and scores class size.
+* lex posterior — earlier declaration ranks higher (``prefer_recent``
+  flips this to the textbook reading, where the newer norm wins);
+* lex superior — the stronger authority ranks higher;
+* lex specialis — the complement of a norm's antecedents within the
+  graph's atoms, so a strict subset (the more specific norm) wins and
+  incomparable sets tie;
+* weak-order — an explicit rank map that must rank every norm.
 
-Lex posterior and lex superior are weak orders too (``ordering_from_metadata``),
-so those two and weak-order are scored by one rank-map kernel, the one
-``score_admitted_set`` uses; lex specialis, a partial order, compares pairs.
-
-GROSS scoring counts wins only; NET subtracts losses. Ties contribute
-nothing either way. Any callable ``(graph, colouring, colour) -> float``
-can stand in for a policy wherever one is accepted, so bespoke heuristics
-(trust models, etc.) plug in without touching this module.
+Max-class scores every norm 1, so a class scores its size. Any callable
+``(graph, colouring, colour) -> float`` can stand in for a policy wherever
+one is accepted and is called once per class, so bespoke heuristics (trust
+models, etc.) plug in without touching this module.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Union
 
 from .colouring import Colouring
-from .errors import UnknownColour, UnknownNormId
+from .errors import InvalidScore, UnknownColour, UnknownNormId
 from .graph import ConflictGraph, NormId
 
 WeakOrdering = Mapping[NormId, int]
@@ -57,11 +57,19 @@ class Policy:
     prefer_recent: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, PolicyKind):
+            raise ValueError(f"policy kind must be a PolicyKind, not {self.kind!r}")
+        if not isinstance(self.mode, ScoreMode):
+            raise ValueError(f"score mode must be a ScoreMode, not {self.mode!r}")
         if self.kind is PolicyKind.WEAK_ORDER and self.ranks is None:
             raise ValueError("weak-order policy requires a rank map")
         if self.ranks is not None:
+            ranks = dict(self.ranks)
+            for v, r in ranks.items():
+                if not isinstance(r, int) or isinstance(r, bool):
+                    raise ValueError(f"rank of {v!r} must be an integer, not {r!r}")
             # a read-only copy, so that a hashed policy cannot change
-            object.__setattr__(self, "ranks", MappingProxyType(dict(self.ranks)))
+            object.__setattr__(self, "ranks", MappingProxyType(ranks))
 
     def __reduce__(self) -> tuple:
         ranks = None if self.ranks is None else dict(self.ranks)
@@ -91,54 +99,64 @@ class Policy:
 
     def prefers(self, g: ConflictGraph, a: NormId, b: NormId) -> bool:
         """Strict preference of a over b under this policy."""
-        if self.kind is PolicyKind.LEX_SPECIALIS:
-            return g.norm(a).antecedents < g.norm(b).antecedents
-        ranks = _rank_map(g, self)
-        if ranks is None:
-            raise ValueError(f"{self.kind.value} is not a pairwise-preference policy")
-        return _rank(ranks, a) > _rank(ranks, b)
+        key = _preference_key(g, self)
+        for v in (a, b):
+            g.norm(v)  # UnknownNormId for an id outside g
+        return key[b] < key[a]
 
 
 Heuristic = Union[Policy, Callable[[ConflictGraph, Colouring, int], float]]
 
 
-def _rank(ranks: WeakOrdering, v: NormId) -> int:
-    try:
-        return ranks[v]
-    except KeyError:
-        raise UnknownNormId(f"weak ordering assigns no rank to {v!r}") from None
-
-
-def _rank_map(g: ConflictGraph, policy: Heuristic) -> WeakOrdering | None:
-    """The rank map a policy orders g's norms by, if it has one. Raises
-    UnknownNormId naming the first norm a weak order leaves unranked."""
-    if not isinstance(policy, Policy):
-        return None
+def _preference_key(g: ConflictGraph, policy: Policy) -> Mapping[NormId, object]:
+    """Per-norm keys of a pairwise policy (see the module docstring). Raises
+    UnknownNormId naming the first norm, in insertion order, that a weak
+    order leaves unranked, and ValueError for max-class."""
     if policy.kind is PolicyKind.WEAK_ORDER:
         for v in g.ids:
             if v not in policy.ranks:
                 raise UnknownNormId(f"weak ordering assigns no rank to {v!r}")
         return policy.ranks
-    if policy.kind in (PolicyKind.LEX_POSTERIOR, PolicyKind.LEX_SUPERIOR):
-        return ordering_from_metadata(g, policy.kind, prefer_recent=policy.prefer_recent)
-    return None
+    if policy.kind is PolicyKind.LEX_SPECIALIS:
+        # complementing within the graph's atoms reverses strict inclusion
+        atoms = frozenset().union(*(norm.antecedents for norm in g.norms))
+        return {norm.id: atoms - norm.antecedents for norm in g.norms}
+    return ordering_from_metadata(g, policy.kind, prefer_recent=policy.prefer_recent)
 
 
-def _rank_score(
-    g: ConflictGraph, members: Iterable[NormId], ranks: WeakOrdering, net: bool
-) -> int:
-    """+1 for every conflicting neighbour a member outranks and, when net,
-    -1 for every one that outranks it; ties contribute 0."""
+def _norm_score(g: ConflictGraph, key: Mapping[NormId, object], v: NormId, net: bool) -> int:
+    """+1 for every conflicting neighbour v is preferred to and, when net,
+    -1 for every one preferred to v; tied or incomparable pairs add 0."""
+    kv = key[v]
     total = 0
-    for v in members:
-        rv = _rank(ranks, v)
-        for w in g.neighbours(v):
-            rw = _rank(ranks, w)
-            if rv > rw:
-                total += 1
-            elif net and rw > rv:
-                total -= 1
+    for w in g.neighbours(v):
+        kw = key[w]
+        if kw < kv:
+            total += 1
+        elif net and kv < kw:
+            total -= 1
     return total
+
+
+def _class_scores(
+    g: ConflictGraph, phi: Colouring, policy: Heuristic, colours: Iterable[int]
+) -> dict[int, float]:
+    """Scores of the given classes of phi: each norm is scored once and the
+    scores summed by class. Raises InvalidScore for a NaN, which no ranking orders."""
+    if isinstance(policy, Policy):
+        # max-class scores every norm 1
+        key = None if policy.kind is PolicyKind.MAX_CLASS else _preference_key(g, policy)
+        net = policy.mode is ScoreMode.NET
+        totals = [0] * phi.num_colours
+        for v in g.ids:
+            totals[phi.assignment[v]] += 1 if key is None else _norm_score(g, key, v, net)
+        scores = {c: float(totals[c]) for c in colours}
+    else:
+        scores = {c: float(policy(g, phi, c)) for c in colours}
+    for c, score in scores.items():
+        if math.isnan(score):
+            raise InvalidScore(f"colour {c} scored NaN")
+    return scores
 
 
 def policy_label(policy: Heuristic) -> str:
@@ -153,44 +171,19 @@ def policy_label(policy: Heuristic) -> str:
 def score_colour(g: ConflictGraph, phi: Colouring, c: int, policy: Heuristic) -> float:
     """Evaluate colour class c of phi under the given policy.
 
-    Raises UnknownColour when c is outside phi's colour range.
+    Raises UnknownColour when c is outside phi's colour range, InvalidScore for NaN.
     """
     if not 0 <= c < phi.num_colours:
         raise UnknownColour(f"colour {c} not in 0..{phi.num_colours - 1}")
-    return _score_colour(g, phi, c, policy, _rank_map(g, policy))
-
-
-def _score_colour(
-    g: ConflictGraph, phi: Colouring, c: int, policy: Heuristic, ranks: WeakOrdering | None
-) -> float:
-    if not isinstance(policy, Policy):
-        return float(policy(g, phi, c))
-
-    members = [v for v in g.ids if phi.assignment[v] == c]
-    if policy.kind is PolicyKind.MAX_CLASS:
-        return float(len(members))
-    net = policy.mode is ScoreMode.NET
-    if ranks is not None:
-        return float(_rank_score(g, members, ranks, net))
-
-    # lex specialis is a partial order: compare each conflicting pair
-    total = 0
-    for v in members:
-        for w in g.neighbours(v):
-            if policy.prefers(g, v, w):
-                total += 1
-            elif net and policy.prefers(g, w, v):
-                total -= 1
-    return float(total)
+    return _class_scores(g, phi, policy, (c,))[c]
 
 
 def rank_colours(g: ConflictGraph, phi: Colouring, policy: Heuristic) -> list[int]:
     """All colour ids, best score first; ties go to the lower colour id.
 
-    Raises UnknownNormId when a weak-order policy leaves a norm of g unranked.
+    Raises UnknownNormId for a norm a weak order leaves unranked, InvalidScore for NaN.
     """
-    ranks = _rank_map(g, policy)
-    scores = {c: _score_colour(g, phi, c, policy, ranks) for c in range(phi.num_colours)}
+    scores = _class_scores(g, phi, policy, range(phi.num_colours))
     return sorted(scores, key=lambda c: (-scores[c], c))
 
 
@@ -213,11 +206,12 @@ def ordering_from_metadata(
 def score_admitted_set(
     g: ConflictGraph, admitted: Iterable[NormId], ranks: WeakOrdering
 ) -> int:
-    """Net preference score of an admitted set.
-
-    Each admitted norm contributes +1 for every conflicting neighbour it
-    outranks and -1 for every one that outranks it; ties contribute 0.
-    Over the full vertex set the two signs cancel edge by edge, so the
-    total is 0.
+    """Net preference score of an admitted set: its members' net scores
+    under the rank map, summed. Over the full vertex set the two signs
+    cancel edge by edge, so the total is 0. Raises UnknownNormId for a
+    norm the rank map leaves out.
     """
-    return _rank_score(g, admitted, ranks, net=True)
+    try:
+        return sum(_norm_score(g, ranks, v, True) for v in admitted)
+    except KeyError as exc:
+        raise UnknownNormId(f"weak ordering assigns no rank to {exc.args[0]!r}") from None

@@ -1,6 +1,6 @@
 import pytest
 
-from normcolour import Colouring, IncompleteColouring, dsatur, is_valid_colouring
+from normcolour import Colouring, IncompleteColouring, UnknownColour, dsatur, is_valid_colouring
 from normcolour.oracle import chromatic_number
 
 from .conftest import complete_graph, make_graph
@@ -64,6 +64,11 @@ class TestValidity:
         g = make_graph("ab")
         with pytest.raises(IncompleteColouring):
             is_valid_colouring(g, Colouring({"a": 0}, 1))
+
+    @pytest.mark.parametrize("colour", [-1, 1])
+    def test_colour_outside_the_range_is_rejected(self, colour):
+        with pytest.raises(UnknownColour, match="'b'"):
+            Colouring({"a": 0, "b": colour}, 1)
 
 
 class TestColourClasses:

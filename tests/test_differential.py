@@ -1,5 +1,6 @@
-"""Differential tests: the admission engine and the rank-map scoring path
-against private copies of the implementations they replaced.
+"""Differential tests: the admission engine and the per-norm scoring kernel
+against private copies of the implementations they replaced, plus fuzzing
+of the document parsers.
 
 The reference below keeps the four algorithms as four separate loops and
 scores every pairwise policy through a per-kind ``prefers`` dispatch, as the
@@ -8,6 +9,7 @@ refactor behind the public names can prove that it changed nothing.
 """
 from __future__ import annotations
 
+import json
 from typing import Mapping
 
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from normcolour import (
     Colouring,
     ConflictGraph,
     CurtailedNorm,
+    NormColourError,
     NormId,
     Policy,
     PolicyKind,
@@ -29,6 +32,7 @@ from normcolour import (
     policy_label,
     score_colour,
 )
+from normcolour.documents import parse_norm_document, read_resolution
 
 from .test_properties import graphs, rank_maps
 
@@ -175,21 +179,21 @@ REFERENCE = {
 
 
 @st.composite
-def graphs_with_every_policy(draw):
-    """Graphs of up to 16 norms under any of the five policies, either
-    scoring mode and, for lex posterior, either direction."""
+def graphs_with_every_policy(draw, pairwise_only=False):
+    """Graphs of up to 16 norms under any of the five policies (or only the
+    four pairwise ones), either scoring mode and, for lex posterior, either
+    direction."""
     g = draw(graphs(max_n=16, with_metadata=True))
     mode = draw(st.sampled_from(list(ScoreMode)))
-    policy = draw(
-        st.one_of(
-            st.just(Policy.max_class()),
-            st.booleans().map(lambda recent: Policy.lex_posterior(mode, prefer_recent=recent)),
-            st.just(Policy.lex_superior(mode)),
-            st.just(Policy.lex_specialis(mode)),
-            rank_maps(g).map(lambda ranks: Policy.weak_order(ranks, mode)),
-        )
-    )
-    return g, policy
+    policies = [
+        st.booleans().map(lambda recent: Policy.lex_posterior(mode, prefer_recent=recent)),
+        st.just(Policy.lex_superior(mode)),
+        st.just(Policy.lex_specialis(mode)),
+        rank_maps(g).map(lambda ranks: Policy.weak_order(ranks, mode)),
+    ]
+    if not pairwise_only:
+        policies.insert(0, st.just(Policy.max_class()))
+    return g, draw(st.one_of(policies))
 
 
 @settings(max_examples=200, deadline=None)
@@ -207,3 +211,39 @@ def test_class_scores_match_the_reference(gp):
     phi = dsatur(g)
     for c in range(phi.num_colours):
         assert score_colour(g, phi, c, policy) == _ref_score_colour(g, phi, c, policy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_every_policy(pairwise_only=True))
+def test_prefers_matches_the_reference(gp):
+    g, policy = gp
+    for a in g.ids:
+        for b in g.ids:
+            assert policy.prefers(g, a, b) == _ref_prefers(policy, g, a, b)
+
+
+# -- fuzzing: malformed documents raise NormColourError, nothing else -------
+
+# the field names both document shapes use, so that fuzzing gets past the top level
+_FIELDS = st.sampled_from(
+    [
+        "norms", "conflicts", "id", "label", "declared_at", "authority_rank", "antecedents",
+        "entries", "norm", "curtailed_wrt", "algorithm", "policy", "colours_used",
+    ]
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_FIELDS | st.text(max_size=4), inner, max_size=5),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_json_values.map(json.dumps), st.text()))
+def test_parsers_raise_only_package_errors(text):
+    for parse in (parse_norm_document, read_resolution):
+        try:
+            parse(text)
+        except NormColourError:
+            pass

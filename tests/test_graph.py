@@ -3,6 +3,7 @@ import pytest
 from normcolour import (
     DuplicateNormId,
     Norm,
+    SchemaError,
     SelfConflict,
     UnknownNormId,
     build_graph,
@@ -48,7 +49,7 @@ class TestBuildGraph:
         assert len(g) == 2
 
     def test_empty_id_rejected(self):
-        with pytest.raises(UnknownNormId):
+        with pytest.raises(SchemaError):
             Norm("")
 
 

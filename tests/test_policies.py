@@ -1,3 +1,4 @@
+import math
 import pickle
 from collections import Counter
 from collections.abc import Mapping
@@ -5,6 +6,7 @@ from collections.abc import Mapping
 import pytest
 
 from normcolour import (
+    InvalidScore,
     Policy,
     PolicyKind,
     ScoreMode,
@@ -111,6 +113,22 @@ class TestScoreColour:
     def test_callable_heuristic_plugs_in(self, fork_graph):
         phi = dsatur(fork_graph)
         assert score_colour(fork_graph, phi, 1, lambda g, p, c: 2.5 * c) == 2.5
+
+    def test_nan_class_score_is_rejected(self):
+        g = make_graph("abc", [("a", "b"), ("b", "c")])
+        phi = dsatur(g)
+        assert phi.assignment == {"a": 1, "b": 0, "c": 1}
+
+        def heuristic(graph, colouring, colour):
+            return math.nan if colour == 0 else 1.0
+
+        with pytest.raises(InvalidScore, match="colour 0"):
+            rank_colours(g, phi, heuristic)
+        with pytest.raises(InvalidScore, match="colour 0"):
+            score_colour(g, phi, 0, heuristic)
+        with pytest.raises(InvalidScore, match="colour 0"):
+            colour_resolve(g, heuristic)
+        assert score_colour(g, phi, 1, heuristic) == 1.0
 
 
 class TestRankColours:
@@ -273,6 +291,27 @@ class TestPolicyHashing:
 def test_weak_order_requires_ranks():
     with pytest.raises(ValueError):
         Policy(PolicyKind.WEAK_ORDER)
+
+
+class TestPolicyValidation:
+    @pytest.mark.parametrize(
+        "kind, mode", [(PolicyKind.LEX_SUPERIOR, "net"), ("lex-superior", ScoreMode.NET)]
+    )
+    def test_kind_and_mode_must_be_enum_members(self, kind, mode):
+        with pytest.raises(ValueError):
+            Policy(kind, mode)
+
+    @pytest.mark.parametrize("rank", ["2", True, 1.5, None])
+    def test_ranks_must_be_integers(self, rank):
+        with pytest.raises(ValueError, match="'b'"):
+            Policy.weak_order({"a": 1, "b": rank, "c": 0})
+
+    @pytest.mark.parametrize(
+        "policy", [Policy.lex_specialis(), Policy.weak_order({"v1": 1, "v2": 2, "v3": 3, "zz": 0})]
+    )
+    def test_prefers_rejects_a_norm_outside_the_graph(self, fork_graph, policy):
+        with pytest.raises(UnknownNormId, match="'zz'"):
+            policy.prefers(fork_graph, "v1", "zz")
 
 
 def test_policy_labels():
