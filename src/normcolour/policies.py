@@ -9,9 +9,8 @@ is preferred to w exactly when key[w] < key[v]:
 * lex posterior — earlier declaration ranks higher (``prefer_recent``
   flips this to the textbook reading, where the newer norm wins);
 * lex superior — the stronger authority ranks higher;
-* lex specialis — the complement of a norm's antecedents within the
-  graph's atoms, so a strict subset (the more specific norm) wins and
-  incomparable sets tie;
+* lex specialis — a norm's own antecedent set, ordered in reverse, so a
+  strict subset (the more specific norm) wins and incomparable sets tie;
 * weak-order — an explicit rank map that must rank every norm.
 
 Max-class scores every norm 1, so a class scores its size. Any callable
@@ -98,14 +97,20 @@ class Policy:
         return cls(PolicyKind.MAX_CLASS)
 
     def prefers(self, g: ConflictGraph, a: NormId, b: NormId) -> bool:
-        """Strict preference of a over b under this policy."""
+        """Strict preference of a over b. Outside lex specialis each call
+        builds the whole key map, O(n); score many pairs with rank_colours."""
+        na, nb = g.norm(a), g.norm(b)  # UnknownNormId for an id outside g
+        if self.kind is PolicyKind.LEX_SPECIALIS:
+            return _Specific(nb.antecedents) < _Specific(na.antecedents)
         key = _preference_key(g, self)
-        for v in (a, b):
-            g.norm(v)  # UnknownNormId for an id outside g
         return key[b] < key[a]
 
 
 Heuristic = Union[Policy, Callable[[ConflictGraph, Colouring, int], float]]
+
+
+class _Specific(frozenset):
+    __lt__ = frozenset.__gt__  # reverse strict inclusion: the subset ranks higher
 
 
 def _preference_key(g: ConflictGraph, policy: Policy) -> Mapping[NormId, object]:
@@ -118,9 +123,7 @@ def _preference_key(g: ConflictGraph, policy: Policy) -> Mapping[NormId, object]
                 raise UnknownNormId(f"weak ordering assigns no rank to {v!r}")
         return policy.ranks
     if policy.kind is PolicyKind.LEX_SPECIALIS:
-        # complementing within the graph's atoms reverses strict inclusion
-        atoms = frozenset().union(*(norm.antecedents for norm in g.norms))
-        return {norm.id: atoms - norm.antecedents for norm in g.norms}
+        return {norm.id: _Specific(norm.antecedents) for norm in g.norms}
     return ordering_from_metadata(g, policy.kind, prefer_recent=policy.prefer_recent)
 
 
@@ -171,7 +174,9 @@ def policy_label(policy: Heuristic) -> str:
 def score_colour(g: ConflictGraph, phi: Colouring, c: int, policy: Heuristic) -> float:
     """Evaluate colour class c of phi under the given policy.
 
-    Raises UnknownColour when c is outside phi's colour range, InvalidScore for NaN.
+    A built-in policy scores every norm on each call, O(n + m); rank_colours
+    scores all classes at once. Raises UnknownColour when c is outside
+    phi's colour range, InvalidScore for NaN.
     """
     if not 0 <= c < phi.num_colours:
         raise UnknownColour(f"colour {c} not in 0..{phi.num_colours - 1}")
