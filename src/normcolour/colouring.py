@@ -1,15 +1,25 @@
 """Proper vertex colourings of conflict graphs.
 
-Colourings come from DSATUR, a saturation-degree greedy colouring whose
-pinned tie-breaks make every run of every algorithm downstream reproducible:
+Colourings come from DSATUR (Brélaz 1979), a saturation-degree greedy
+colouring whose pinned tie-breaks make every run of every algorithm
+downstream reproducible:
 
 * vertex selection: highest saturation, then highest degree, then norm
   insertion order;
 * colour selection: the lowest already-used colour that no neighbour holds,
   else the smallest unused colour index.
+
+Selection runs on a min-heap over integer vertex indices whose entries
+order like (-saturation, -degree, insertion index), so a colouring costs
+O((n + m) log n) for n norms and m conflicts. Colouring a vertex pushes a
+fresh entry for each uncoloured neighbour whose saturation it raises, and
+the older entry stays in the heap. An entry is stale once its vertex is
+coloured: since saturation only grows, a vertex's newest entry sorts before
+its older ones, so the first of its entries to be popped is always current.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -40,35 +50,45 @@ def dsatur(g: ConflictGraph) -> Colouring:
 
     Uses at most max-degree + 1 colours and is deterministic for a given
     graph thanks to the pinned tie-breaks described in the module docstring.
+    ``assignment`` lists the norms in the order they were coloured.
     """
-    order = g.ids
-    if not order:
-        return Colouring({}, 0)
-
-    assignment: dict[NormId, int] = {}
+    ids = g.ids
+    n = len(ids)
+    position = {v: i for i, v in enumerate(ids)}
+    degree = [g.degree(v) for v in ids]
+    # a heap entry is one int ordered like (-saturation, -degree, index):
+    # -saturation * stride + base[i], with 0 <= base[i] < stride
+    max_degree = max(degree, default=0)
+    stride = (max_degree + 1) * n
+    base = [(max_degree - d) * n + i for i, d in enumerate(degree)]
     # saturation set = distinct colours among already-coloured neighbours
-    neighbour_colours: dict[NormId, set[int]] = {v: set() for v in order}
-    degree = {v: g.degree(v) for v in order}
+    saturation: list[set[int]] = [set() for _ in ids]
+    coloured = [False] * n
+    heap = list(base)
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    assignment: dict[NormId, int] = {}
     num_used = 0
 
-    for _ in range(len(order)):
-        best = None
-        best_key = (-1, -1)
-        for v in order:
-            if v in assignment:
-                continue
-            key = (len(neighbour_colours[v]), degree[v])
-            if key > best_key:
-                best = v
-                best_key = key
-        assert best is not None
-        blocked = neighbour_colours[best]
-        colour = next(c for c in range(num_used + 1) if c not in blocked)
-        assignment[best] = colour
-        num_used = max(num_used, colour + 1)
-        for w in g.neighbours(best):
-            if w not in assignment:
-                neighbour_colours[w].add(colour)
+    while heap:
+        i = pop(heap) % n
+        if coloured[i]:
+            continue  # stale entry
+        blocked = saturation[i]
+        colour = 0
+        while colour in blocked:
+            colour += 1
+        coloured[i] = True
+        assignment[ids[i]] = colour
+        if colour == num_used:
+            num_used += 1
+        for w in g.neighbours(ids[i]):
+            j = position[w]
+            if not coloured[j]:
+                seen = saturation[j]
+                if colour not in seen:
+                    seen.add(colour)
+                    push(heap, base[j] - len(seen) * stride)
 
     return Colouring(assignment, num_used)
 

@@ -27,7 +27,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Union
 
 from .colouring import Colouring
-from .errors import InvalidScore, UnknownColour, UnknownNormId
+from .errors import IncompleteColouring, InvalidScore, UnknownColour, UnknownNormId
 from .graph import ConflictGraph, NormId
 
 WeakOrdering = Mapping[NormId, int]
@@ -145,14 +145,19 @@ def _class_scores(
     g: ConflictGraph, phi: Colouring, policy: Heuristic, colours: Iterable[int]
 ) -> dict[int, float]:
     """Scores of the given classes of phi: each norm is scored once and the
-    scores summed by class. Raises InvalidScore for a NaN, which no ranking orders."""
+    scores summed by class. Raises IncompleteColouring naming the first
+    uncoloured norm in insertion order, InvalidScore for a NaN, which no
+    ranking orders."""
     if isinstance(policy, Policy):
         # max-class scores every norm 1
         key = None if policy.kind is PolicyKind.MAX_CLASS else _preference_key(g, policy)
         net = policy.mode is ScoreMode.NET
         totals = [0] * phi.num_colours
         for v in g.ids:
-            totals[phi.assignment[v]] += 1 if key is None else _norm_score(g, key, v, net)
+            c = phi.assignment.get(v)
+            if c is None:
+                raise IncompleteColouring(f"vertex {v!r} has no colour")
+            totals[c] += 1 if key is None else _norm_score(g, key, v, net)
         scores = {c: float(totals[c]) for c in colours}
     else:
         scores = {c: float(policy(g, phi, c)) for c in colours}
@@ -176,7 +181,8 @@ def score_colour(g: ConflictGraph, phi: Colouring, c: int, policy: Heuristic) ->
 
     A built-in policy scores every norm on each call, O(n + m); rank_colours
     scores all classes at once. Raises UnknownColour when c is outside
-    phi's colour range, InvalidScore for NaN.
+    phi's colour range, IncompleteColouring when phi leaves a norm of g
+    uncoloured, InvalidScore for NaN.
     """
     if not 0 <= c < phi.num_colours:
         raise UnknownColour(f"colour {c} not in 0..{phi.num_colours - 1}")
@@ -186,7 +192,8 @@ def score_colour(g: ConflictGraph, phi: Colouring, c: int, policy: Heuristic) ->
 def rank_colours(g: ConflictGraph, phi: Colouring, policy: Heuristic) -> list[int]:
     """All colour ids, best score first; ties go to the lower colour id.
 
-    Raises UnknownNormId for a norm a weak order leaves unranked, InvalidScore for NaN.
+    Raises UnknownNormId for a norm a weak order leaves unranked,
+    IncompleteColouring for a norm phi leaves uncoloured, InvalidScore for NaN.
     """
     scores = _class_scores(g, phi, policy, range(phi.num_colours))
     return sorted(scores, key=lambda c: (-scores[c], c))

@@ -76,23 +76,37 @@ def _admit(
     phi = dsatur(g)
     order = rank_colours(g, phi, policy)
     assignment = dict(phi.assignment)
-    # admitted norm -> admission index: the completion skip-set, and the
-    # order in which a norm's earlier-admitted neighbours are listed
+    # admitted norm -> admission index, the order in which a norm's
+    # earlier-admitted neighbours are listed
     index: dict[NormId, int] = {}
     entries: list[CurtailedNorm] = []
+    # each class's members in insertion order, from one pass over the norms
+    buckets: list[list[NormId]] = [[] for _ in range(phi.num_colours)]
+    for v in g.ids:
+        buckets[assignment[v]].append(v)
+    unadmitted = g.ids  # in insertion order; kept for completion only
     for c in order[:1] if first_class_only else order:
+        # completion may have moved a member into an earlier class
+        members = [v for v in buckets[c] if assignment[v] == c]
         if complete:
-            members = {v for v in g.ids if assignment[v] == c}
-            for v in g.ids:
-                if v not in index and g.neighbours(v).isdisjoint(members):
+            # every unadmitted vertex with no neighbour in the class joins
+            # it, swept one at a time in insertion order; the class's own
+            # members pass too, being independent, so members stay in order
+            taken = set(members)
+            members, rest = [], []
+            for v in unadmitted:
+                if g.neighbours(v).isdisjoint(taken):
                     assignment[v] = c
-                    members.add(v)
+                    taken.add(v)
+                    members.append(v)
+                else:
+                    rest.append(v)
+            unadmitted = rest
         # a class is independent, so its members never curtail each other
-        for v in g.ids:
-            if assignment[v] == c:
-                wrt = sorted((w for w in g.neighbours(v) if w in index), key=index.__getitem__)
-                entries.append(CurtailedNorm(v, tuple(wrt)))
-                index[v] = len(index)
+        for v in members:
+            wrt = sorted(filter(index.__contains__, g.neighbours(v)), key=index.__getitem__)
+            entries.append(CurtailedNorm(v, tuple(wrt)))
+            index[v] = len(index)
     algorithm = ("resolve" if first_class_only else "curtail") + ("-complete" if complete else "")
     final = Colouring(assignment, phi.num_colours)
     return Resolution(algorithm, policy_label(policy), tuple(entries), final, tuple(order))

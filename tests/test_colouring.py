@@ -1,6 +1,17 @@
+import random
+import time
+
 import pytest
 
-from normcolour import Colouring, IncompleteColouring, UnknownColour, dsatur, is_valid_colouring
+from normcolour import (
+    Colouring,
+    ConflictGraph,
+    IncompleteColouring,
+    Norm,
+    UnknownColour,
+    dsatur,
+    is_valid_colouring,
+)
 from normcolour.oracle import chromatic_number
 
 from .conftest import complete_graph, make_graph
@@ -33,7 +44,8 @@ class TestDsatur:
         # insertion), saturation drives b then c, then d and e by insertion
         g = make_graph("abcde", [("a", "b"), ("a", "c"), ("b", "c"), ("d", "e")])
         phi = dsatur(g)
-        assert phi.assignment == {"a": 0, "b": 1, "c": 2, "d": 0, "e": 1}
+        # the assignment lists norms in selection order
+        assert list(phi.assignment.items()) == [("a", 0), ("b", 1), ("c", 2), ("d", 0), ("e", 1)]
 
     def test_deterministic(self):
         g = make_graph("abcdef", [("a", "d"), ("b", "e"), ("c", "f"), ("a", "f")])
@@ -43,6 +55,42 @@ class TestDsatur:
         g = complete_graph("abcd")
         phi = dsatur(g)
         assert sorted(set(phi.assignment.values())) == list(range(phi.num_colours))
+
+
+def _timed_dsatur(g: ConflictGraph) -> tuple[Colouring, float]:
+    start = time.perf_counter()
+    phi = dsatur(g)
+    return phi, time.perf_counter() - start
+
+
+class TestDsaturScaling:
+    """Guards on DSATUR's O((n + m) log n) cost. On the sparse graph the
+    O(n²) selection scan it replaced takes over a minute on a 2-core
+    machine, the heap 0.2 s."""
+
+    def test_sparse_20k_norms(self):
+        rng = random.Random("dsatur-scaling")
+        n = 20_000
+        ids = [f"n{i}" for i in range(n)]
+        edges = set()
+        while len(edges) < 100_000:
+            a, b = rng.sample(range(n), 2)
+            edges.add((min(a, b), max(a, b)))
+        g = ConflictGraph([Norm(v) for v in ids], [(ids[a], ids[b]) for a, b in edges])
+        phi, seconds = _timed_dsatur(g)
+        assert is_valid_colouring(g, phi)
+        assert phi.num_colours <= max(g.degree(v) for v in ids) + 1
+        assert seconds < 10
+
+    def test_complete_graph(self):
+        # a coloured vertex leaves a stale heap entry for every colour it
+        # saw; re-processing those instead of skipping them gives the same
+        # colouring at O(n³) cost: about 28 s here against 0.4 s on a
+        # 2-core machine
+        g = complete_graph(f"n{i}" for i in range(800))
+        phi, seconds = _timed_dsatur(g)
+        assert phi.num_colours == len(g)
+        assert seconds < 5
 
 
 class TestValidity:

@@ -1,17 +1,20 @@
-"""Differential tests: the admission engine and the per-norm scoring kernel
-against private copies of the implementations they replaced, plus fuzzing
-of the document parsers.
+"""Differential tests: DSATUR, the admission engine and the per-norm
+scoring kernel against private copies of the implementations they
+replaced, plus fuzzing of the document parsers.
 
-The reference below keeps the four algorithms as four separate loops and
-scores every pairwise policy through a per-kind ``prefers`` dispatch, as the
-package did before both were consolidated. Outputs must stay equal, so any
-refactor behind the public names can prove that it changed nothing.
+The reference below colours with DSATUR's O(n²) selection scan, keeps the
+four algorithms as four separate loops and scores every pairwise policy
+through a per-kind ``prefers`` dispatch, as the package did before all
+three were rewritten. Outputs must stay equal, so any refactor behind the
+public names can prove that it changed nothing.
 """
 from __future__ import annotations
 
 import json
+import random
 from typing import Mapping
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +23,7 @@ from normcolour import (
     Colouring,
     ConflictGraph,
     CurtailedNorm,
+    Norm,
     NormColourError,
     NormId,
     Policy,
@@ -35,6 +39,42 @@ from normcolour import (
 from normcolour.documents import parse_norm_document, read_resolution
 
 from .test_properties import graphs, rank_maps
+
+# -- reference: colouring ---------------------------------------------------
+
+
+def _ref_dsatur(g: ConflictGraph) -> Colouring:
+    order = g.ids
+    if not order:
+        return Colouring({}, 0)
+
+    assignment: dict[NormId, int] = {}
+    # saturation set = distinct colours among already-coloured neighbours
+    neighbour_colours: dict[NormId, set[int]] = {v: set() for v in order}
+    degree = {v: g.degree(v) for v in order}
+    num_used = 0
+
+    for _ in range(len(order)):
+        best = None
+        best_key = (-1, -1)
+        for v in order:
+            if v in assignment:
+                continue
+            key = (len(neighbour_colours[v]), degree[v])
+            if key > best_key:
+                best = v
+                best_key = key
+        assert best is not None
+        blocked = neighbour_colours[best]
+        colour = next(c for c in range(num_used + 1) if c not in blocked)
+        assignment[best] = colour
+        num_used = max(num_used, colour + 1)
+        for w in g.neighbours(best):
+            if w not in assignment:
+                neighbour_colours[w].add(colour)
+
+    return Colouring(assignment, num_used)
+
 
 # -- reference: policies ----------------------------------------------------
 
@@ -89,7 +129,7 @@ def _ref_rank_colours(g: ConflictGraph, phi: Colouring, policy: Policy) -> list[
 
 
 def _prepare(g: ConflictGraph, policy: Policy) -> tuple[Colouring, list[int]]:
-    phi = dsatur(g)
+    phi = _ref_dsatur(g)
     return phi, _ref_rank_colours(g, phi, policy)
 
 
@@ -194,6 +234,46 @@ def graphs_with_every_policy(draw, pairwise_only=False):
     if not pairwise_only:
         policies.insert(0, st.just(Policy.max_class()))
     return g, draw(st.one_of(policies))
+
+
+def _assert_dsatur_matches_the_reference(g: ConflictGraph) -> None:
+    phi, ref = dsatur(g), _ref_dsatur(g)
+    # the assignment's order is the selection order, so it is compared too
+    assert list(phi.assignment.items()) == list(ref.assignment.items())
+    assert phi.num_colours == ref.num_colours
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=16))
+def test_dsatur_matches_the_reference(g):
+    _assert_dsatur_matches_the_reference(g)
+
+
+def _tie_heavy_graph(rng: random.Random, shape: str, n: int) -> ConflictGraph:
+    """n norms with ids shuffled against insertion order (so no tie can be
+    broken by the id itself), joined in one of a few tie-heavy shapes."""
+    ids = [f"n{i}" for i in rng.sample(range(n), n)]
+    pairs = ((a, b) for i, a in enumerate(ids) for b in ids[i + 1 :])
+    if shape == "edgeless":
+        edges = []
+    elif shape == "star":
+        edges = [(ids[n // 2], v) for v in ids if v != ids[n // 2]]
+    elif shape == "complete":
+        edges = list(pairs)
+    elif shape == "stars":  # several equal-degree hubs sharing their leaves
+        hubs = ids[:: n // 5]
+        edges = [(h, v) for h in hubs for v in ids if v not in hubs]
+    else:
+        p = {"sparse": 4 / n, "dense": 0.3}[shape]
+        edges = [e for e in pairs if rng.random() < p]
+    return ConflictGraph([Norm(v) for v in ids], edges)
+
+
+@pytest.mark.parametrize("shape", ["edgeless", "star", "stars", "complete", "sparse", "dense"])
+def test_dsatur_matches_the_reference_on_larger_graphs(shape):
+    rng = random.Random(f"dsatur-{shape}")
+    for n in (150, 300):
+        _assert_dsatur_matches_the_reference(_tie_heavy_graph(rng, shape, n))
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,6 +6,7 @@ from collections.abc import Mapping
 import pytest
 
 from normcolour import (
+    IncompleteColouring,
     InvalidScore,
     Policy,
     PolicyKind,
@@ -129,6 +130,16 @@ class TestScoreColour:
         with pytest.raises(InvalidScore, match="colour 0"):
             colour_resolve(g, heuristic)
         assert score_colour(g, phi, 1, heuristic) == 1.0
+
+    @pytest.mark.parametrize("policy", [Policy.max_class(), Policy.lex_posterior()])
+    def test_uncoloured_norm_is_rejected(self, policy):
+        # b and c have no colour; b comes first in insertion order
+        g = make_graph("abc", [("a", "b")])
+        phi = Colouring({"a": 0}, 1)
+        with pytest.raises(IncompleteColouring, match="'b'"):
+            rank_colours(g, phi, policy)
+        with pytest.raises(IncompleteColouring, match="'b'"):
+            score_colour(g, phi, 0, policy)
 
 
 class TestRankColours:
