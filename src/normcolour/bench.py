@@ -18,6 +18,7 @@ import io
 import random
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations, permutations
 from typing import Iterable
 
 from .errors import EmptyInput, TooManyConflicts
@@ -52,6 +53,8 @@ class BenchConfig:
         cap = max_conflicts(self.n_norms, self.duplicate_directed_pairs)
         if not 0 <= lo <= hi:
             raise ValueError(f"bad conflict range {self.conflict_range}")
+        if self.trials_per_point < 1:
+            raise ValueError(f"trials_per_point must be at least 1, got {self.trials_per_point}")
         if hi > cap:
             raise TooManyConflicts(f"{hi} conflicts exceed the maximum of {cap}")
         unknown = [a for a in self.algorithms if a not in ALGORITHMS and a not in BASELINES]
@@ -75,19 +78,23 @@ def max_conflicts(n_norms: int, duplicate_directed_pairs: bool) -> int:
     return ordered if duplicate_directed_pairs else ordered // 2
 
 
+def _benchmark_ids(n: int) -> list[NormId]:
+    width = len(str(max(n - 1, 0)))
+    return [f"n{i:0{width}d}" for i in range(n)]
+
+
 def benchmark_norms(n: int) -> list[Norm]:
     """The standard norm set: n0..n(n-1), zero-padded, declared in index
     order, with authority falling as the index rises."""
-    width = len(str(max(n - 1, 0)))
     return [
-        Norm(id=f"n{i:0{width}d}", declared_at=i, authority_rank=n - 1 - i)
-        for i in range(n)
+        Norm(id=v, declared_at=i, authority_rank=n - 1 - i)
+        for i, v in enumerate(_benchmark_ids(n))
     ]
 
 
 def default_weak_ordering(n: int) -> dict[NormId, int]:
     """Distinct ranks n-1..0 by norm index: the first norm is most preferred."""
-    return {norm.id: n - 1 - i for i, norm in enumerate(benchmark_norms(n))}
+    return {v: n - 1 - i for i, v in enumerate(_benchmark_ids(n))}
 
 
 def derive_seed(master: int, *parts: object) -> int:
@@ -112,12 +119,9 @@ def generate_random_conflicts(
     cap = max_conflicts(n_norms, duplicate_directed_pairs)
     if n_conflicts > cap:
         raise TooManyConflicts(f"{n_conflicts} conflicts exceed the maximum of {cap}")
-    ids = [norm.id for norm in benchmark_norms(n_norms)]
-    if duplicate_directed_pairs:
-        population = [(i, j) for i in range(n_norms) for j in range(n_norms) if i != j]
-    else:
-        population = [(i, j) for i in range(n_norms) for j in range(i + 1, n_norms)]
-    chosen = rng.sample(population, n_conflicts)
+    ids = _benchmark_ids(n_norms)
+    pairs = permutations if duplicate_directed_pairs else combinations
+    chosen = rng.sample(list(pairs(range(n_norms), 2)), n_conflicts)
     return [(ids[i], ids[j]) for i, j in chosen]
 
 

@@ -13,13 +13,12 @@ Exit codes: 0 success, 1 usage error, 2 input error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Sequence
 
 from .bench import preset_config, rows_to_csv, run_benchmark
-from .documents import parse_norm_document, write_resolution
-from .errors import NormColourError, SchemaError
+from .documents import parse_norm_document, parse_rank_map, write_resolution
+from .errors import NormColourError
 from .graph import ConflictGraph
 from .oracle import report
 from .policies import Policy, PolicyKind, ScoreMode
@@ -100,17 +99,12 @@ def _build_policy(args: argparse.Namespace) -> Policy:
     if kind is PolicyKind.WEAK_ORDER:
         if not args.rank_file:
             raise UsageError("--policy weak-order requires --rank-file")
-        raw = _read_text(args.rank_file)
+        text = _read_text(args.rank_file)
         try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{args.rank_file}: invalid JSON: {exc.msg}") from None
-        if not isinstance(data, dict) or not all(
-            isinstance(k, str) and isinstance(v, int) and not isinstance(v, bool)
-            for k, v in data.items()
-        ):
-            raise SchemaError(f"{args.rank_file}: expected an object of integer ranks")
-        return Policy.weak_order(data, mode)
+            ranks = parse_rank_map(text)
+        except NormColourError as exc:
+            raise type(exc)(f"{args.rank_file}: {exc}") from None
+        return Policy.weak_order(ranks, mode)
     if kind is PolicyKind.MAX_CLASS:
         return Policy.max_class()
     return Policy(kind, mode, prefer_recent=args.prefer_recent)
@@ -138,6 +132,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.trials is not None and args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     cfg = preset_config(args.preset, seed=args.seed, trials=args.trials)
     rows = run_benchmark(cfg)
     _write_text(args.out, rows_to_csv(rows))

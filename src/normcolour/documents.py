@@ -12,8 +12,9 @@ A norm document looks like::
     }
 
 Every norm field except ``id`` is optional (defaults: empty label, time 0,
-rank 0, no antecedents). Parse failures carry position or path context so
-they can be reported as diagnostics.
+rank 0, no antecedents). ``Norm`` checks the fields; this module checks the
+JSON around them and gives each failure its position or path
+(``norms[3].declared_at: expected an integer``) for diagnostics.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import DocumentSyntaxError, SchemaError
-from .graph import ConflictGraph, Norm, build_graph
+from .graph import ConflictGraph, Norm, NormId, _require_int, build_graph
 from .resolution import CurtailedNorm, Resolution
 
 
@@ -36,37 +37,27 @@ def _loads(text: str) -> object:
         raise DocumentSyntaxError("JSON nested too deeply") from None
 
 
-def _require_str(value: object, where: str, *, nonempty: bool = False) -> str:
-    if not isinstance(value, str) or (nonempty and not value):
-        kind = "a non-empty string" if nonempty else "a string"
-        raise SchemaError(f"{where}: expected {kind}")
+def _require_str(value: object, where: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{where}: expected a string")
     return value
 
 
-def _require_int(value: object, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"{where}: expected an integer")
-    return value
-
-
-def _parse_norm(item: object, where: str) -> Norm:
+def _parse_norm(item: object, i: int) -> Norm:
     if not isinstance(item, dict):
-        raise SchemaError(f"{where}: expected an object")
+        raise SchemaError(f"norms[{i}]: expected an object")
     if "id" not in item:
-        raise SchemaError(f"{where}: missing required field 'id'")
-    raw_ants = item.get("antecedents", [])
-    if not isinstance(raw_ants, list):
-        raise SchemaError(f"{where}.antecedents: expected a list of strings")
-    ants = frozenset(
-        _require_str(a, f"{where}.antecedents[{i}]") for i, a in enumerate(raw_ants)
-    )
-    return Norm(
-        id=_require_str(item["id"], f"{where}.id", nonempty=True),
-        label=_require_str(item.get("label", ""), f"{where}.label"),
-        declared_at=_require_int(item.get("declared_at", 0), f"{where}.declared_at"),
-        authority_rank=_require_int(item.get("authority_rank", 0), f"{where}.authority_rank"),
-        antecedents=ants,
-    )
+        raise SchemaError(f"norms[{i}]: missing required field 'id'")
+    try:
+        return Norm(
+            item["id"],
+            item.get("label", ""),
+            item.get("declared_at", 0),
+            item.get("authority_rank", 0),
+            item.get("antecedents", ()),
+        )
+    except SchemaError as exc:
+        raise SchemaError(f"norms[{i}].{exc}") from None
 
 
 def parse_norm_document(text: str) -> ConflictGraph:
@@ -82,18 +73,28 @@ def parse_norm_document(text: str) -> ConflictGraph:
     raw_norms = doc.get("norms")
     if not isinstance(raw_norms, list):
         raise SchemaError("norms: expected a list")
-    norms = [_parse_norm(item, f"norms[{i}]") for i, item in enumerate(raw_norms)]
+    norms = [_parse_norm(item, i) for i, item in enumerate(raw_norms)]
 
     raw_conflicts = doc.get("conflicts", [])
     if not isinstance(raw_conflicts, list):
         raise SchemaError("conflicts: expected a list")
-    conflicts = []
     for i, pair in enumerate(raw_conflicts):
-        where = f"conflicts[{i}]"
         if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"{where}: expected a pair of norm ids")
-        conflicts.append((_require_str(pair[0], f"{where}[0]"), _require_str(pair[1], f"{where}[1]")))
-    return build_graph(norms, conflicts)
+            raise SchemaError(f"conflicts[{i}]: expected a pair of norm ids")
+        a, b = pair
+        if not isinstance(a, str) or not isinstance(b, str):
+            raise SchemaError(f"conflicts[{i}][{int(isinstance(a, str))}]: expected a string")
+    return build_graph(norms, raw_conflicts)
+
+
+def parse_rank_map(text: str) -> dict[NormId, int]:
+    """Parse a weak-order rank map: a JSON object of integer ranks by norm id."""
+    doc = _loads(text)
+    if not isinstance(doc, dict):
+        raise SchemaError("top level: expected an object of integer ranks")
+    for v, rank in doc.items():
+        _require_int(rank, repr(v))
+    return doc
 
 
 def write_norm_document(g: ConflictGraph) -> str:

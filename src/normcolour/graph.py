@@ -1,9 +1,10 @@
 """Norms and the undirected conflict graph built over them.
 
-Vertices are norms, edges are normative conflicts. Conflicts are symmetric:
-input pairs are accepted in either orientation (and duplicated freely) but
-always collapse to a single undirected edge. A graph is immutable once built
-and safe to share between threads.
+Vertices are norms, which check their own fields when built; edges are
+normative conflicts. Conflicts are symmetric: input pairs are accepted in
+either orientation (and duplicated freely) but always collapse to a single
+undirected edge. A graph is immutable once built and safe to share between
+threads.
 """
 from __future__ import annotations
 
@@ -15,6 +16,12 @@ from .errors import DuplicateNormId, SchemaError, SelfConflict, UnknownNormId
 NormId = str
 
 
+def _require_int(value: object, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(f"{where}: expected an integer")
+    return value
+
+
 @dataclass(frozen=True)
 class Norm:
     """A norm plus the metadata the resolution policies consume.
@@ -23,6 +30,9 @@ class Norm:
     authority_rank orders the issuing authorities (higher = stronger), and
     antecedents are the opaque condition atoms that activate the norm. All
     three default to "no information", matching graphs built from bare ids.
+    id must be a non-empty str, label a str, declared_at and authority_rank
+    ints (not bools), and antecedents a list, tuple, set or frozenset of str;
+    a bad field raises SchemaError whose message starts with its name.
     """
 
     id: NormId
@@ -32,10 +42,19 @@ class Norm:
     antecedents: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise SchemaError("norm id must be a non-empty string")
-        if not isinstance(self.antecedents, frozenset):
-            object.__setattr__(self, "antecedents", frozenset(self.antecedents))
+        if not isinstance(self.id, str) or not self.id:
+            raise SchemaError("id: expected a non-empty string")
+        if not isinstance(self.label, str):
+            raise SchemaError("label: expected a string")
+        _require_int(self.declared_at, "declared_at")
+        _require_int(self.authority_rank, "authority_rank")
+        ants = self.antecedents
+        if not isinstance(ants, (list, tuple, set, frozenset)):
+            raise SchemaError("antecedents: expected a list of strings")
+        for i, atom in enumerate(ants):
+            if not isinstance(atom, str):
+                raise SchemaError(f"antecedents[{i}]: expected a string")
+        object.__setattr__(self, "antecedents", frozenset(ants))
 
 
 class ConflictGraph:
@@ -45,22 +64,18 @@ class ConflictGraph:
     all tie-breaking downstream relies on it.
     """
 
-    __slots__ = ("norms", "ids", "edges", "_by_id", "_adj")
+    __slots__ = ("norms", "ids", "edges", "_index", "_adj")
 
     def __init__(self, norms: Sequence[Norm], conflicts: Iterable[tuple[NormId, NormId]]):
         self.norms: tuple[Norm, ...] = tuple(norms)
         self.ids: tuple[NormId, ...] = tuple(norm.id for norm in self.norms)
-        by_id: dict[NormId, Norm] = {}
         index: dict[NormId, int] = {}
-        for pos, norm in enumerate(self.norms):
-            if norm.id in by_id:
-                raise DuplicateNormId(f"duplicate norm id {norm.id!r}")
-            by_id[norm.id] = norm
-            index[norm.id] = pos
-        self._by_id = by_id
+        for pos, v in enumerate(self.ids):
+            if index.setdefault(v, pos) != pos:
+                raise DuplicateNormId(f"duplicate norm id {v!r}")
+        self._index = index
 
-        adj: dict[NormId, set[NormId]] = {norm.id: set() for norm in self.norms}
-        edge_set: set[tuple[NormId, NormId]] = set()
+        adj: dict[NormId, set[NormId]] = {v: set() for v in self.ids}
         for a, b in conflicts:
             if a not in index:
                 raise UnknownNormId(f"conflict references unknown norm id {a!r}")
@@ -68,13 +83,13 @@ class ConflictGraph:
                 raise UnknownNormId(f"conflict references unknown norm id {b!r}")
             if a == b:
                 raise SelfConflict(f"norm {a!r} cannot conflict with itself")
-            if index[a] > index[b]:
-                a, b = b, a
-            edge_set.add((a, b))
             adj[a].add(b)
             adj[b].add(a)
+        # Each edge once, from its earlier end, ordered by both ends' positions.
         self.edges: tuple[tuple[NormId, NormId], ...] = tuple(
-            sorted(edge_set, key=lambda e: (index[e[0]], index[e[1]]))
+            (v, self.ids[p])
+            for i, v in enumerate(self.ids)
+            for p in sorted(q for q in map(index.__getitem__, adj[v]) if q > i)
         )
         self._adj: dict[NormId, frozenset[NormId]] = {
             v: frozenset(ws) for v, ws in adj.items()
@@ -84,7 +99,7 @@ class ConflictGraph:
 
     def norm(self, v: NormId) -> Norm:
         try:
-            return self._by_id[v]
+            return self.norms[self._index[v]]
         except KeyError:
             raise UnknownNormId(f"unknown norm id {v!r}") from None
 
@@ -92,7 +107,7 @@ class ConflictGraph:
         return len(self.norms)
 
     def __contains__(self, v: object) -> bool:
-        return v in self._by_id
+        return v in self._index
 
     def __iter__(self) -> Iterator[NormId]:
         return iter(self.ids)
@@ -115,7 +130,7 @@ class ConflictGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConflictGraph):
             return NotImplemented
-        return self.norms == other.norms and set(self.edges) == set(other.edges)
+        return self.norms == other.norms and self.edges == other.edges
 
     def __repr__(self) -> str:
         return f"ConflictGraph({len(self.norms)} norms, {len(self.edges)} conflicts)"

@@ -59,6 +59,12 @@ class TestConfig:
             BenchConfig(policy=Policy.max_class(), metric=Metric.ADMITTED_COUNT,
                         conflict_range=(5, 2))
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_must_be_positive(self, trials):
+        with pytest.raises(ValueError, match="trials_per_point"):
+            BenchConfig(policy=Policy.max_class(), metric=Metric.ADMITTED_COUNT,
+                        trials_per_point=trials)
+
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
             BenchConfig(policy=Policy.max_class(), metric=Metric.ADMITTED_COUNT,

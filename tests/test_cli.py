@@ -82,6 +82,19 @@ class TestResolveCommand:
              "--rank-file", str(rank_file)]
         )
         assert code == 2
+        assert str(rank_file) in capsys.readouterr().err
+
+    def test_deeply_nested_rank_file_is_input_error(self, k2_file, tmp_path, capsys):
+        rank_file = tmp_path / "ranks.json"
+        rank_file.write_text("[" * 100_000 + "]" * 100_000)
+        code = main(
+            ["resolve", "--input", k2_file, "--policy", "weak-order",
+             "--rank-file", str(rank_file)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(rank_file) in err
+        assert "nested too deeply" in err
 
     def test_missing_input_file(self, capsys):
         code = main(["resolve", "--input", "/nonexistent.json", "--policy", "max-class"])
@@ -144,6 +157,14 @@ class TestBenchCommand:
         assert lines[0] == "num_conflicts,trial,algorithm,policy,metric,value,seed"
         # 120 conflict counts x 1 trial x 2 algorithms
         assert len(lines) == 1 + 120 * 2
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_usage_error(self, trials, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        code = main(["bench", "--preset", "score-sum", "--trials", trials, "--out", str(out)])
+        assert code == 1
+        assert "--trials" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_preset_is_usage_error(self, capsys):
         assert main(["bench", "--preset", "mystery"]) == 1

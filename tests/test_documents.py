@@ -71,6 +71,8 @@ class TestParseNormDocument:
             ('{"norms":[{"id":"a","antecedents":[1]}]}', "antecedents[0]"),
             ('{"norms":[{"id":"a"}],"conflicts":[["a"]]}', "conflicts[0]"),
             ('{"norms":[{"id":"a"}],"conflicts":["a,b"]}', "conflicts[0]"),
+            ('{"norms":[{"id":5}]}', "norms[0].id"),
+            ('{"norms":[{"id":"a","antecedents":{"p":1}}]}', "norms[0].antecedents"),
         ],
     )
     def test_schema_errors_carry_path_context(self, text, fragment):

@@ -52,6 +52,41 @@ class TestBuildGraph:
         with pytest.raises(SchemaError):
             Norm("")
 
+    def test_edges_follow_insertion_order(self):
+        # Pairs scrambled in order and orientation, with duplicates: each edge
+        # is listed once, from its earlier norm, ordered by both positions.
+        g = make_graph(
+            ["d", "b", "a", "c"],
+            [("c", "a"), ("b", "d"), ("a", "d"), ("c", "b"), ("d", "b"), ("a", "b"), ("c", "d")],
+        )
+        assert g.edges == (("d", "b"), ("d", "a"), ("d", "c"), ("b", "a"), ("b", "c"), ("a", "c"))
+
+
+class TestNormSchema:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("id", 7),
+            ("label", 3),
+            *[
+                (field, value)
+                for field in ("declared_at", "authority_rank")
+                for value in ("x", True, None, 1.5)
+            ],
+            ("antecedents", "rain"),
+            ("antecedents", {"p": 1}),
+            ("antecedents", [1]),
+        ],
+    )
+    def test_bad_field_names_itself(self, field, value):
+        fields = {"id": "a", field: value}
+        with pytest.raises(SchemaError, match=f"^{field}"):
+            Norm(**fields)
+
+    def test_antecedent_collections_become_frozensets(self):
+        for ants in (["p", "q"], ("q", "p"), {"p", "q"}, frozenset({"p", "q"})):
+            assert Norm("a", antecedents=ants).antecedents == frozenset({"p", "q"})
+
 
 class TestNeighbours:
     def test_six_norm_system(self, six_norm_graph):
