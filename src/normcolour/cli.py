@@ -19,7 +19,6 @@ from typing import Sequence
 from .bench import preset_config, rows_to_csv, run_benchmark
 from .documents import parse_norm_document, parse_rank_map, write_resolution
 from .errors import NormColourError
-from .graph import ConflictGraph
 from .oracle import report
 from .policies import Policy, PolicyKind, ScoreMode
 from .resolution import ALGORITHMS
@@ -89,10 +88,6 @@ def _write_text(path: str | None, text: str) -> None:
         raise NormColourError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _load_graph(path: str) -> ConflictGraph:
-    return parse_norm_document(_read_text(path))
-
-
 def _build_policy(args: argparse.Namespace) -> Policy:
     kind = PolicyKind(args.policy)
     mode = ScoreMode(args.mode)
@@ -112,14 +107,14 @@ def _build_policy(args: argparse.Namespace) -> Policy:
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
     policy = _build_policy(args)
-    g = _load_graph(args.input)
+    g = parse_norm_document(_read_text(args.input))
     resolution = ALGORITHMS[args.algorithm](g, policy)
     _write_text(args.output, write_resolution(resolution))
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    g = _load_graph(args.input)
+    g = parse_norm_document(_read_text(args.input))
     members = [part for part in args.norm_set.split(",") if part]
     rep = report(g, members)
     flags = {

@@ -9,13 +9,14 @@ downstream reproducible:
 * colour selection: the lowest already-used colour that no neighbour holds,
   else the smallest unused colour index.
 
-Selection runs on a min-heap over integer vertex indices whose entries
-order like (-saturation, -degree, insertion index), so a colouring costs
-O((n + m) log n) for n norms and m conflicts. Colouring a vertex pushes a
-fresh entry for each uncoloured neighbour whose saturation it raises, and
-the older entry stays in the heap. An entry is stale once its vertex is
-coloured: since saturation only grows, a vertex's newest entry sorts before
-its older ones, so the first of its entries to be popped is always current.
+Selection runs on a min-heap over the graph's norm positions (see
+``graph``), whose entries order like (-saturation, -degree, position), so a
+colouring costs O((n + m) log n) for n norms and m conflicts. Colouring a
+vertex pushes a fresh entry for each uncoloured neighbour whose saturation
+it raises, and the older entry stays in the heap. An entry is stale once
+its vertex is coloured: since saturation only grows, a vertex's newest
+entry sorts before its older ones, so the first of its entries to be
+popped is always current. Only the assignment goes back to norm ids.
 """
 from __future__ import annotations
 
@@ -52,10 +53,9 @@ def dsatur(g: ConflictGraph) -> Colouring:
     graph thanks to the pinned tie-breaks described in the module docstring.
     ``assignment`` lists the norms in the order they were coloured.
     """
-    ids = g.ids
+    ids, adj = g.ids, g._adj
     n = len(ids)
-    position = {v: i for i, v in enumerate(ids)}
-    degree = [g.degree(v) for v in ids]
+    degree = list(map(len, adj))
     # a heap entry is one int ordered like (-saturation, -degree, index):
     # -saturation * stride + base[i], with 0 <= base[i] < stride
     max_degree = max(degree, default=0)
@@ -82,8 +82,7 @@ def dsatur(g: ConflictGraph) -> Colouring:
         assignment[ids[i]] = colour
         if colour == num_used:
             num_used += 1
-        for w in g.neighbours(ids[i]):
-            j = position[w]
+        for j in adj[i]:
             if not coloured[j]:
                 seen = saturation[j]
                 if colour not in seen:

@@ -12,9 +12,10 @@ A norm document looks like::
     }
 
 Every norm field except ``id`` is optional (defaults: empty label, time 0,
-rank 0, no antecedents). ``Norm`` checks the fields; this module checks the
-JSON around them and gives each failure its position or path
-(``norms[3].declared_at: expected an integer``) for diagnostics.
+rank 0, no antecedents). ``Norm`` checks the fields and ``build_graph`` the
+pairs and ids; this module checks the JSON around them. Every failure names
+its position or path: ``norms[3].declared_at: expected an integer``,
+``conflicts[2]: unknown norm id 'x'``, ``norms[1]: duplicate norm id 'a'``.
 """
 from __future__ import annotations
 
@@ -65,7 +66,7 @@ def parse_norm_document(text: str) -> ConflictGraph:
 
     Raises DocumentSyntaxError for malformed JSON, SchemaError for shape
     violations, and the build_graph errors (DuplicateNormId, UnknownNormId,
-    SelfConflict) for semantic ones.
+    SelfConflict) for semantic ones, each naming the offending input's path.
     """
     doc = _loads(text)
     if not isinstance(doc, dict):
@@ -78,12 +79,6 @@ def parse_norm_document(text: str) -> ConflictGraph:
     raw_conflicts = doc.get("conflicts", [])
     if not isinstance(raw_conflicts, list):
         raise SchemaError("conflicts: expected a list")
-    for i, pair in enumerate(raw_conflicts):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"conflicts[{i}]: expected a pair of norm ids")
-        a, b = pair
-        if not isinstance(a, str) or not isinstance(b, str):
-            raise SchemaError(f"conflicts[{i}][{int(isinstance(a, str))}]: expected a string")
     return build_graph(norms, raw_conflicts)
 
 
@@ -123,10 +118,6 @@ class ResolutionDocument:
     policy: str
     colours_used: int
     entries: tuple[CurtailedNorm, ...]
-
-    @classmethod
-    def from_resolution(cls, r: Resolution) -> "ResolutionDocument":
-        return cls(r.algorithm, r.policy, r.colouring.num_colours, r.entries)
 
 
 def write_resolution(r: Resolution) -> str:

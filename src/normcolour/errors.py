@@ -49,5 +49,5 @@ class DocumentSyntaxError(NormColourError):
     """Input text is not well-formed JSON."""
 
 
-class SchemaError(NormColourError):
-    """Input JSON parsed but does not match the expected document shape."""
+class SchemaError(NormColourError, ValueError):
+    """Input parsed but does not match the expected shape."""

@@ -5,6 +5,13 @@ normative conflicts. Conflicts are symmetric: input pairs are accepted in
 either orientation (and duplicated freely) but always collapse to a single
 undirected edge. A graph is immutable once built and safe to share between
 threads.
+
+The package addresses a norm by its position in the norm list: the graph
+owns the id-to-position map and each norm's neighbours as ascending
+positions, and colouring, scoring and admission run on those. A conflict
+pair is a list or tuple of two different norms' ids; an error names its
+input as a document path (``conflicts[3]: unknown norm id 'x'``,
+``conflicts[0][1]: expected a string``, ``norms[2]: duplicate norm id``).
 """
 from __future__ import annotations
 
@@ -64,7 +71,7 @@ class ConflictGraph:
     all tie-breaking downstream relies on it.
     """
 
-    __slots__ = ("norms", "ids", "edges", "_index", "_adj")
+    __slots__ = ("norms", "ids", "_index", "_adj")
 
     def __init__(self, norms: Sequence[Norm], conflicts: Iterable[tuple[NormId, NormId]]):
         self.norms: tuple[Norm, ...] = tuple(norms)
@@ -72,36 +79,36 @@ class ConflictGraph:
         index: dict[NormId, int] = {}
         for pos, v in enumerate(self.ids):
             if index.setdefault(v, pos) != pos:
-                raise DuplicateNormId(f"duplicate norm id {v!r}")
+                raise DuplicateNormId(f"norms[{pos}]: duplicate norm id {v!r}")
         self._index = index
 
-        adj: dict[NormId, set[NormId]] = {v: set() for v in self.ids}
-        for a, b in conflicts:
-            if a not in index:
-                raise UnknownNormId(f"conflict references unknown norm id {a!r}")
-            if b not in index:
-                raise UnknownNormId(f"conflict references unknown norm id {b!r}")
-            if a == b:
-                raise SelfConflict(f"norm {a!r} cannot conflict with itself")
-            adj[a].add(b)
-            adj[b].add(a)
-        # Each edge once, from its earlier end, ordered by both ends' positions.
-        self.edges: tuple[tuple[NormId, NormId], ...] = tuple(
-            (v, self.ids[p])
-            for i, v in enumerate(self.ids)
-            for p in sorted(q for q in map(index.__getitem__, adj[v]) if q > i)
-        )
-        self._adj: dict[NormId, frozenset[NormId]] = {
-            v: frozenset(ws) for v, ws in adj.items()
-        }
+        adj: list[set[int]] = [set() for _ in self.ids]
+        for k, pair in enumerate(conflicts):
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise SchemaError(f"conflicts[{k}]: expected a pair of norm ids")
+            a, b = pair
+            if not isinstance(a, str) or not isinstance(b, str):
+                raise SchemaError(f"conflicts[{k}][{int(isinstance(a, str))}]: expected a string")
+            try:
+                i, j = index[a], index[b]
+            except KeyError as exc:
+                raise UnknownNormId(f"conflicts[{k}]: unknown norm id {exc.args[0]!r}") from None
+            if i == j:
+                raise SelfConflict(f"conflicts[{k}]: norm {a!r} cannot conflict with itself")
+            adj[i].add(j)
+            adj[j].add(i)
+        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(ns)) for ns in adj)
+
+    def _position(self, v: NormId) -> int:
+        try:
+            return self._index[v]
+        except KeyError:
+            raise UnknownNormId(f"unknown norm id {v!r}") from None
 
     # -- vertex access -------------------------------------------------
 
     def norm(self, v: NormId) -> Norm:
-        try:
-            return self.norms[self._index[v]]
-        except KeyError:
-            raise UnknownNormId(f"unknown norm id {v!r}") from None
+        return self.norms[self._position(v)]
 
     def __len__(self) -> int:
         return len(self.norms)
@@ -114,26 +121,29 @@ class ConflictGraph:
 
     # -- structure -----------------------------------------------------
 
+    @property
+    def edges(self) -> tuple[tuple[NormId, NormId], ...]:
+        """Each conflict once, from its earlier norm, ordered by both positions."""
+        ids = self.ids
+        return tuple((ids[i], ids[j]) for i, js in enumerate(self._adj) for j in js if j > i)
+
     def neighbours(self, v: NormId) -> frozenset[NormId]:
         """Ids in conflict with v. Never contains v itself."""
-        try:
-            return self._adj[v]
-        except KeyError:
-            raise UnknownNormId(f"unknown norm id {v!r}") from None
+        return frozenset(self.ids[j] for j in self._adj[self._position(v)])
 
     def degree(self, v: NormId) -> int:
-        return len(self.neighbours(v))
+        return len(self._adj[self._position(v)])
 
     def has_edge(self, a: NormId, b: NormId) -> bool:
-        return b in self.neighbours(a)
+        return self._index.get(b) in self._adj[self._position(a)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConflictGraph):
             return NotImplemented
-        return self.norms == other.norms and self.edges == other.edges
+        return self.norms == other.norms and self._adj == other._adj
 
     def __repr__(self) -> str:
-        return f"ConflictGraph({len(self.norms)} norms, {len(self.edges)} conflicts)"
+        return f"ConflictGraph({len(self.norms)} norms, {sum(map(len, self._adj)) // 2} conflicts)"
 
 
 def build_graph(
@@ -141,6 +151,7 @@ def build_graph(
 ) -> ConflictGraph:
     """Build a conflict graph, collapsing duplicated/reversed conflict pairs.
 
-    Raises DuplicateNormId, UnknownNormId, or SelfConflict on malformed input.
+    Raises DuplicateNormId, UnknownNormId, SelfConflict or SchemaError on
+    malformed input, naming its index (see the module docstring).
     """
     return ConflictGraph(norms, conflicts)

@@ -166,9 +166,9 @@ def random_drop(g: ConflictGraph, rng: random.Random) -> frozenset[NormId]:
     """Baseline: drop a random endpoint of a random conflict until none
     remain, then keep the survivors. Always conflict-free."""
     alive = set(g.ids)
-    while True:
-        live = [e for e in g.edges if e[0] in alive and e[1] in alive]
-        if not live:
-            return frozenset(alive)
-        edge = live[rng.randrange(len(live))]
-        alive.discard(edge[rng.randrange(2)])
+    live = list(g.edges)  # edges with both ends alive, in g.edges order
+    while live:
+        dropped = live[rng.randrange(len(live))][rng.randrange(2)]
+        alive.discard(dropped)
+        live = [e for e in live if dropped not in e]
+    return frozenset(alive)

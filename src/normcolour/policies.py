@@ -24,11 +24,11 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .colouring import Colouring
-from .errors import IncompleteColouring, InvalidScore, UnknownColour, UnknownNormId
-from .graph import ConflictGraph, NormId
+from .errors import IncompleteColouring, InvalidScore, SchemaError, UnknownColour, UnknownNormId
+from .graph import ConflictGraph, NormId, _require_int
 
 WeakOrdering = Mapping[NormId, int]
 
@@ -57,16 +57,15 @@ class Policy:
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, PolicyKind):
-            raise ValueError(f"policy kind must be a PolicyKind, not {self.kind!r}")
+            raise SchemaError(f"policy kind must be a PolicyKind, not {self.kind!r}")
         if not isinstance(self.mode, ScoreMode):
-            raise ValueError(f"score mode must be a ScoreMode, not {self.mode!r}")
+            raise SchemaError(f"score mode must be a ScoreMode, not {self.mode!r}")
         if self.kind is PolicyKind.WEAK_ORDER and self.ranks is None:
-            raise ValueError("weak-order policy requires a rank map")
+            raise SchemaError("weak-order policy requires a rank map")
         if self.ranks is not None:
             ranks = dict(self.ranks)
             for v, r in ranks.items():
-                if not isinstance(r, int) or isinstance(r, bool):
-                    raise ValueError(f"rank of {v!r} must be an integer, not {r!r}")
+                _require_int(r, f"rank of {v!r}")
             # a read-only copy, so that a hashed policy cannot change
             object.__setattr__(self, "ranks", MappingProxyType(ranks))
 
@@ -98,12 +97,12 @@ class Policy:
 
     def prefers(self, g: ConflictGraph, a: NormId, b: NormId) -> bool:
         """Strict preference of a over b. Outside lex specialis each call
-        builds the whole key map, O(n); score many pairs with rank_colours."""
-        na, nb = g.norm(a), g.norm(b)  # UnknownNormId for an id outside g
+        builds the whole key list, O(n); score many pairs with rank_colours."""
+        i, j = g._position(a), g._position(b)  # UnknownNormId for an id outside g
         if self.kind is PolicyKind.LEX_SPECIALIS:
-            return _Specific(nb.antecedents) < _Specific(na.antecedents)
+            return _Specific(g.norms[j].antecedents) < _Specific(g.norms[i].antecedents)
         key = _preference_key(g, self)
-        return key[b] < key[a]
+        return key[j] < key[i]
 
 
 Heuristic = Union[Policy, Callable[[ConflictGraph, Colouring, int], float]]
@@ -113,27 +112,32 @@ class _Specific(frozenset):
     __lt__ = frozenset.__gt__  # reverse strict inclusion: the subset ranks higher
 
 
-def _preference_key(g: ConflictGraph, policy: Policy) -> Mapping[NormId, object]:
-    """Per-norm keys of a pairwise policy (see the module docstring). Raises
-    UnknownNormId naming the first norm, in insertion order, that a weak
-    order leaves unranked, and ValueError for max-class."""
+def _rank_key(g: ConflictGraph, ranks: WeakOrdering, positions: Iterable[int]) -> dict[int, int]:
+    """Ranks by position; UnknownNormId names the first norm left unranked."""
+    try:
+        return {i: ranks[g.ids[i]] for i in positions}
+    except KeyError as exc:
+        raise UnknownNormId(f"weak ordering assigns no rank to {exc.args[0]!r}") from None
+
+
+def _preference_key(g: ConflictGraph, policy: Policy) -> Sequence | Mapping[int, object]:
+    """Keys of a pairwise policy by norm position (see the module docstring).
+    Raises UnknownNormId naming the first norm, in insertion order, that a
+    weak order leaves unranked, and ValueError for max-class."""
     if policy.kind is PolicyKind.WEAK_ORDER:
-        for v in g.ids:
-            if v not in policy.ranks:
-                raise UnknownNormId(f"weak ordering assigns no rank to {v!r}")
-        return policy.ranks
+        return _rank_key(g, policy.ranks, range(len(g)))
     if policy.kind is PolicyKind.LEX_SPECIALIS:
-        return {norm.id: _Specific(norm.antecedents) for norm in g.norms}
-    return ordering_from_metadata(g, policy.kind, prefer_recent=policy.prefer_recent)
+        return [_Specific(norm.antecedents) for norm in g.norms]
+    return list(ordering_from_metadata(g, policy.kind, prefer_recent=policy.prefer_recent).values())
 
 
-def _norm_score(g: ConflictGraph, key: Mapping[NormId, object], v: NormId, net: bool) -> int:
-    """+1 for every conflicting neighbour v is preferred to and, when net,
-    -1 for every one preferred to v; tied or incomparable pairs add 0."""
-    kv = key[v]
+def _norm_score(g: ConflictGraph, key: Sequence | Mapping[int, object], i: int, net: bool) -> int:
+    """+1 for every neighbour the norm at position i is preferred to and,
+    when net, -1 for every one preferred to it; ties and incomparables add 0."""
+    kv = key[i]
     total = 0
-    for w in g.neighbours(v):
-        kw = key[w]
+    for j in g._adj[i]:
+        kw = key[j]
         if kw < kv:
             total += 1
         elif net and kv < kw:
@@ -153,11 +157,11 @@ def _class_scores(
         key = None if policy.kind is PolicyKind.MAX_CLASS else _preference_key(g, policy)
         net = policy.mode is ScoreMode.NET
         totals = [0] * phi.num_colours
-        for v in g.ids:
+        for i, v in enumerate(g.ids):
             c = phi.assignment.get(v)
             if c is None:
                 raise IncompleteColouring(f"vertex {v!r} has no colour")
-            totals[c] += 1 if key is None else _norm_score(g, key, v, net)
+            totals[c] += 1 if key is None else _norm_score(g, key, i, net)
         scores = {c: float(totals[c]) for c in colours}
     else:
         scores = {c: float(policy(g, phi, c)) for c in colours}
@@ -220,10 +224,9 @@ def score_admitted_set(
 ) -> int:
     """Net preference score of an admitted set: its members' net scores
     under the rank map, summed. Over the full vertex set the two signs
-    cancel edge by edge, so the total is 0. Raises UnknownNormId for a
-    norm the rank map leaves out.
+    cancel edge by edge, so the total is 0. Only admitted norms and their
+    neighbours need ranks; UnknownNormId otherwise, or for a norm outside g.
     """
-    try:
-        return sum(_norm_score(g, ranks, v, True) for v in admitted)
-    except KeyError as exc:
-        raise UnknownNormId(f"weak ordering assigns no rank to {exc.args[0]!r}") from None
+    members = [g._position(v) for v in admitted]
+    key = _rank_key(g, ranks, (j for i in members for j in (i, *g._adj[i])))
+    return sum(_norm_score(g, key, i, True) for i in members)

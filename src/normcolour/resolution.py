@@ -75,40 +75,40 @@ def _admit(
     """Colour g, rank its classes, and admit them best first; see the module docstring."""
     phi = dsatur(g)
     order = rank_colours(g, phi, policy)
-    assignment = dict(phi.assignment)
-    # admitted norm -> admission index, the order in which a norm's
-    # earlier-admitted neighbours are listed
-    index: dict[NormId, int] = {}
+    ids, adj = g.ids, g._adj
+    colour = [phi.assignment[v] for v in ids]  # by position
+    # admitted position -> admission index, which is also its index in entries
+    index: dict[int, int] = {}
     entries: list[CurtailedNorm] = []
     # each class's members in insertion order, from one pass over the norms
-    buckets: list[list[NormId]] = [[] for _ in range(phi.num_colours)]
-    for v in g.ids:
-        buckets[assignment[v]].append(v)
-    unadmitted = g.ids  # in insertion order; kept for completion only
+    buckets: list[list[int]] = [[] for _ in range(phi.num_colours)]
+    for i, c in enumerate(colour):
+        buckets[c].append(i)
+    unadmitted = range(len(ids))  # in insertion order; kept for completion only
     for c in order[:1] if first_class_only else order:
         # completion may have moved a member into an earlier class
-        members = [v for v in buckets[c] if assignment[v] == c]
+        members = [i for i in buckets[c] if colour[i] == c]
         if complete:
-            # every unadmitted vertex with no neighbour in the class joins
-            # it, swept one at a time in insertion order; the class's own
-            # members pass too, being independent, so members stay in order
-            taken = set(members)
+            # every unadmitted vertex outside the class's blocked neighbours
+            # joins it, swept one at a time in insertion order; the class's
+            # own members pass too, being independent, so they stay in order
+            blocked = {j for i in members for j in adj[i]}
             members, rest = [], []
-            for v in unadmitted:
-                if g.neighbours(v).isdisjoint(taken):
-                    assignment[v] = c
-                    taken.add(v)
-                    members.append(v)
+            for i in unadmitted:
+                if i in blocked:
+                    rest.append(i)
                 else:
-                    rest.append(v)
+                    colour[i] = c
+                    blocked.update(adj[i])
+                    members.append(i)
             unadmitted = rest
         # a class is independent, so its members never curtail each other
-        for v in members:
-            wrt = sorted(filter(index.__contains__, g.neighbours(v)), key=index.__getitem__)
-            entries.append(CurtailedNorm(v, tuple(wrt)))
-            index[v] = len(index)
+        for i in members:
+            wrt = sorted(index[j] for j in adj[i] if j in index)
+            entries.append(CurtailedNorm(ids[i], tuple(entries[k].norm for k in wrt)))
+            index[i] = len(index)
     algorithm = ("resolve" if first_class_only else "curtail") + ("-complete" if complete else "")
-    final = Colouring(assignment, phi.num_colours)
+    final = Colouring({v: colour[g._index[v]] for v in phi.assignment}, phi.num_colours)
     return Resolution(algorithm, policy_label(policy), tuple(entries), final, tuple(order))
 
 

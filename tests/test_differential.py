@@ -1,6 +1,6 @@
-"""Differential tests: DSATUR, the admission engine and the per-norm
-scoring kernel against private copies of the implementations they
-replaced, plus fuzzing of the document parsers.
+"""Differential tests: DSATUR, the admission engine, the per-norm
+scoring kernel and the random-drop baseline against private copies of the
+implementations they replaced, plus fuzzing of the document parsers.
 
 The reference below colours with DSATUR's O(n²) selection scan, keeps the
 four algorithms as four separate loops and scores every pairwise policy
@@ -37,6 +37,7 @@ from normcolour import (
     score_colour,
 )
 from normcolour.documents import parse_norm_document, read_resolution
+from normcolour.oracle import random_drop
 
 from .test_properties import graphs, rank_maps
 
@@ -300,6 +301,29 @@ def test_prefers_matches_the_reference(gp):
     for a in g.ids:
         for b in g.ids:
             assert policy.prefers(g, a, b) == _ref_prefers(policy, g, a, b)
+
+
+# -- reference: random-drop baseline ---------------------------------------
+
+
+def _ref_random_drop(g: ConflictGraph, rng: random.Random) -> frozenset[NormId]:
+    # rebuilds the live-edge list from every edge after each drop
+    alive = set(g.ids)
+    while True:
+        live = [e for e in g.edges if e[0] in alive and e[1] in alive]
+        if not live:
+            return frozenset(alive)
+        edge = live[rng.randrange(len(live))]
+        alive.discard(edge[rng.randrange(2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=16), st.integers(0, 2**32))
+def test_random_drop_matches_the_reference(g, seed):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert random_drop(g, rng) == _ref_random_drop(g, ref_rng)
+    # the same number of draws, so a caller's later draws are unchanged too
+    assert rng.random() == ref_rng.random()
 
 
 # -- fuzzing: malformed documents raise NormColourError, nothing else -------

@@ -79,6 +79,22 @@ class TestParseNormDocument:
         with pytest.raises(SchemaError, match=re.escape(fragment)):
             parse_norm_document(text)
 
+    @pytest.mark.parametrize(
+        "text,error,fragment",
+        [
+            ('{"norms":[{"id":"a"}],"conflicts":[["a","a"]]}', SelfConflict, "conflicts[0]"),
+            (
+                '{"norms":[{"id":"a"},{"id":"b"}],"conflicts":[["a","b"],["b","x"]]}',
+                UnknownNormId,
+                "conflicts[1]: unknown norm id 'x'",
+            ),
+            ('{"norms":[{"id":"a"},{"id":"a"}]}', DuplicateNormId, "norms[1]"),
+        ],
+    )
+    def test_graph_errors_carry_path_context(self, text, error, fragment):
+        with pytest.raises(error, match=re.escape(fragment)):
+            parse_norm_document(text)
+
 
 class TestGraphRoundTrip:
     def test_full_metadata_round_trip(self):
@@ -127,7 +143,9 @@ class TestResolutionDocuments:
         res = colour_curtail(six_norm_graph, Policy.lex_posterior())
         text = write_resolution(res)
         parsed = read_resolution(text)
-        assert parsed == ResolutionDocument.from_resolution(res)
+        assert parsed == ResolutionDocument(
+            res.algorithm, res.policy, res.colouring.num_colours, res.entries
+        )
         # a second write/read cycle is a fixed point
         assert read_resolution(write_resolution(res)) == parsed
 

@@ -8,6 +8,7 @@ import pytest
 from normcolour import (
     IncompleteColouring,
     InvalidScore,
+    NormColourError,
     Policy,
     PolicyKind,
     ScoreMode,
@@ -316,6 +317,11 @@ class TestPolicyValidation:
     def test_ranks_must_be_integers(self, rank):
         with pytest.raises(ValueError, match="'b'"):
             Policy.weak_order({"a": 1, "b": rank, "c": 0})
+
+    def test_errors_are_package_errors_and_value_errors(self):
+        with pytest.raises(NormColourError) as info:
+            Policy.weak_order({"a": "1"})
+        assert isinstance(info.value, ValueError)
 
     @pytest.mark.parametrize(
         "policy", [Policy.lex_specialis(), Policy.weak_order({"v1": 1, "v2": 2, "v3": 3, "zz": 0})]

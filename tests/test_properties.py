@@ -275,4 +275,7 @@ class TestDocumentProperties:
         g, policy = gp
         for fn in ALGORITHMS.values():
             res = fn(g, policy)
-            assert read_resolution(write_resolution(res)) == ResolutionDocument.from_resolution(res)
+            expected = ResolutionDocument(
+                res.algorithm, res.policy, res.colouring.num_colours, res.entries
+            )
+            assert read_resolution(write_resolution(res)) == expected
