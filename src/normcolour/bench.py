@@ -21,8 +21,8 @@ from enum import Enum
 from itertools import combinations, permutations
 from typing import Iterable
 
-from .errors import EmptyInput, TooManyConflicts
-from .graph import ConflictGraph, Norm, NormId, build_graph
+from .errors import EmptyInput, SchemaError, TooManyConflicts
+from .graph import ConflictGraph, Norm, NormId, _require_int, build_graph
 from .oracle import max_cardinality_admissible, random_drop
 from .policies import Policy, WeakOrdering, policy_label, score_admitted_set
 from .resolution import ALGORITHMS, Resolution
@@ -49,17 +49,17 @@ class BenchConfig:
     algorithms: tuple[str, ...] = ("resolve",)
 
     def __post_init__(self) -> None:
-        lo, hi = self.conflict_range
-        cap = max_conflicts(self.n_norms, self.duplicate_directed_pairs)
+        lo, hi = (_require_int(x, f"conflict_range[{k}]") for k, x in enumerate(self.conflict_range))
+        cap = max_conflicts(_require_int(self.n_norms, "n_norms"), self.duplicate_directed_pairs)
         if not 0 <= lo <= hi:
-            raise ValueError(f"bad conflict range {self.conflict_range}")
-        if self.trials_per_point < 1:
-            raise ValueError(f"trials_per_point must be at least 1, got {self.trials_per_point}")
+            raise SchemaError(f"bad conflict range {self.conflict_range}")
+        if _require_int(self.trials_per_point, "trials_per_point") < 1:
+            raise SchemaError(f"trials_per_point must be at least 1, got {self.trials_per_point}")
         if hi > cap:
             raise TooManyConflicts(f"{hi} conflicts exceed the maximum of {cap}")
         unknown = [a for a in self.algorithms if a not in ALGORITHMS and a not in BASELINES]
         if unknown:
-            raise ValueError(f"unknown algorithms: {unknown}")
+            raise SchemaError(f"unknown algorithms: {unknown}")
 
 
 @dataclass(frozen=True)
@@ -244,4 +244,4 @@ def preset_config(name: str, *, seed: int = 0, trials: int | None = None) -> Ben
             seed=seed,
             algorithms=("resolve", "resolve-complete"),
         )
-    raise ValueError(f"unknown preset {name!r}")
+    raise SchemaError(f"unknown preset {name!r}")

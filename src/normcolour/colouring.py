@@ -16,7 +16,8 @@ vertex pushes a fresh entry for each uncoloured neighbour whose saturation
 it raises, and the older entry stays in the heap. An entry is stale once
 its vertex is coloured: since saturation only grows, a vertex's newest
 entry sorts before its older ones, so the first of its entries to be
-popped is always current. Only the assignment goes back to norm ids.
+popped is always current. Only the assignment goes back to norm ids;
+``_by_position`` is the one way back from a colouring to positions.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import IncompleteColouring, UnknownColour
-from .graph import ConflictGraph, NormId
+from .graph import ConflictGraph, NormId, _require_int
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,10 @@ class Colouring:
     num_colours: int
 
     def __post_init__(self) -> None:
+        _require_int(self.num_colours, "num_colours")
         for v, c in self.assignment.items():
+            if type(c) is not int:  # skips only the call: _require_int passes every int
+                _require_int(c, f"colour of {v!r}")
             if not 0 <= c < self.num_colours:
                 raise UnknownColour(
                     f"vertex {v!r} has colour {c}, not in 0..{self.num_colours - 1}"
@@ -92,10 +96,17 @@ def dsatur(g: ConflictGraph) -> Colouring:
     return Colouring(assignment, num_used)
 
 
+def _by_position(g: ConflictGraph, phi: Colouring) -> list[int]:
+    """phi's colour of each norm of g, by position. Raises IncompleteColouring
+    naming the first uncoloured norm in insertion order."""
+    try:
+        return [phi.assignment[v] for v in g.ids]
+    except KeyError as exc:
+        raise IncompleteColouring(f"vertex {exc.args[0]!r} has no colour") from None
+
+
 def is_valid_colouring(g: ConflictGraph, phi: Colouring) -> bool:
     """True iff phi is proper: no conflict joins two same-coloured norms."""
-    for v in g.ids:
-        if v not in phi.assignment:
-            raise IncompleteColouring(f"vertex {v!r} has no colour")
-    return all(phi.assignment[a] != phi.assignment[b] for a, b in g.edges)
+    colour = _by_position(g, phi)
+    return all(colour[i] != colour[j] for i, js in enumerate(g._adj) for j in js)
 

@@ -7,11 +7,12 @@ undirected edge. A graph is immutable once built and safe to share between
 threads.
 
 The package addresses a norm by its position in the norm list: the graph
-owns the id-to-position map and each norm's neighbours as ascending
-positions, and colouring, scoring and admission run on those. A conflict
-pair is a list or tuple of two different norms' ids; an error names its
-input as a document path (``conflicts[3]: unknown norm id 'x'``,
-``conflicts[0][1]: expected a string``, ``norms[2]: duplicate norm id``).
+owns the id-to-position map, read only through ``_position``, and each
+norm's neighbours as ascending positions, and colouring, scoring, admission
+and the oracle run on those. A conflict pair is a list or tuple of two
+different norms' ids; an error names its input as a document path
+(``conflicts[3]: unknown norm id 'x'``, ``conflicts[0][1]: expected a
+string``, ``norms[2]: duplicate norm id``).
 """
 from __future__ import annotations
 
@@ -133,9 +134,6 @@ class ConflictGraph:
 
     def degree(self, v: NormId) -> int:
         return len(self._adj[self._position(v)])
-
-    def has_edge(self, a: NormId, b: NormId) -> bool:
-        return self._index.get(b) in self._adj[self._position(a)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConflictGraph):

@@ -6,6 +6,10 @@ which makes the admissible sets exactly the conflict-free (independent)
 sets. The predicates here nevertheless check the definitions directly so
 they stay an independent oracle for the resolution algorithms.
 
+Predicates and searches read the graph's norm positions (see ``graph``);
+ids go back only in results. A member id outside the graph raises
+UnknownNormId naming the first unknown id in input order.
+
 The exhaustive searches (maximum admissible set, chromatic number) are
 budget-capped; they exist to verify the fast paths, not to replace them.
 This module also hosts the random-drop baseline used in benchmarks.
@@ -17,30 +21,26 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .colouring import dsatur
-from .errors import TooLarge, UnknownNormId
+from .errors import TooLarge
 from .graph import ConflictGraph, NormId
 
 MAX_ADMISSIBLE_SEARCH = 24
 MAX_CHROMATIC_SEARCH = 16
 
 
-def _as_member_set(g: ConflictGraph, members: Iterable[NormId]) -> frozenset[NormId]:
-    s = frozenset(members)
-    for v in s:
-        if v not in g:
-            raise UnknownNormId(f"unknown norm id {v!r}")
-    return s
+def _positions(g: ConflictGraph, members: Iterable[NormId]) -> frozenset[int]:
+    return frozenset(map(g._position, members))
 
 
 def is_conflict_free(g: ConflictGraph, members: Iterable[NormId]) -> bool:
     """True iff no conflict joins two members."""
-    s = _as_member_set(g, members)
-    return all(g.neighbours(v).isdisjoint(s) for v in s)
+    s = _positions(g, members)
+    return all(s.isdisjoint(g._adj[i]) for i in s)
 
 
-def _is_acceptable(g: ConflictGraph, v: NormId, s: frozenset[NormId]) -> bool:
-    # v is acceptable wrt s iff s attacks every attacker of v.
-    return all(not g.neighbours(b).isdisjoint(s) for b in g.neighbours(v))
+def _is_acceptable(g: ConflictGraph, i: int, s: frozenset[int]) -> bool:
+    # i is acceptable wrt s iff s attacks every attacker of i.
+    return all(not s.isdisjoint(g._adj[b]) for b in g._adj[i])
 
 
 def is_admissible(g: ConflictGraph, members: Iterable[NormId]) -> bool:
@@ -49,16 +49,16 @@ def is_admissible(g: ConflictGraph, members: Iterable[NormId]) -> bool:
     With bidirectional attacks each member defends itself, so this agrees
     with is_conflict_free; both sides are computed from the definitions.
     """
-    s = _as_member_set(g, members)
-    return is_conflict_free(g, s) and all(_is_acceptable(g, v, s) for v in s)
+    s = _positions(g, members)
+    return all(s.isdisjoint(g._adj[i]) and _is_acceptable(g, i, s) for i in s)
 
 
 def is_complete_extension(g: ConflictGraph, members: Iterable[NormId]) -> bool:
-    """True iff admissible and containing every norm acceptable wrt itself."""
-    s = _as_member_set(g, members)
-    if not is_admissible(g, s):
-        return False
-    return all(v in s for v in g.ids if _is_acceptable(g, v, s))
+    """True iff admissible and containing every norm acceptable wrt itself,
+    that is, conflict-free with exactly its members acceptable."""
+    s = _positions(g, members)
+    acceptable = {i for i in range(len(g)) if _is_acceptable(g, i, s)}
+    return all(s.isdisjoint(g._adj[i]) for i in s) and s == acceptable
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,12 @@ class ExtensionReport:
 
 
 def report(g: ConflictGraph, members: Iterable[NormId]) -> ExtensionReport:
-    s = _as_member_set(g, members)
+    members = tuple(members)
     return ExtensionReport(
-        members=s,
-        conflict_free=is_conflict_free(g, s),
-        admissible=is_admissible(g, s),
-        complete=is_complete_extension(g, s),
+        members=frozenset(members),
+        conflict_free=is_conflict_free(g, members),
+        admissible=is_admissible(g, members),
+        complete=is_complete_extension(g, members),
     )
 
 
@@ -89,12 +89,10 @@ def max_cardinality_admissible(g: ConflictGraph) -> frozenset[NormId]:
     n = len(g)
     if n > MAX_ADMISSIBLE_SEARCH:
         raise TooLarge(f"exhaustive admissible-set search capped at {MAX_ADMISSIBLE_SEARCH} norms")
-    ids = sorted(g.ids)
-    pos = {v: i for i, v in enumerate(ids)}
-    adj = [0] * n
-    for a, b in g.edges:
-        adj[pos[a]] |= 1 << pos[b]
-        adj[pos[b]] |= 1 << pos[a]
+    # bit r stands for the norm whose id sorts r-th, at position order[r]
+    order = sorted(range(n), key=g.ids.__getitem__)
+    rank = sorted(range(n), key=order.__getitem__)  # the inverse of order
+    adj = [sum(1 << rank[j] for j in g._adj[i]) for i in order]
 
     best_mask = 0
     best_count = 0
@@ -111,7 +109,7 @@ def max_cardinality_admissible(g: ConflictGraph) -> frozenset[NormId]:
         explore(i + 1, chosen, count, blocked)
 
     explore(0, 0, 0, 0)
-    return frozenset(ids[i] for i in range(n) if (best_mask >> i) & 1)
+    return frozenset(g.ids[order[r]] for r in range(n) if (best_mask >> r) & 1)
 
 
 def chromatic_number(g: ConflictGraph) -> int:
@@ -121,35 +119,29 @@ def chromatic_number(g: ConflictGraph) -> int:
         raise TooLarge(f"exact colouring search capped at {MAX_CHROMATIC_SEARCH} norms")
     if n == 0:
         return 0
+    adj = g._adj
+    order = sorted(range(n), key=lambda i: -len(adj[i]))  # ties stay in insertion order
+    rank = sorted(range(n), key=order.__getitem__)  # the inverse of order
+    earlier = [[rank[j] for j in adj[i] if rank[j] < r] for r, i in enumerate(order)]
+    clique: set[int] = set()  # a greedy clique bounds the search from below
+    for r, before in enumerate(earlier):
+        if clique.issubset(before):
+            clique.add(r)
     upper = dsatur(g).num_colours
-    lower = max(1, len(_greedy_clique(g)))
-    for k in range(lower, upper):
-        if _colourable_with(g, k):
+    for k in range(len(clique), upper):
+        if _colourable_with(earlier, k):
             return k
     return upper
 
 
-def _greedy_clique(g: ConflictGraph) -> list[NormId]:
-    order = sorted(g.ids, key=lambda v: -g.degree(v))
-    clique: list[NormId] = []
-    for v in order:
-        if all(g.has_edge(v, u) for u in clique):
-            clique.append(v)
-    return clique
-
-
-def _colourable_with(g: ConflictGraph, k: int) -> bool:
-    order = sorted(g.ids, key=lambda v: -g.degree(v))
-    pos = {v: i for i, v in enumerate(order)}
-    earlier_neighbours = [
-        [pos[w] for w in g.neighbours(v) if pos[w] < pos[v]] for v in order
-    ]
-    colours = [-1] * len(order)
+def _colourable_with(earlier: list[list[int]], k: int) -> bool:
+    n = len(earlier)
+    colours = [-1] * n
 
     def assign(i: int, used: int) -> bool:
-        if i == len(order):
+        if i == n:
             return True
-        forbidden = {colours[j] for j in earlier_neighbours[i]}
+        forbidden = {colours[j] for j in earlier[i]}
         # allowing at most one fresh colour per step breaks colour symmetry
         for c in range(min(used + 1, k)):
             if c not in forbidden:

@@ -26,8 +26,8 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .colouring import Colouring
-from .errors import IncompleteColouring, InvalidScore, SchemaError, UnknownColour, UnknownNormId
+from .colouring import Colouring, _by_position
+from .errors import InvalidScore, SchemaError, UnknownColour, UnknownNormId
 from .graph import ConflictGraph, NormId, _require_int
 
 WeakOrdering = Mapping[NormId, int]
@@ -157,10 +157,7 @@ def _class_scores(
         key = None if policy.kind is PolicyKind.MAX_CLASS else _preference_key(g, policy)
         net = policy.mode is ScoreMode.NET
         totals = [0] * phi.num_colours
-        for i, v in enumerate(g.ids):
-            c = phi.assignment.get(v)
-            if c is None:
-                raise IncompleteColouring(f"vertex {v!r} has no colour")
+        for i, c in enumerate(_by_position(g, phi)):
             totals[c] += 1 if key is None else _norm_score(g, key, i, net)
         scores = {c: float(totals[c]) for c in colours}
     else:
@@ -184,11 +181,11 @@ def score_colour(g: ConflictGraph, phi: Colouring, c: int, policy: Heuristic) ->
     """Evaluate colour class c of phi under the given policy.
 
     A built-in policy scores every norm on each call, O(n + m); rank_colours
-    scores all classes at once. Raises UnknownColour when c is outside
-    phi's colour range, IncompleteColouring when phi leaves a norm of g
-    uncoloured, InvalidScore for NaN.
+    scores all classes at once. Raises SchemaError when c is not an integer,
+    UnknownColour when it is outside phi's colour range, IncompleteColouring
+    when phi leaves a norm of g uncoloured, InvalidScore for NaN.
     """
-    if not 0 <= c < phi.num_colours:
+    if not 0 <= _require_int(c, "colour") < phi.num_colours:
         raise UnknownColour(f"colour {c} not in 0..{phi.num_colours - 1}")
     return _class_scores(g, phi, policy, (c,))[c]
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colouring import Colouring, dsatur
+from .colouring import Colouring, _by_position, dsatur
 from .graph import ConflictGraph, NormId
 from .policies import Heuristic, policy_label, rank_colours
 
@@ -76,7 +76,7 @@ def _admit(
     phi = dsatur(g)
     order = rank_colours(g, phi, policy)
     ids, adj = g.ids, g._adj
-    colour = [phi.assignment[v] for v in ids]  # by position
+    colour = _by_position(g, phi)
     # admitted position -> admission index, which is also its index in entries
     index: dict[int, int] = {}
     entries: list[CurtailedNorm] = []
@@ -108,7 +108,8 @@ def _admit(
             entries.append(CurtailedNorm(ids[i], tuple(entries[k].norm for k in wrt)))
             index[i] = len(index)
     algorithm = ("resolve" if first_class_only else "curtail") + ("-complete" if complete else "")
-    final = Colouring({v: colour[g._index[v]] for v in phi.assignment}, phi.num_colours)
+    # phi's order with the final colours: a repeated key keeps its first place
+    final = Colouring({**phi.assignment, **dict(zip(ids, colour))}, phi.num_colours)
     return Resolution(algorithm, policy_label(policy), tuple(entries), final, tuple(order))
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from normcolour import EmptyInput, Policy, TooManyConflicts, build_graph
+from normcolour import EmptyInput, NormColourError, Policy, TooManyConflicts, build_graph
 from normcolour.bench import (
     BenchConfig,
     Metric,
@@ -69,6 +69,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             BenchConfig(policy=Policy.max_class(), metric=Metric.ADMITTED_COUNT,
                         algorithms=("resolve", "quantum"))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"trials_per_point": 0},
+            {"trials_per_point": 2.5},
+            {"conflict_range": (5, 2)},
+            {"conflict_range": (1.5, 3)},
+            {"conflict_range": (1, 3.0)},
+            {"n_norms": 16.0},
+            {"algorithms": ("resolve", "quantum")},
+        ],
+    )
+    def test_bad_config_is_a_package_error(self, overrides):
+        with pytest.raises(NormColourError):
+            BenchConfig(policy=Policy.max_class(), metric=Metric.ADMITTED_COUNT, **overrides)
+
+    def test_unknown_preset_is_a_package_error(self):
+        with pytest.raises(NormColourError, match="mystery"):
+            preset_config("mystery")
 
     def test_max_conflicts(self):
         assert max_conflicts(16, True) == 240

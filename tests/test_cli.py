@@ -1,8 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import normcolour
 from normcolour import Policy
 from normcolour.cli import main
 from normcolour.documents import parse_norm_document, write_resolution
@@ -146,6 +151,17 @@ class TestCheckCommand:
 
     def test_unknown_id_is_input_error(self, k2_file):
         assert main(["check", "--input", k2_file, "--set", "a,zz"]) == 2
+
+    @pytest.mark.parametrize("hash_seed", range(8))
+    def test_first_unknown_id_is_named_under_every_hash_seed(self, k2_file, hash_seed):
+        src = str(Path(normcolour.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "normcolour.cli", "check", "--input", k2_file, "--set", "p,q,r,s"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: unknown norm id 'p'\n"
 
 
 class TestBenchCommand:

@@ -8,9 +8,12 @@ from normcolour import (
     ConflictGraph,
     IncompleteColouring,
     Norm,
+    Policy,
+    SchemaError,
     UnknownColour,
     dsatur,
     is_valid_colouring,
+    score_colour,
 )
 from normcolour.oracle import chromatic_number
 
@@ -117,6 +120,19 @@ class TestValidity:
     def test_colour_outside_the_range_is_rejected(self, colour):
         with pytest.raises(UnknownColour, match="'b'"):
             Colouring({"a": 0, "b": colour}, 1)
+
+    @pytest.mark.parametrize(
+        "assignment, num_colours", [({"a": 0.5, "b": 0}, 1), ({"a": 0}, 1.5), ({"a": True}, 2)]
+    )
+    def test_colour_ids_must_be_integers(self, assignment, num_colours):
+        with pytest.raises(SchemaError):
+            Colouring(assignment, num_colours)
+
+    @pytest.mark.parametrize("colour", [0.5, True, "0"])
+    def test_scored_colour_must_be_an_integer(self, colour):
+        g = make_graph("ab", [("a", "b")])
+        with pytest.raises(SchemaError):
+            score_colour(g, dsatur(g), colour, Policy.max_class())
 
 
 class TestColourClasses:

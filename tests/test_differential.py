@@ -1,6 +1,7 @@
 """Differential tests: DSATUR, the admission engine, the per-norm
-scoring kernel and the random-drop baseline against private copies of the
-implementations they replaced, plus fuzzing of the document parsers.
+scoring kernel, the random-drop baseline and the oracle's predicates and
+exhaustive searches against private copies of the implementations they
+replaced, plus fuzzing of the document parsers.
 
 The reference below colours with DSATUR's O(n²) selection scan, keeps the
 four algorithms as four separate loops and scores every pairwise policy
@@ -30,6 +31,7 @@ from normcolour import (
     PolicyKind,
     Resolution,
     ScoreMode,
+    TooLarge,
     UnknownColour,
     UnknownNormId,
     dsatur,
@@ -37,7 +39,16 @@ from normcolour import (
     score_colour,
 )
 from normcolour.documents import parse_norm_document, read_resolution
-from normcolour.oracle import random_drop
+from normcolour.oracle import (
+    MAX_ADMISSIBLE_SEARCH,
+    MAX_CHROMATIC_SEARCH,
+    chromatic_number,
+    is_admissible,
+    is_complete_extension,
+    is_conflict_free,
+    max_cardinality_admissible,
+    random_drop,
+)
 
 from .test_properties import graphs, rank_maps
 
@@ -324,6 +335,149 @@ def test_random_drop_matches_the_reference(g, seed):
     assert random_drop(g, rng) == _ref_random_drop(g, ref_rng)
     # the same number of draws, so a caller's later draws are unchanged too
     assert rng.random() == ref_rng.random()
+
+
+# -- reference: oracle predicates and exhaustive searches -------------------
+# The id-keyed versions the position-based oracle replaced.
+
+
+def _ref_as_member_set(g: ConflictGraph, members) -> frozenset[NormId]:
+    s = frozenset(members)
+    for v in s:
+        if v not in g:
+            raise UnknownNormId(f"unknown norm id {v!r}")
+    return s
+
+
+def _ref_is_conflict_free(g: ConflictGraph, members) -> bool:
+    """True iff no conflict joins two members."""
+    s = _ref_as_member_set(g, members)
+    return all(g.neighbours(v).isdisjoint(s) for v in s)
+
+
+def _ref_is_acceptable(g: ConflictGraph, v: NormId, s: frozenset[NormId]) -> bool:
+    # v is acceptable wrt s iff s attacks every attacker of v.
+    return all(not g.neighbours(b).isdisjoint(s) for b in g.neighbours(v))
+
+
+def _ref_is_admissible(g: ConflictGraph, members) -> bool:
+    """True iff conflict-free and every member's attackers are attacked back.
+
+    With bidirectional attacks each member defends itself, so this agrees
+    with is_conflict_free; both sides are computed from the definitions.
+    """
+    s = _ref_as_member_set(g, members)
+    return _ref_is_conflict_free(g, s) and all(_ref_is_acceptable(g, v, s) for v in s)
+
+
+def _ref_is_complete_extension(g: ConflictGraph, members) -> bool:
+    """True iff admissible and containing every norm acceptable wrt itself."""
+    s = _ref_as_member_set(g, members)
+    if not _ref_is_admissible(g, s):
+        return False
+    return all(v in s for v in g.ids if _ref_is_acceptable(g, v, s))
+
+
+def _ref_max_cardinality_admissible(g: ConflictGraph) -> frozenset[NormId]:
+    """A maximum-cardinality conflict-free set, by exhaustive branch and bound.
+
+    Equals a maximum independent set of the graph. Among maximum sets the
+    one whose sorted id tuple is lexicographically smallest is returned.
+    Raises TooLarge above the search budget.
+    """
+    n = len(g)
+    if n > MAX_ADMISSIBLE_SEARCH:
+        raise TooLarge(f"exhaustive admissible-set search capped at {MAX_ADMISSIBLE_SEARCH} norms")
+    ids = sorted(g.ids)
+    pos = {v: i for i, v in enumerate(ids)}
+    adj = [0] * n
+    for a, b in g.edges:
+        adj[pos[a]] |= 1 << pos[b]
+        adj[pos[b]] |= 1 << pos[a]
+
+    best_mask = 0
+    best_count = 0
+
+    def explore(i: int, chosen: int, count: int, blocked: int) -> None:
+        nonlocal best_mask, best_count
+        if count + (n - i) <= best_count:
+            return
+        if i == n:
+            best_mask, best_count = chosen, count
+            return
+        if not (blocked >> i) & 1:
+            explore(i + 1, chosen | (1 << i), count + 1, blocked | adj[i])
+        explore(i + 1, chosen, count, blocked)
+
+    explore(0, 0, 0, 0)
+    return frozenset(ids[i] for i in range(n) if (best_mask >> i) & 1)
+
+
+def _ref_chromatic_number(g: ConflictGraph) -> int:
+    """Exact chromatic number via backtracking; capped for tractability."""
+    n = len(g)
+    if n > MAX_CHROMATIC_SEARCH:
+        raise TooLarge(f"exact colouring search capped at {MAX_CHROMATIC_SEARCH} norms")
+    if n == 0:
+        return 0
+    upper = dsatur(g).num_colours
+    lower = max(1, len(_ref_greedy_clique(g)))
+    for k in range(lower, upper):
+        if _ref_colourable_with(g, k):
+            return k
+    return upper
+
+
+def _ref_greedy_clique(g: ConflictGraph) -> list[NormId]:
+    order = sorted(g.ids, key=lambda v: -g.degree(v))
+    clique: list[NormId] = []
+    for v in order:
+        if all(u in g.neighbours(v) for u in clique):
+            clique.append(v)
+    return clique
+
+
+def _ref_colourable_with(g: ConflictGraph, k: int) -> bool:
+    order = sorted(g.ids, key=lambda v: -g.degree(v))
+    pos = {v: i for i, v in enumerate(order)}
+    earlier_neighbours = [
+        [pos[w] for w in g.neighbours(v) if pos[w] < pos[v]] for v in order
+    ]
+    colours = [-1] * len(order)
+
+    def assign(i: int, used: int) -> bool:
+        if i == len(order):
+            return True
+        forbidden = {colours[j] for j in earlier_neighbours[i]}
+        # allowing at most one fresh colour per step breaks colour symmetry
+        for c in range(min(used + 1, k)):
+            if c not in forbidden:
+                colours[i] = c
+                if assign(i + 1, max(used, c + 1)):
+                    return True
+        colours[i] = -1
+        return False
+
+    return assign(0, 0)
+
+
+@st.composite
+def graphs_with_member_sets(draw):
+    g = draw(graphs(max_n=12))
+    subsets = st.lists(st.sampled_from(g.ids), unique=True) if g.ids else st.just([])
+    members = draw(st.one_of(st.just([]), st.just(list(g.ids)), subsets))
+    return g, members
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_member_sets())
+def test_oracle_matches_the_reference(gm):
+    g, members = gm
+    assert is_conflict_free(g, members) == _ref_is_conflict_free(g, members)
+    assert is_admissible(g, members) == _ref_is_admissible(g, members)
+    assert is_complete_extension(g, members) == _ref_is_complete_extension(g, members)
+    assert max_cardinality_admissible(g) == _ref_max_cardinality_admissible(g)
+    assert chromatic_number(g) == _ref_chromatic_number(g)
 
 
 # -- fuzzing: malformed documents raise NormColourError, nothing else -------

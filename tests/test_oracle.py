@@ -41,6 +41,9 @@ class TestConflictFree:
     def test_unknown_member(self, k2_plus_isolated):
         with pytest.raises(UnknownNormId):
             is_conflict_free(k2_plus_isolated, {"nope"})
+        # the first unknown id in input order is named, whatever the hash seed
+        with pytest.raises(UnknownNormId, match="'p'"):
+            report(k2_plus_isolated, ["a", "p", "q", "r", "s"])
 
 
 class TestAdmissible:
