@@ -49,12 +49,21 @@ class BenchConfig:
     algorithms: tuple[str, ...] = ("resolve",)
 
     def __post_init__(self) -> None:
-        lo, hi = (_require_int(x, f"conflict_range[{k}]") for k, x in enumerate(self.conflict_range))
-        cap = max_conflicts(_require_int(self.n_norms, "n_norms"), self.duplicate_directed_pairs)
+        if not isinstance(self.policy, Policy) and not callable(self.policy):
+            raise SchemaError(f"policy must be a Policy or a callable, not {self.policy!r}")
+        if not isinstance(self.metric, Metric):
+            raise SchemaError(f"metric must be a Metric, not {self.metric!r}")
+        if _require_int(self.n_norms, "n_norms") < 1:
+            raise SchemaError(f"n_norms must be at least 1, got {self.n_norms}")
+        pair = self.conflict_range
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise SchemaError(f"conflict_range must be a pair of integers, not {pair!r}")
+        lo, hi = (_require_int(x, f"conflict_range[{k}]") for k, x in enumerate(pair))
         if not 0 <= lo <= hi:
-            raise SchemaError(f"bad conflict range {self.conflict_range}")
+            raise SchemaError(f"bad conflict_range {pair}")
         if _require_int(self.trials_per_point, "trials_per_point") < 1:
             raise SchemaError(f"trials_per_point must be at least 1, got {self.trials_per_point}")
+        cap = max_conflicts(self.n_norms, self.duplicate_directed_pairs)
         if hi > cap:
             raise TooManyConflicts(f"{hi} conflicts exceed the maximum of {cap}")
         unknown = [a for a in self.algorithms if a not in ALGORITHMS and a not in BASELINES]

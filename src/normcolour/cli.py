@@ -90,7 +90,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _build_policy(args: argparse.Namespace) -> Policy:
     kind = PolicyKind(args.policy)
-    mode = ScoreMode(args.mode)
+    ranks = None
     if kind is PolicyKind.WEAK_ORDER:
         if not args.rank_file:
             raise UsageError("--policy weak-order requires --rank-file")
@@ -99,10 +99,7 @@ def _build_policy(args: argparse.Namespace) -> Policy:
             ranks = parse_rank_map(text)
         except NormColourError as exc:
             raise type(exc)(f"{args.rank_file}: {exc}") from None
-        return Policy.weak_order(ranks, mode)
-    if kind is PolicyKind.MAX_CLASS:
-        return Policy.max_class()
-    return Policy(kind, mode, prefer_recent=args.prefer_recent)
+    return Policy(kind, ScoreMode(args.mode), ranks, args.prefer_recent)
 
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
@@ -144,10 +141,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required (resolve, check, or bench)")
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -3,15 +3,17 @@
 A policy scores each norm against its conflicting neighbours: +1 for each
 neighbour the norm is preferred to and, under NET scoring, -1 for each one
 preferred to it (GROSS counts wins only; ties count 0). A colour class
-scores the sum over its members. A pairwise policy keys every norm, and v
-is preferred to w exactly when key[w] < key[v]:
+scores the sum over its members. Every built-in policy keys each norm by
+one rule (``_keys``), and v is preferred to w exactly when key[w] < key[v],
+so ``Policy.prefers`` costs O(1):
 
 * lex posterior — earlier declaration ranks higher (``prefer_recent``
   flips this to the textbook reading, where the newer norm wins);
 * lex superior — the stronger authority ranks higher;
 * lex specialis — a norm's own antecedent set, ordered in reverse, so a
   strict subset (the more specific norm) wins and incomparable sets tie;
-* weak-order — an explicit rank map that must rank every norm.
+* weak-order — an explicit rank map that must rank every norm;
+* max-class — equal keys, so it prefers nothing.
 
 Max-class scores every norm 1, so a class scores its size. Any callable
 ``(graph, colouring, colour) -> float`` can stand in for a policy wherever
@@ -28,7 +30,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .colouring import Colouring, _by_position
 from .errors import InvalidScore, SchemaError, UnknownColour, UnknownNormId
-from .graph import ConflictGraph, NormId, _require_int
+from .graph import ConflictGraph, Norm, NormId, _require_int
 
 WeakOrdering = Mapping[NormId, int]
 
@@ -96,13 +98,11 @@ class Policy:
         return cls(PolicyKind.MAX_CLASS)
 
     def prefers(self, g: ConflictGraph, a: NormId, b: NormId) -> bool:
-        """Strict preference of a over b. Outside lex specialis each call
-        builds the whole key list, O(n); score many pairs with rank_colours."""
-        i, j = g._position(a), g._position(b)  # UnknownNormId for an id outside g
-        if self.kind is PolicyKind.LEX_SPECIALIS:
-            return _Specific(g.norms[j].antecedents) < _Specific(g.norms[i].antecedents)
-        key = _preference_key(g, self)
-        return key[j] < key[i]
+        """Strict preference of a over b, O(1): b's key is below a's.
+        Max-class prefers nothing. Raises UnknownNormId for an id outside g
+        or for a or b left unranked by a weak order."""
+        key_a, key_b = _keys(self, (g.norm(a), g.norm(b)))
+        return key_b < key_a
 
 
 Heuristic = Union[Policy, Callable[[ConflictGraph, Colouring, int], float]]
@@ -112,23 +112,29 @@ class _Specific(frozenset):
     __lt__ = frozenset.__gt__  # reverse strict inclusion: the subset ranks higher
 
 
-def _rank_key(g: ConflictGraph, ranks: WeakOrdering, positions: Iterable[int]) -> dict[int, int]:
-    """Ranks by position; UnknownNormId names the first norm left unranked."""
+def _ranks(ranks: WeakOrdering, norms: Iterable[Norm]) -> list[int]:
+    """Each norm's rank, in order; UnknownNormId names the first norm left unranked."""
     try:
-        return {i: ranks[g.ids[i]] for i in positions}
+        return [ranks[norm.id] for norm in norms]
     except KeyError as exc:
         raise UnknownNormId(f"weak ordering assigns no rank to {exc.args[0]!r}") from None
 
 
-def _preference_key(g: ConflictGraph, policy: Policy) -> Sequence | Mapping[int, object]:
-    """Keys of a pairwise policy by norm position (see the module docstring).
-    Raises UnknownNormId naming the first norm, in insertion order, that a
-    weak order leaves unranked, and ValueError for max-class."""
-    if policy.kind is PolicyKind.WEAK_ORDER:
-        return _rank_key(g, policy.ranks, range(len(g)))
-    if policy.kind is PolicyKind.LEX_SPECIALIS:
-        return [_Specific(norm.antecedents) for norm in g.norms]
-    return list(ordering_from_metadata(g, policy.kind, prefer_recent=policy.prefer_recent).values())
+def _keys(policy: Policy, norms: Sequence[Norm]) -> list:
+    """Each norm's key under a built-in policy, in order (see the module
+    docstring). Raises UnknownNormId for the first norm a weak order leaves
+    unranked."""
+    kind = policy.kind
+    if kind is PolicyKind.LEX_POSTERIOR:
+        sign = 1 if policy.prefer_recent else -1
+        return [sign * norm.declared_at for norm in norms]
+    if kind is PolicyKind.LEX_SUPERIOR:
+        return [norm.authority_rank for norm in norms]
+    if kind is PolicyKind.LEX_SPECIALIS:
+        return [_Specific(norm.antecedents) for norm in norms]
+    if kind is PolicyKind.WEAK_ORDER:
+        return _ranks(policy.ranks, norms)
+    return [0] * len(norms)  # max-class: every pair ties
 
 
 def _norm_score(g: ConflictGraph, key: Sequence | Mapping[int, object], i: int, net: bool) -> int:
@@ -153,12 +159,12 @@ def _class_scores(
     uncoloured norm in insertion order, InvalidScore for a NaN, which no
     ranking orders."""
     if isinstance(policy, Policy):
-        # max-class scores every norm 1
-        key = None if policy.kind is PolicyKind.MAX_CLASS else _preference_key(g, policy)
+        key = _keys(policy, g.norms)
         net = policy.mode is ScoreMode.NET
+        count = policy.kind is PolicyKind.MAX_CLASS  # its keys tie: each norm scores 1
         totals = [0] * phi.num_colours
         for i, c in enumerate(_by_position(g, phi)):
-            totals[c] += 1 if key is None else _norm_score(g, key, i, net)
+            totals[c] += 1 if count else _norm_score(g, key, i, net)
         scores = {c: float(totals[c]) for c in colours}
     else:
         scores = {c: float(policy(g, phi, c)) for c in colours}
@@ -207,13 +213,11 @@ def ordering_from_metadata(
 
     Lex posterior ranks by negated declaration time (earlier declared =
     higher rank, unless prefer_recent), lex superior by authority rank.
+    Raises SchemaError for any other kind.
     """
-    if kind is PolicyKind.LEX_POSTERIOR:
-        sign = 1 if prefer_recent else -1
-        return {norm.id: sign * norm.declared_at for norm in g.norms}
-    if kind is PolicyKind.LEX_SUPERIOR:
-        return {norm.id: norm.authority_rank for norm in g.norms}
-    raise ValueError(f"no metadata-derived ordering for {kind.value}")
+    if kind is not PolicyKind.LEX_POSTERIOR and kind is not PolicyKind.LEX_SUPERIOR:
+        raise SchemaError(f"no metadata-derived ordering for {kind}")
+    return dict(zip(g.ids, _keys(Policy(kind, prefer_recent=prefer_recent), g.norms)))
 
 
 def score_admitted_set(
@@ -222,8 +226,15 @@ def score_admitted_set(
     """Net preference score of an admitted set: its members' net scores
     under the rank map, summed. Over the full vertex set the two signs
     cancel edge by edge, so the total is 0. Only admitted norms and their
-    neighbours need ranks; UnknownNormId otherwise, or for a norm outside g.
+    neighbours need ranks: UnknownNormId otherwise, or for a norm outside g,
+    and SchemaError for a rank read that is not an integer.
     """
     members = [g._position(v) for v in admitted]
-    key = _rank_key(g, ranks, (j for i in members for j in (i, *g._adj[i])))
+    norms = g.norms
+    # read in order, each member then its neighbours, to name the first unranked norm
+    read = {j: norms[j] for i in members for j in (i, *g._adj[i])}
+    key = dict(zip(read, _ranks(ranks, read.values())))
+    for j, r in key.items():
+        if type(r) is not int:  # skips only the call: _require_int passes every int
+            _require_int(r, f"rank of {g.ids[j]!r}")
     return sum(_norm_score(g, key, i, True) for i in members)

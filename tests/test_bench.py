@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from normcolour import EmptyInput, NormColourError, Policy, TooManyConflicts, build_graph
+from normcolour import (
+    EmptyInput,
+    NormColourError,
+    Policy,
+    SchemaError,
+    TooManyConflicts,
+    build_graph,
+)
 from normcolour.bench import (
     BenchConfig,
     Metric,
@@ -80,11 +87,20 @@ class TestConfig:
             {"conflict_range": (1, 3.0)},
             {"n_norms": 16.0},
             {"algorithms": ("resolve", "quantum")},
+            {"metric": "admitted-count"},
+            {"conflict_range": (1, 2, 3)},
+            {"conflict_range": [1]},
+            {"conflict_range": 5},
+            {"n_norms": -2, "conflict_range": (1, 1)},
+            {"n_norms": -3, "conflict_range": (0, 0)},
+            {"policy": None},
         ],
     )
     def test_bad_config_is_a_package_error(self, overrides):
-        with pytest.raises(NormColourError):
-            BenchConfig(policy=Policy.max_class(), metric=Metric.ADMITTED_COUNT, **overrides)
+        fields = {"policy": Policy.max_class(), "metric": Metric.ADMITTED_COUNT, **overrides}
+        # the first override names the field the error must name
+        with pytest.raises(SchemaError, match=next(iter(overrides))):
+            BenchConfig(**fields)
 
     def test_unknown_preset_is_a_package_error(self):
         with pytest.raises(NormColourError, match="mystery"):

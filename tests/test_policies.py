@@ -11,6 +11,7 @@ from normcolour import (
     NormColourError,
     Policy,
     PolicyKind,
+    SchemaError,
     ScoreMode,
     UnknownColour,
     UnknownNormId,
@@ -204,6 +205,13 @@ class TestOrderingFromMetadata:
         with pytest.raises(ValueError):
             ordering_from_metadata(g, PolicyKind.MAX_CLASS)
 
+    @pytest.mark.parametrize(
+        "kind", [PolicyKind.MAX_CLASS, PolicyKind.LEX_SPECIALIS, PolicyKind.WEAK_ORDER]
+    )
+    def test_other_kinds_are_a_package_error(self, kind):
+        with pytest.raises(NormColourError, match="no metadata-derived ordering"):
+            ordering_from_metadata(make_graph("ab"), kind)
+
     def test_derived_ranks_reproduce_metadata_policies(self):
         g = make_graph(
             "abcd",
@@ -258,6 +266,22 @@ class TestScoreAdmittedSet:
         with pytest.raises(UnknownNormId):
             score_admitted_set(g, {"a"}, {"a": 1})
 
+    @pytest.mark.parametrize("rank", ["x", True, 1.5])
+    def test_ranks_read_must_be_integers(self, rank):
+        g = make_graph("ab", [("a", "b")])
+        with pytest.raises(SchemaError, match="rank of 'a': expected an integer"):
+            score_admitted_set(g, {"a"}, {"a": rank, "b": 1})
+
+    def test_ranks_not_read_are_not_checked(self):
+        g = make_graph("abc", [("a", "b")])
+        assert score_admitted_set(g, {"a"}, {"a": 2, "b": 1, "c": "x"}) == 1
+
+    def test_first_unranked_norm_is_named_member_then_neighbours(self):
+        # a's neighbour d is read before the member b
+        g = make_graph("abcd", [("a", "d")])
+        with pytest.raises(UnknownNormId, match="'d'"):
+            score_admitted_set(g, ["a", "b"], {"a": 1})
+
 
 class TestWeakOrderCoverage:
     def test_unranked_isolated_norm_is_rejected(self):
@@ -270,6 +294,13 @@ class TestWeakOrderCoverage:
         g = make_graph("abcd", [("c", "d")])
         with pytest.raises(UnknownNormId, match="'b'"):
             rank_colours(g, dsatur(g), Policy.weak_order({"a": 1, "c": 2}))
+
+    def test_prefers_needs_ranks_for_its_two_norms_only(self):
+        g = make_graph("abx", [("a", "b")])
+        policy = Policy.weak_order({"a": 2, "b": 1})
+        assert policy.prefers(g, "a", "b") and not policy.prefers(g, "b", "a")
+        with pytest.raises(UnknownNormId, match="'x'"):
+            policy.prefers(g, "a", "x")
 
     def test_extra_ranks_are_ignored(self):
         g = make_graph("ab", [("a", "b")])
@@ -329,6 +360,17 @@ class TestPolicyValidation:
     def test_prefers_rejects_a_norm_outside_the_graph(self, fork_graph, policy):
         with pytest.raises(UnknownNormId, match="'zz'"):
             policy.prefers(fork_graph, "v1", "zz")
+
+
+def test_max_class_prefers_nothing():
+    g = make_graph(
+        "abc",
+        [("a", "b"), ("b", "c")],
+        declared_at={"a": 1, "b": 2, "c": 3},
+        authority_rank={"a": 3, "b": 2, "c": 1},
+    )
+    policy = Policy.max_class()
+    assert not any(policy.prefers(g, a, b) for a in g.ids for b in g.ids)
 
 
 def test_policy_labels():

@@ -210,6 +210,31 @@ class TestResolutionProperties:
             assert is_complete_extension(g, res.admitted)
 
     @given(graphs_with_policies())
+    def test_resolve_complete_is_a_stable_extension(self, gp):
+        # stable: conflict-free, and every norm outside has a neighbour inside
+        g, policy = gp
+        admitted = set(colour_resolve_complete(g, policy).admitted)
+        for v in g.ids:
+            inside = [w for w in g.neighbours(v) if w in admitted]
+            if v in admitted:
+                assert not inside
+            else:
+                assert inside
+
+    @given(graphs_with_policies())
+    def test_curtail_complete_classes_block_every_later_norm(self, gp):
+        # each completed class is maximal among the norms not yet admitted
+        g, policy = gp
+        res = colour_curtail_complete(g, policy)
+        colour = res.colouring.assignment
+        later = set(g.ids)
+        for c in res.colour_order:
+            members = {v for v in later if colour[v] == c}
+            later -= members
+            for v in later:
+                assert any(w in members for w in g.neighbours(v))
+
+    @given(graphs_with_policies())
     def test_completion_only_grows_the_admitted_set(self, gp):
         g, policy = gp
         plain = set(colour_resolve(g, policy).admitted)
