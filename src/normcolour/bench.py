@@ -16,7 +16,7 @@ import csv
 import hashlib
 import io
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations, permutations
 from typing import Iterable
@@ -24,9 +24,10 @@ from typing import Iterable
 from .errors import EmptyInput, SchemaError, TooManyConflicts
 from .graph import ConflictGraph, Norm, NormId, _require_int, build_graph
 from .oracle import max_cardinality_admissible, random_drop
-from .policies import Policy, WeakOrdering, policy_label, score_admitted_set
+from .policies import Policy, WeakOrdering, score_admitted_set
 from .resolution import ALGORITHMS, Resolution
 
+# preferred is a maximum-cardinality stable extension (oracle.max_cardinality_admissible)
 BASELINES = ("random-drop", "preferred")
 CSV_HEADER = ("num_conflicts", "trial", "algorithm", "policy", "metric", "value", "seed")
 
@@ -39,6 +40,7 @@ class Metric(Enum):
 
 @dataclass(frozen=True)
 class BenchConfig:
+    """One benchmark sweep; the defaults are the oren-count experiment's sweep."""
     policy: Policy
     metric: Metric
     n_norms: int = 16
@@ -66,7 +68,10 @@ class BenchConfig:
         cap = max_conflicts(self.n_norms, self.duplicate_directed_pairs)
         if hi > cap:
             raise TooManyConflicts(f"{hi} conflicts exceed the maximum of {cap}")
-        unknown = [a for a in self.algorithms if a not in ALGORITHMS and a not in BASELINES]
+        names = self.algorithms
+        if not isinstance(names, tuple) or not all(isinstance(a, str) for a in names):
+            raise SchemaError(f"algorithms must be a tuple of names, not {names!r}")
+        unknown = [a for a in names if a not in ALGORITHMS and a not in BASELINES]
         if unknown:
             raise SchemaError(f"unknown algorithms: {unknown}")
 
@@ -149,15 +154,14 @@ def _measure(
         label, admitted = "none", max_cardinality_admissible(g)
     else:
         res: Resolution = ALGORITHMS[algorithm](g, cfg.policy)
-        label = policy_label(cfg.policy)
-        admitted = res.admitted
+        label, admitted = res.policy, res.admitted
         if algorithm in ("curtail", "curtail-complete"):
             if cfg.metric is Metric.ADMITTED_COUNT:
                 # Curtailing algorithms admit everything, so a raw count says
                 # nothing; report how much survived uncurtailed instead.
                 return [
-                    (label, "uncurtailed_count", float(len(res.admitted_unconditionally))),
                     (label, "curtailment_total", float(res.total_curtailments)),
+                    (label, "uncurtailed_count", float(len(res.admitted_unconditionally))),
                 ]
             admitted = res.admitted_unconditionally
 
@@ -186,12 +190,11 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
                 cfg.n_norms, num_conflicts, cfg.duplicate_directed_pairs, rng
             )
             g = build_graph(norms, pairs)
-            for algorithm in cfg.algorithms:
+            for algorithm in sorted(cfg.algorithms):
                 for policy, metric, value in _measure(algorithm, g, cfg, ranks, point_seed):
                     rows.append(
                         BenchRow(num_conflicts, trial, algorithm, policy, metric, value, point_seed)
                     )
-    rows.sort(key=lambda r: (r.num_conflicts, r.trial, r.algorithm, r.metric))
     return rows
 
 
@@ -228,29 +231,29 @@ def rows_to_csv(rows: Iterable[BenchRow]) -> str:
     return out.getvalue()
 
 
+_SCORE_SUM = BenchConfig(
+    policy=Policy.weak_order(default_weak_ordering(BenchConfig.n_norms)),
+    metric=Metric.SCORE_SUM,
+    conflict_range=(1, 120),
+    trials_per_point=250,
+    duplicate_directed_pairs=False,
+    algorithms=("resolve", "resolve-complete"),
+)
+# The canned experiments, by name; the CLI offers them in this order.
+_PRESETS = {
+    "oren-count": BenchConfig(
+        policy=Policy.max_class(),
+        metric=Metric.ADMITTED_COUNT,
+        algorithms=("resolve", "resolve-complete", "random-drop", "preferred"),
+    ),
+    "score-sum": _SCORE_SUM,
+    "score-avg": replace(_SCORE_SUM, metric=Metric.SCORE_AVG),
+}
+
+
 def preset_config(name: str, *, seed: int = 0, trials: int | None = None) -> BenchConfig:
-    """The three canned experiment configurations used by the CLI."""
-    n = 16
-    if name == "oren-count":
-        return BenchConfig(
-            policy=Policy.max_class(),
-            metric=Metric.ADMITTED_COUNT,
-            n_norms=n,
-            conflict_range=(1, 240),
-            trials_per_point=10 if trials is None else trials,
-            duplicate_directed_pairs=True,
-            seed=seed,
-            algorithms=("resolve", "resolve-complete", "random-drop", "preferred"),
-        )
-    if name in ("score-sum", "score-avg"):
-        return BenchConfig(
-            policy=Policy.weak_order(default_weak_ordering(n)),
-            metric=Metric.SCORE_SUM if name == "score-sum" else Metric.SCORE_AVG,
-            n_norms=n,
-            conflict_range=(1, 120),
-            trials_per_point=250 if trials is None else trials,
-            duplicate_directed_pairs=False,
-            seed=seed,
-            algorithms=("resolve", "resolve-complete"),
-        )
-    raise SchemaError(f"unknown preset {name!r}")
+    """The preset called name, with the given seed and, if given, trials per point."""
+    if not isinstance(name, str) or name not in _PRESETS:
+        raise SchemaError(f"unknown preset {name!r}")
+    cfg = replace(_PRESETS[name], seed=seed)
+    return cfg if trials is None else replace(cfg, trials_per_point=trials)

@@ -16,7 +16,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from .bench import preset_config, rows_to_csv, run_benchmark
+from .bench import _PRESETS, preset_config, rows_to_csv, run_benchmark
 from .documents import parse_norm_document, parse_rank_map, write_resolution
 from .errors import NormColourError
 from .oracle import report
@@ -45,7 +45,7 @@ def build_parser() -> _Parser:
     resolve.add_argument("--input", required=True, help="norm document (JSON)")
     resolve.add_argument("--algorithm", default="resolve", choices=sorted(ALGORITHMS))
     resolve.add_argument("--policy", required=True, choices=POLICY_NAMES)
-    resolve.add_argument("--mode", default="net", choices=["gross", "net"])
+    resolve.add_argument("--mode", default="net", choices=[mode.value for mode in ScoreMode])
     resolve.add_argument("--rank-file", help="JSON rank map {id: integer} for weak-order")
     resolve.add_argument(
         "--prefer-recent",
@@ -59,7 +59,7 @@ def build_parser() -> _Parser:
     check.add_argument("--set", required=True, dest="norm_set", help="comma-separated norm ids")
 
     bench = sub.add_parser("bench", help="run a benchmark preset, emit CSV")
-    bench.add_argument("--preset", required=True, choices=["oren-count", "score-sum", "score-avg"])
+    bench.add_argument("--preset", required=True, choices=list(_PRESETS))
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--trials", type=int, help="override the preset's trials per point")
     bench.add_argument("--out", help="write CSV here instead of stdout")

@@ -30,7 +30,7 @@ class UnknownColour(NormColourError):
 
 
 class InvalidScore(NormColourError):
-    """A policy gave a colour class a score that cannot be ranked (NaN)."""
+    """A policy gave a colour class a score that cannot be ranked (NaN or not a number)."""
 
 
 class TooLarge(NormColourError):

@@ -82,9 +82,11 @@ def report(g: ConflictGraph, members: Iterable[NormId]) -> ExtensionReport:
 def max_cardinality_admissible(g: ConflictGraph) -> frozenset[NormId]:
     """A maximum-cardinality conflict-free set, by exhaustive branch and bound.
 
-    Equals a maximum independent set of the graph. Among maximum sets the
-    one whose sorted id tuple is lexicographically smallest is returned.
-    Raises TooLarge above the search budget.
+    Equals a maximum independent set of the graph, and so a
+    maximum-cardinality stable extension: the bench's ``preferred``
+    baseline. Among maximum sets the one whose sorted id tuple is
+    lexicographically smallest is returned. Raises TooLarge above the
+    search budget.
     """
     n = len(g)
     if n > MAX_ADMISSIBLE_SEARCH:

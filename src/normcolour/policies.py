@@ -62,6 +62,8 @@ class Policy:
             raise SchemaError(f"policy kind must be a PolicyKind, not {self.kind!r}")
         if not isinstance(self.mode, ScoreMode):
             raise SchemaError(f"score mode must be a ScoreMode, not {self.mode!r}")
+        if not isinstance(self.prefer_recent, bool):
+            raise SchemaError("prefer_recent: expected a bool")
         if self.kind is PolicyKind.WEAK_ORDER and self.ranks is None:
             raise SchemaError("weak-order policy requires a rank map")
         if self.ranks is not None:
@@ -156,8 +158,8 @@ def _class_scores(
 ) -> dict[int, float]:
     """Scores of the given classes of phi: each norm is scored once and the
     scores summed by class. Raises IncompleteColouring naming the first
-    uncoloured norm in insertion order, InvalidScore for a NaN, which no
-    ranking orders."""
+    uncoloured norm in insertion order, InvalidScore when a callable gives a
+    class a non-number or a NaN, which no ranking orders."""
     if isinstance(policy, Policy):
         key = _keys(policy, g.norms)
         net = policy.mode is ScoreMode.NET
@@ -165,11 +167,15 @@ def _class_scores(
         totals = [0] * phi.num_colours
         for i, c in enumerate(_by_position(g, phi)):
             totals[c] += 1 if count else _norm_score(g, key, i, net)
-        scores = {c: float(totals[c]) for c in colours}
-    else:
-        scores = {c: float(policy(g, phi, c)) for c in colours}
-    for c, score in scores.items():
-        if math.isnan(score):
+        return {c: float(totals[c]) for c in colours}
+    scores: dict[int, float] = {}
+    for c in colours:
+        score = policy(g, phi, c)
+        try:
+            scores[c] = float(score)
+        except (TypeError, ValueError):
+            raise InvalidScore(f"colour {c} scored {score!r}, not a number") from None
+        if math.isnan(scores[c]):
             raise InvalidScore(f"colour {c} scored NaN")
     return scores
 
@@ -189,7 +195,7 @@ def score_colour(g: ConflictGraph, phi: Colouring, c: int, policy: Heuristic) ->
     A built-in policy scores every norm on each call, O(n + m); rank_colours
     scores all classes at once. Raises SchemaError when c is not an integer,
     UnknownColour when it is outside phi's colour range, IncompleteColouring
-    when phi leaves a norm of g uncoloured, InvalidScore for NaN.
+    when phi leaves a norm of g uncoloured, InvalidScore for a non-number or NaN.
     """
     if not 0 <= _require_int(c, "colour") < phi.num_colours:
         raise UnknownColour(f"colour {c} not in 0..{phi.num_colours - 1}")
@@ -200,7 +206,8 @@ def rank_colours(g: ConflictGraph, phi: Colouring, policy: Heuristic) -> list[in
     """All colour ids, best score first; ties go to the lower colour id.
 
     Raises UnknownNormId for a norm a weak order leaves unranked,
-    IncompleteColouring for a norm phi leaves uncoloured, InvalidScore for NaN.
+    IncompleteColouring for a norm phi leaves uncoloured, InvalidScore for a
+    non-number or NaN.
     """
     scores = _class_scores(g, phi, policy, range(phi.num_colours))
     return sorted(scores, key=lambda c: (-scores[c], c))

@@ -6,8 +6,11 @@ first. Two switches, ``complete`` and ``first_class_only``, tell them apart:
 
 * ``colour_resolve``        — admit the single best colour class.
 * ``colour_resolve_complete`` — additionally pull in every vertex with no
-  neighbour in that class, which turns the admitted set into a complete
-  extension of the underlying argumentation framework (Dung 1995).
+  neighbour in that class. Conflicts are symmetric attacks, so every vertex
+  left out is attacked by the admitted set, which is therefore a stable
+  extension of the underlying argumentation framework (Coste-Marquis,
+  Devred and Marquis 2005), and hence a preferred and a complete one
+  (Dung 1995).
 * ``colour_curtail``        — walk all classes from best to worst and admit
   everything, recording for each norm which previously-admitted conflicting
   norms it must yield to (its curtailments).
@@ -45,9 +48,9 @@ class CurtailedNorm:
 class Resolution:
     """Outcome of a resolution run.
 
-    ``entries`` is in admission order. ``colouring`` is the colouring the
-    run ended with (completion passes recolour vertices in place) and
-    ``colour_order`` the policy's ranking of colour ids, best first.
+    ``entries`` is in admission order. ``colouring`` is the final colouring
+    (completion passes recolour vertices in place), norms in insertion
+    order, and ``colour_order`` the policy's ranking of colour ids, best first.
     """
 
     algorithm: str
@@ -86,8 +89,8 @@ def _admit(
         buckets[c].append(i)
     unadmitted = range(len(ids))  # in insertion order; kept for completion only
     for c in order[:1] if first_class_only else order:
-        # completion may have moved a member into an earlier class
-        members = [i for i in buckets[c] if colour[i] == c]
+        # completion may have admitted some members with an earlier class
+        members = [i for i in buckets[c] if i not in index]
         if complete:
             # every unadmitted vertex outside the class's blocked neighbours
             # joins it, swept one at a time in insertion order; the class's
@@ -108,8 +111,7 @@ def _admit(
             entries.append(CurtailedNorm(ids[i], tuple(entries[k].norm for k in wrt)))
             index[i] = len(index)
     algorithm = ("resolve" if first_class_only else "curtail") + ("-complete" if complete else "")
-    # phi's order with the final colours: a repeated key keeps its first place
-    final = Colouring({**phi.assignment, **dict(zip(ids, colour))}, phi.num_colours)
+    final = Colouring(dict(zip(ids, colour)), phi.num_colours)
     return Resolution(algorithm, policy_label(policy), tuple(entries), final, tuple(order))
 
 

@@ -87,6 +87,8 @@ class TestConfig:
             {"conflict_range": (1, 3.0)},
             {"n_norms": 16.0},
             {"algorithms": ("resolve", "quantum")},
+            {"algorithms": "resolve"},
+            {"algorithms": ["resolve"]},
             {"metric": "admitted-count"},
             {"conflict_range": (1, 2, 3)},
             {"conflict_range": [1]},
@@ -105,6 +107,8 @@ class TestConfig:
     def test_unknown_preset_is_a_package_error(self):
         with pytest.raises(NormColourError, match="mystery"):
             preset_config("mystery")
+        with pytest.raises(NormColourError, match="oren-count"):
+            preset_config(["oren-count"])
 
     def test_max_conflicts(self):
         assert max_conflicts(16, True) == 240

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import pytest
 
 import normcolour
 from normcolour import Policy
-from normcolour.cli import main
+from normcolour.cli import build_parser, main
 from normcolour.documents import parse_norm_document, write_resolution
 from normcolour.resolution import colour_curtail_complete
 
@@ -199,3 +201,15 @@ class TestUsageErrors:
 
     def test_bad_algorithm_name(self, k2_file):
         assert main(["resolve", "--input", k2_file, "--policy", "max-class", "--algorithm", "nope"]) == 1
+
+
+def test_readme_commands_parse():
+    # every `normcolour ...` line of the README's console blocks, with its
+    # backslash continuations joined, must be accepted by the CLI's parser
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```console\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("normcolour ")]
+    assert {argv[0] for argv in commands} == {"resolve", "check", "bench"}
+    for argv in commands:
+        build_parser().parse_args(argv)

@@ -133,6 +133,20 @@ class TestScoreColour:
             colour_resolve(g, heuristic)
         assert score_colour(g, phi, 1, heuristic) == 1.0
 
+    @pytest.mark.parametrize("bad", ["x", None])
+    def test_non_numeric_class_score_is_rejected(self, bad):
+        g = make_graph("abc", [("a", "b"), ("b", "c")])
+        phi = dsatur(g)
+
+        def heuristic(graph, colouring, colour):
+            return bad if colour == 0 else 1.0
+
+        with pytest.raises(InvalidScore, match="colour 0"):
+            rank_colours(g, phi, heuristic)
+        with pytest.raises(InvalidScore, match="colour 0"):
+            score_colour(g, phi, 0, heuristic)
+        assert score_colour(g, phi, 1, heuristic) == 1.0
+
     @pytest.mark.parametrize("policy", [Policy.max_class(), Policy.lex_posterior()])
     def test_uncoloured_norm_is_rejected(self, policy):
         # b and c have no colour; b comes first in insertion order
@@ -348,6 +362,11 @@ class TestPolicyValidation:
     def test_ranks_must_be_integers(self, rank):
         with pytest.raises(ValueError, match="'b'"):
             Policy.weak_order({"a": 1, "b": rank, "c": 0})
+
+    @pytest.mark.parametrize("flag", ["no", 1, None])
+    def test_prefer_recent_must_be_a_bool(self, flag):
+        with pytest.raises(SchemaError, match="prefer_recent: expected a bool"):
+            Policy(PolicyKind.LEX_POSTERIOR, prefer_recent=flag)
 
     def test_errors_are_package_errors_and_value_errors(self):
         with pytest.raises(NormColourError) as info:

@@ -258,6 +258,18 @@ class TestResolutionProperties:
         assert colour_curtail_complete(g, policy).total_curtailments == len(g.edges)
 
     @given(graphs_with_policies())
+    def test_curtailments_are_the_neighbours_admitted_earlier(self, gp):
+        # by definition, an entry's curtailed_wrt lists the entry's
+        # neighbours that were admitted before it, in admission order
+        g, policy = gp
+        for fn in (colour_curtail, colour_curtail_complete):
+            earlier: list[str] = []
+            for e in fn(g, policy).entries:
+                neighbours = g.neighbours(e.norm)
+                assert e.curtailed_wrt == tuple(v for v in earlier if v in neighbours)
+                earlier.append(e.norm)
+
+    @given(graphs_with_policies())
     def test_first_iteration_matches_the_plain_variants(self, gp):
         g, policy = gp
         for curtailing, plain in (
