@@ -9,6 +9,11 @@ Seeding is paired: the graph for (conflict count, trial) is derived from
 the master seed alone, so every algorithm in a run sees the same instance
 and curves can be compared point by point. The only other consumer of
 randomness, the random-drop baseline, draws from its own derived stream.
+
+Each instance is coloured and ranked once, and that colouring and ranking
+is shared by every colouring algorithm run on it, since all four start
+from the same DSATUR colouring and policy ranking. A callable heuristic is
+therefore called once per colour class per instance, not once per algorithm.
 """
 from __future__ import annotations
 
@@ -18,14 +23,16 @@ import io
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable
 
+from .colouring import Colouring
 from .errors import EmptyInput, SchemaError, TooManyConflicts
 from .graph import ConflictGraph, Norm, NormId, _require_int, build_graph
 from .oracle import max_cardinality_admissible, random_drop
 from .policies import Policy, WeakOrdering, score_admitted_set
-from .resolution import ALGORITHMS, Resolution
+from .resolution import ALGORITHMS, Resolution, _admit, _prepare
 
 # preferred is a maximum-cardinality stable extension (oracle.max_cardinality_admissible)
 BASELINES = ("random-drop", "preferred")
@@ -133,10 +140,18 @@ def generate_random_conflicts(
     cap = max_conflicts(n_norms, duplicate_directed_pairs)
     if n_conflicts > cap:
         raise TooManyConflicts(f"{n_conflicts} conflicts exceed the maximum of {cap}")
+    return rng.sample(_id_pairs(n_norms, duplicate_directed_pairs), n_conflicts)
+
+
+@lru_cache(maxsize=4)  # bounded, since n norms give about n² pairs
+def _id_pairs(
+    n_norms: int, duplicate_directed_pairs: bool
+) -> tuple[tuple[NormId, NormId], ...]:
+    """Every candidate conflict of the standard norm set, in itertools
+    order, which fixes the pairs that a seeded sample draws."""
     ids = _benchmark_ids(n_norms)
     pairs = permutations if duplicate_directed_pairs else combinations
-    chosen = rng.sample(list(pairs(range(n_norms), 2)), n_conflicts)
-    return [(ids[i], ids[j]) for i, j in chosen]
+    return tuple(pairs(ids, 2))
 
 
 def _measure(
@@ -145,15 +160,18 @@ def _measure(
     cfg: BenchConfig,
     ranks: WeakOrdering,
     point_seed: int,
+    prepared: tuple[Colouring, list[int]] | None,
 ) -> list[tuple[str, str, float]]:
-    """Run one algorithm on one instance; returns (policy, metric, value) rows."""
+    """Run one algorithm on one instance, given its shared ``_prepare``
+    result (None if no colouring algorithm runs); returns (policy, metric,
+    value) rows."""
     if algorithm == "random-drop":
         rng = random.Random(derive_seed(point_seed, "random-drop"))
         label, admitted = "none", random_drop(g, rng)
     elif algorithm == "preferred":
         label, admitted = "none", max_cardinality_admissible(g)
     else:
-        res: Resolution = ALGORITHMS[algorithm](g, cfg.policy)
+        res: Resolution = _admit(algorithm, g, cfg.policy, prepared)
         label, admitted = res.policy, res.admitted
         if algorithm in ("curtail", "curtail-complete"):
             if cfg.metric is Metric.ADMITTED_COUNT:
@@ -180,6 +198,7 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
         ranks: WeakOrdering = cfg.policy.ranks
     else:
         ranks = default_weak_ordering(cfg.n_norms)
+    any_colouring = any(a in ALGORITHMS for a in cfg.algorithms)
     rows: list[BenchRow] = []
     lo, hi = cfg.conflict_range
     for num_conflicts in range(lo, hi + 1):
@@ -190,8 +209,11 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
                 cfg.n_norms, num_conflicts, cfg.duplicate_directed_pairs, rng
             )
             g = build_graph(norms, pairs)
+            prepared = _prepare(g, cfg.policy) if any_colouring else None
             for algorithm in sorted(cfg.algorithms):
-                for policy, metric, value in _measure(algorithm, g, cfg, ranks, point_seed):
+                for policy, metric, value in _measure(
+                    algorithm, g, cfg, ranks, point_seed, prepared
+                ):
                     rows.append(
                         BenchRow(num_conflicts, trial, algorithm, policy, metric, value, point_seed)
                     )

@@ -61,6 +61,13 @@ def is_complete_extension(g: ConflictGraph, members: Iterable[NormId]) -> bool:
     return all(s.isdisjoint(g._adj[i]) for i in s) and s == acceptable
 
 
+def is_stable_extension(g: ConflictGraph, members: Iterable[NormId]) -> bool:
+    """True iff conflict-free and attacking every norm outside the set, in
+    O(n + m). With symmetric attacks these are the maximal conflict-free sets."""
+    s = _positions(g, members)
+    return all(s.isdisjoint(g._adj[i]) == (i in s) for i in range(len(g)))
+
+
 @dataclass(frozen=True)
 class ExtensionReport:
     members: frozenset[NormId]

@@ -159,7 +159,8 @@ def _class_scores(
     """Scores of the given classes of phi: each norm is scored once and the
     scores summed by class. Raises IncompleteColouring naming the first
     uncoloured norm in insertion order, InvalidScore when a callable gives a
-    class a non-number or a NaN, which no ranking orders."""
+    class a non-number, a number too large for a float or a NaN, which no
+    ranking orders."""
     if isinstance(policy, Policy):
         key = _keys(policy, g.norms)
         net = policy.mode is ScoreMode.NET
@@ -175,6 +176,9 @@ def _class_scores(
             scores[c] = float(score)
         except (TypeError, ValueError):
             raise InvalidScore(f"colour {c} scored {score!r}, not a number") from None
+        except OverflowError:  # the value is not shown: an int of over 4,300 digits has no repr
+            message = f"colour {c} scored a number too large for a float ({type(score).__name__})"
+            raise InvalidScore(message) from None
         if math.isnan(scores[c]):
             raise InvalidScore(f"colour {c} scored NaN")
     return scores

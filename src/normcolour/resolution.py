@@ -19,7 +19,10 @@ first. Two switches, ``complete`` and ``first_class_only``, tell them apart:
   norms enter earlier and carry fewer curtailments.
 
 So ``resolve`` is the first class of ``curtail``, and ``resolve-complete``
-the first class of ``curtail-complete``. Vertices are always swept in norm
+the first class of ``curtail-complete``. The colouring and the ranking
+depend only on the graph and the policy, so ``_prepare`` makes them once
+and ``_admit`` takes them by algorithm name, which lets a caller that runs
+several algorithms on one graph share them. Vertices are always swept in norm
 insertion order and recoloured one at a time; recolouring everything at
 once could put two conflicting vertices into the same class.
 """
@@ -72,12 +75,28 @@ class Resolution:
         return sum(len(e.curtailed_wrt) for e in self.entries)
 
 
-def _admit(
-    g: ConflictGraph, policy: Heuristic, *, complete: bool, first_class_only: bool
-) -> Resolution:
-    """Colour g, rank its classes, and admit them best first; see the module docstring."""
+def _prepare(g: ConflictGraph, policy: Heuristic) -> tuple[Colouring, list[int]]:
+    """Colour g and rank its classes: the start all four algorithms share."""
     phi = dsatur(g)
-    order = rank_colours(g, phi, policy)
+    return phi, rank_colours(g, phi, policy)
+
+
+# algorithm name -> the switches (complete, first_class_only) of _admit
+_SWITCHES = {
+    "resolve": (False, True),
+    "resolve-complete": (True, True),
+    "curtail": (False, False),
+    "curtail-complete": (True, False),
+}
+
+
+def _admit(
+    algorithm: str, g: ConflictGraph, policy: Heuristic, prepared: tuple[Colouring, list[int]]
+) -> Resolution:
+    """Admit the classes of a prepared colouring of g best first; see the
+    module docstring. prepared is ``_prepare(g, policy)`` and is not changed."""
+    complete, first_class_only = _SWITCHES[algorithm]
+    phi, order = prepared
     ids, adj = g.ids, g._adj
     colour = _by_position(g, phi)
     # admitted position -> admission index, which is also its index in entries
@@ -110,24 +129,23 @@ def _admit(
             wrt = sorted(index[j] for j in adj[i] if j in index)
             entries.append(CurtailedNorm(ids[i], tuple(entries[k].norm for k in wrt)))
             index[i] = len(index)
-    algorithm = ("resolve" if first_class_only else "curtail") + ("-complete" if complete else "")
     final = Colouring(dict(zip(ids, colour)), phi.num_colours)
     return Resolution(algorithm, policy_label(policy), tuple(entries), final, tuple(order))
 
 
 def colour_resolve(g: ConflictGraph, policy: Heuristic) -> Resolution:
     """Admit the colour class the policy scores highest."""
-    return _admit(g, policy, complete=False, first_class_only=True)
+    return _admit("resolve", g, policy, _prepare(g, policy))
 
 
 def colour_resolve_complete(g: ConflictGraph, policy: Heuristic) -> Resolution:
     """Admit the best class plus every vertex it does not conflict with."""
-    return _admit(g, policy, complete=True, first_class_only=True)
+    return _admit("resolve-complete", g, policy, _prepare(g, policy))
 
 
 def colour_curtail(g: ConflictGraph, policy: Heuristic) -> Resolution:
     """Admit every norm, curtailing it against earlier-admitted conflicts."""
-    return _admit(g, policy, complete=False, first_class_only=False)
+    return _admit("curtail", g, policy, _prepare(g, policy))
 
 
 def colour_curtail_complete(g: ConflictGraph, policy: Heuristic) -> Resolution:
@@ -137,7 +155,7 @@ def colour_curtail_complete(g: ConflictGraph, policy: Heuristic) -> Resolution:
     yet, so earlier (better) classes can absorb vertices from later ones,
     admitting them with fewer curtailments.
     """
-    return _admit(g, policy, complete=True, first_class_only=False)
+    return _admit("curtail-complete", g, policy, _prepare(g, policy))
 
 
 ALGORITHMS = {

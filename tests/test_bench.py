@@ -9,7 +9,9 @@ from normcolour import (
     SchemaError,
     TooManyConflicts,
     build_graph,
+    dsatur,
 )
+from normcolour import resolution
 from normcolour.bench import (
     BenchConfig,
     Metric,
@@ -55,6 +57,15 @@ class TestGenerateRandomConflicts:
         a = generate_random_conflicts(12, 30, False, random.Random(9))
         b = generate_random_conflicts(12, 30, False, random.Random(9))
         assert a == b
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_mutating_a_draw_leaves_later_draws_unchanged(self, directed):
+        first = generate_random_conflicts(12, 30, directed, random.Random(9))
+        expected = list(first)
+        first.reverse()
+        first[0] = ("n00", "n00")
+        first.append(("x", "y"))
+        assert generate_random_conflicts(12, 30, directed, random.Random(9)) == expected
 
 
 class TestConfig:
@@ -205,6 +216,28 @@ class TestRunBenchmark:
             by_instance.setdefault((r.num_conflicts, r.trial), {})[r.algorithm] = r.value
         for values in by_instance.values():
             assert values["resolve"] <= values["resolve-complete"] <= values["preferred"]
+
+    @pytest.fixture
+    def dsatur_calls(self, monkeypatch):
+        calls = []
+
+        def counting_dsatur(g):
+            calls.append(g)
+            return dsatur(g)
+
+        monkeypatch.setattr(resolution, "dsatur", counting_dsatur)
+        return calls
+
+    def test_each_instance_is_coloured_once(self, dsatur_calls):
+        cfg = small_config(conflict_range=(1, 3), trials_per_point=2,
+                           algorithms=("resolve", "resolve-complete", "curtail", "random-drop"))
+        run_benchmark(cfg)
+        assert len(dsatur_calls) == 6
+        assert len({id(g) for g in dsatur_calls}) == 6
+
+    def test_baselines_alone_colour_nothing(self, dsatur_calls):
+        run_benchmark(small_config(conflict_range=(1, 3), algorithms=("random-drop", "preferred")))
+        assert dsatur_calls == []
 
     def test_different_seeds_differ(self):
         rows_a = run_benchmark(small_config(conflict_range=(40, 40), seed=1))

@@ -1,18 +1,22 @@
 """Differential tests: DSATUR, the admission engine, the per-norm
-scoring kernel, the random-drop baseline and the oracle's predicates and
-exhaustive searches against private copies of the implementations they
-replaced, plus fuzzing of the document parsers.
+scoring kernel, the random-drop baseline, the bench loop and its conflict
+sampler, and the oracle's predicates and exhaustive searches against
+private copies of the implementations they replaced, plus fuzzing of the
+document parsers. Every algorithm's output is also checked against the
+oracle's predicates.
 
 The reference below colours with DSATUR's O(n²) selection scan, keeps the
 four algorithms as four separate loops and scores every pairwise policy
 through a per-kind ``prefers`` dispatch, as the package did before all
-three were rewritten. Outputs must stay equal, so any refactor behind the
-public names can prove that it changed nothing.
+three were rewritten; its bench runs each algorithm from scratch on every
+instance. Outputs must stay equal, so any refactor behind the public names
+can prove that it changed nothing.
 """
 from __future__ import annotations
 
 import json
 import random
+from itertools import combinations, permutations
 from typing import Mapping
 
 import pytest
@@ -21,6 +25,7 @@ from hypothesis import strategies as st
 
 from normcolour import (
     ALGORITHMS,
+    build_graph,
     Colouring,
     ConflictGraph,
     CurtailedNorm,
@@ -35,8 +40,22 @@ from normcolour import (
     UnknownColour,
     UnknownNormId,
     dsatur,
+    is_valid_colouring,
     policy_label,
+    score_admitted_set,
     score_colour,
+)
+from normcolour.bench import (
+    BASELINES,
+    BenchConfig,
+    BenchRow,
+    Metric,
+    benchmark_norms,
+    default_weak_ordering,
+    derive_seed,
+    generate_random_conflicts,
+    max_conflicts,
+    run_benchmark,
 )
 from normcolour.documents import parse_norm_document, read_resolution
 from normcolour.oracle import (
@@ -46,6 +65,7 @@ from normcolour.oracle import (
     is_admissible,
     is_complete_extension,
     is_conflict_free,
+    is_stable_extension,
     max_cardinality_admissible,
     random_drop,
 )
@@ -298,6 +318,26 @@ def test_algorithms_match_the_reference(gp):
 
 @settings(max_examples=200, deadline=None)
 @given(graphs_with_every_policy())
+def test_algorithm_outputs_meet_the_oracle(gp):
+    g, policy = gp
+    results = {name: algorithm(g, policy) for name, algorithm in ALGORITHMS.items()}
+    for res in results.values():
+        assert is_valid_colouring(g, res.colouring)
+    resolved = results["resolve"].admitted
+    assert is_conflict_free(g, resolved) and is_admissible(g, resolved)
+    completed = results["resolve-complete"].admitted
+    assert is_stable_extension(g, completed) and is_complete_extension(g, completed)
+    assert len(completed) <= len(max_cardinality_admissible(g))
+    for name in ("curtail", "curtail-complete"):
+        res = results[name]
+        assert sorted(res.admitted) == sorted(g.ids)
+        assert is_admissible(g, res.admitted_unconditionally)
+    # the completed first class blocks every later norm, so only it is uncurtailed
+    assert results["curtail-complete"].admitted_unconditionally == frozenset(completed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_every_policy())
 def test_class_scores_match_the_reference(gp):
     g, policy = gp
     phi = dsatur(g)
@@ -376,6 +416,15 @@ def _ref_is_complete_extension(g: ConflictGraph, members) -> bool:
     if not _ref_is_admissible(g, s):
         return False
     return all(v in s for v in g.ids if _ref_is_acceptable(g, v, s))
+
+
+def _ref_is_stable_extension(g: ConflictGraph, members) -> bool:
+    """True iff a maximal conflict-free set: with symmetric attacks, the
+    stable extensions (Coste-Marquis, Devred and Marquis 2005)."""
+    s = _ref_as_member_set(g, members)
+    return _ref_is_conflict_free(g, s) and not any(
+        _ref_is_conflict_free(g, s | {v}) for v in g.ids if v not in s
+    )
 
 
 def _ref_max_cardinality_admissible(g: ConflictGraph) -> frozenset[NormId]:
@@ -476,8 +525,114 @@ def test_oracle_matches_the_reference(gm):
     assert is_conflict_free(g, members) == _ref_is_conflict_free(g, members)
     assert is_admissible(g, members) == _ref_is_admissible(g, members)
     assert is_complete_extension(g, members) == _ref_is_complete_extension(g, members)
+    assert is_stable_extension(g, members) == _ref_is_stable_extension(g, members)
     assert max_cardinality_admissible(g) == _ref_max_cardinality_admissible(g)
     assert chromatic_number(g) == _ref_chromatic_number(g)
+
+
+# -- reference: the bench loop and its conflict sampler ----------------------
+# Each algorithm runs from scratch on every instance, and the candidate
+# pairs are rebuilt on every draw.
+
+
+def _ref_generate_random_conflicts(
+    n_norms: int, n_conflicts: int, duplicate_directed_pairs: bool, rng: random.Random
+) -> list[tuple[NormId, NormId]]:
+    ids = [norm.id for norm in benchmark_norms(n_norms)]
+    pairs = permutations if duplicate_directed_pairs else combinations
+    chosen = rng.sample(list(pairs(range(n_norms), 2)), n_conflicts)
+    return [(ids[i], ids[j]) for i, j in chosen]
+
+
+def _ref_measure(a: str, g: ConflictGraph, cfg: BenchConfig, ranks, seed: int) -> list[tuple]:
+    if a == "random-drop":
+        label, admitted = "none", random_drop(g, random.Random(derive_seed(seed, "random-drop")))
+    elif a == "preferred":
+        label, admitted = "none", max_cardinality_admissible(g)
+    else:
+        res = ALGORITHMS[a](g, cfg.policy)
+        label, admitted = res.policy, res.admitted
+        if a.startswith("curtail"):
+            if cfg.metric is Metric.ADMITTED_COUNT:
+                return [
+                    (label, "curtailment_total", float(res.total_curtailments)),
+                    (label, "uncurtailed_count", float(len(res.admitted_unconditionally))),
+                ]
+            admitted = res.admitted_unconditionally
+    if cfg.metric is Metric.ADMITTED_COUNT:
+        return [(label, "admitted_count", float(len(admitted)))]
+    value = float(score_admitted_set(g, admitted, ranks))
+    if cfg.metric is Metric.SCORE_AVG:
+        value = value / len(admitted) if admitted else 0.0
+    return [(label, cfg.metric.value.replace("-", "_"), value)]
+
+
+def _ref_run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
+    norms = benchmark_norms(cfg.n_norms)
+    if isinstance(cfg.policy, Policy) and cfg.policy.ranks is not None:
+        ranks = cfg.policy.ranks
+    else:
+        ranks = default_weak_ordering(cfg.n_norms)
+    rows = []
+    lo, hi = cfg.conflict_range
+    for k in range(lo, hi + 1):
+        for trial in range(cfg.trials_per_point):
+            seed = derive_seed(cfg.seed, k, trial)
+            pairs = _ref_generate_random_conflicts(
+                cfg.n_norms, k, cfg.duplicate_directed_pairs, random.Random(seed)
+            )
+            g = build_graph(norms, pairs)
+            for a in sorted(cfg.algorithms):
+                for label, metric, value in _ref_measure(a, g, cfg, ranks, seed):
+                    rows.append(BenchRow(k, trial, a, label, metric, value, seed))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12), st.booleans(), st.data())
+def test_conflict_sampler_matches_the_reference(n, duplicate, data):
+    k = data.draw(st.integers(0, max_conflicts(n, duplicate)))
+    seed = data.draw(st.integers(0, 2**32))
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert generate_random_conflicts(n, k, duplicate, rng) == _ref_generate_random_conflicts(
+        n, k, duplicate, ref_rng
+    )
+    # the same number of draws, so a caller's later draws are unchanged too
+    assert rng.random() == ref_rng.random()
+
+
+def weighted_by_colour(g: ConflictGraph, phi: Colouring, c: int) -> float:
+    """A callable heuristic: the class's size, weighted towards low colours."""
+    return sum(1 for v in g.ids if phi.assignment[v] == c) / (c + 1)
+
+
+_BENCH_POLICIES = [
+    Policy.max_class(),
+    Policy.lex_posterior(),
+    Policy.lex_posterior(ScoreMode.GROSS, prefer_recent=True),
+    Policy.lex_superior(),
+    Policy.lex_specialis(),
+    Policy.weak_order(default_weak_ordering(9)),
+    Policy.weak_order({f"n{i}": i % 3 for i in range(9)}, ScoreMode.GROSS),
+    weighted_by_colour,
+]
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("policy", _BENCH_POLICIES, ids=policy_label)
+def test_bench_matches_the_reference(policy, metric):
+    for seed, duplicate in ((3, True), (4, False)):
+        cfg = BenchConfig(
+            policy=policy,
+            metric=metric,
+            n_norms=9,
+            conflict_range=(0, 36),
+            trials_per_point=2,
+            duplicate_directed_pairs=duplicate,
+            seed=seed,
+            algorithms=(*ALGORITHMS, *BASELINES),
+        )
+        assert run_benchmark(cfg) == _ref_run_benchmark(cfg)
 
 
 # -- fuzzing: malformed documents raise NormColourError, nothing else -------

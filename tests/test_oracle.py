@@ -10,6 +10,7 @@ from normcolour.oracle import (
     is_admissible,
     is_complete_extension,
     is_conflict_free,
+    is_stable_extension,
     max_cardinality_admissible,
     random_drop,
     report,
@@ -89,6 +90,35 @@ class TestCompleteExtension:
             subset = {v for v in g6.ids if rng.random() < 0.5}
             if is_complete_extension(g6, subset):
                 assert is_admissible(g6, subset)
+
+
+class TestStableExtension:
+    def test_must_attack_every_outside_norm(self):
+        g = make_graph("abc", [("a", "b"), ("b", "c")])
+        assert is_stable_extension(g, {"b"})
+        assert is_stable_extension(g, {"a", "c"})
+        assert not is_stable_extension(g, {"a"})  # c is not attacked
+        assert not is_stable_extension(g, set())
+
+    def test_must_be_conflict_free(self, k2_plus_isolated):
+        assert not is_stable_extension(k2_plus_isolated, {"a", "b", "x"})
+        assert is_stable_extension(k2_plus_isolated, {"b", "x"})
+
+    def test_complete_extension_need_not_be_stable(self):
+        # the empty set is the grounded, hence complete, extension of a path
+        g = make_graph("ab", [("a", "b")])
+        assert is_complete_extension(g, set())
+        assert not is_stable_extension(g, set())
+
+    def test_edgeless_and_empty_graphs(self):
+        g = make_graph("abc")
+        assert is_stable_extension(g, g.ids)
+        assert not is_stable_extension(g, {"a", "b"})
+        assert is_stable_extension(make_graph(""), set())
+
+    def test_unknown_member(self, k2_plus_isolated):
+        with pytest.raises(UnknownNormId, match="'nope'"):
+            is_stable_extension(k2_plus_isolated, ["a", "nope"])
 
 
 class TestMaxCardinalityAdmissible:

@@ -2,6 +2,7 @@ import math
 import pickle
 from collections import Counter
 from collections.abc import Mapping
+from fractions import Fraction
 
 import pytest
 
@@ -146,6 +147,18 @@ class TestScoreColour:
         with pytest.raises(InvalidScore, match="colour 0"):
             score_colour(g, phi, 0, heuristic)
         assert score_colour(g, phi, 1, heuristic) == 1.0
+
+    @pytest.mark.parametrize(
+        "bad", [10**400, 10**5000, Fraction(10**400, 3)], ids=["int", "int-no-repr", "fraction"]
+    )
+    def test_class_score_too_large_for_a_float_is_rejected(self, bad):
+        g = make_graph("ab", [("a", "b")])
+        phi = dsatur(g)
+        message = rf"colour 0 .* too large for a float \({type(bad).__name__}\)"
+        with pytest.raises(InvalidScore, match=message):
+            rank_colours(g, phi, lambda graph, colouring, colour: bad)
+        with pytest.raises(InvalidScore, match="colour 1"):
+            score_colour(g, phi, 1, lambda graph, colouring, colour: bad)
 
     @pytest.mark.parametrize("policy", [Policy.max_class(), Policy.lex_posterior()])
     def test_uncoloured_norm_is_rejected(self, policy):
