@@ -14,6 +14,13 @@ Each instance is coloured and ranked once, and that colouring and ranking
 is shared by every colouring algorithm run on it, since all four start
 from the same DSATUR colouring and policy ranking. A callable heuristic is
 therefore called once per colour class per instance, not once per algorithm.
+
+``BenchConfig`` checks a run's input once, and the run trusts what it
+derives: it samples pairs of norm positions and builds each instance with
+the trusted ``ConflictGraph._from_positions``. Under a score metric whose
+rank map ranks every norm, each norm is scored once per instance and a set
+scores the sum over its members; a partial rank map keeps the checked
+``score_admitted_set``, which names the first unranked norm it reads.
 """
 from __future__ import annotations
 
@@ -29,9 +36,9 @@ from typing import Iterable
 
 from .colouring import Colouring
 from .errors import EmptyInput, SchemaError, TooManyConflicts
-from .graph import ConflictGraph, Norm, NormId, _require_int, build_graph
+from .graph import ConflictGraph, Norm, NormId, _require_int, _shown
 from .oracle import max_cardinality_admissible, random_drop
-from .policies import Policy, WeakOrdering, score_admitted_set
+from .policies import Policy, WeakOrdering, _norm_score, score_admitted_set
 from .resolution import ALGORITHMS, Resolution, _admit, _prepare
 
 # preferred is a maximum-cardinality stable extension (oracle.max_cardinality_admissible)
@@ -59,25 +66,28 @@ class BenchConfig:
 
     def __post_init__(self) -> None:
         if not isinstance(self.policy, Policy) and not callable(self.policy):
-            raise SchemaError(f"policy must be a Policy or a callable, not {self.policy!r}")
+            raise SchemaError(f"policy must be a Policy or a callable, not {_shown(self.policy)}")
         if not isinstance(self.metric, Metric):
-            raise SchemaError(f"metric must be a Metric, not {self.metric!r}")
+            raise SchemaError(f"metric must be a Metric, not {_shown(self.metric)}")
         if _require_int(self.n_norms, "n_norms") < 1:
-            raise SchemaError(f"n_norms must be at least 1, got {self.n_norms}")
+            raise SchemaError(f"n_norms must be at least 1, got {_shown(self.n_norms)}")
         pair = self.conflict_range
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise SchemaError(f"conflict_range must be a pair of integers, not {pair!r}")
+            raise SchemaError(f"conflict_range must be a pair of integers, not {_shown(pair)}")
         lo, hi = (_require_int(x, f"conflict_range[{k}]") for k, x in enumerate(pair))
         if not 0 <= lo <= hi:
-            raise SchemaError(f"bad conflict_range {pair}")
-        if _require_int(self.trials_per_point, "trials_per_point") < 1:
-            raise SchemaError(f"trials_per_point must be at least 1, got {self.trials_per_point}")
+            raise SchemaError(f"bad conflict_range {_shown(pair)}")
+        trials = self.trials_per_point
+        if _require_int(trials, "trials_per_point") < 1:
+            raise SchemaError(f"trials_per_point must be at least 1, got {_shown(trials)}")
         cap = max_conflicts(self.n_norms, self.duplicate_directed_pairs)
         if hi > cap:
-            raise TooManyConflicts(f"{hi} conflicts exceed the maximum of {cap}")
+            raise TooManyConflicts(
+                f"conflict_range: {_shown(hi)} conflicts exceed the maximum of {_shown(cap)}"
+            )
         names = self.algorithms
         if not isinstance(names, tuple) or not all(isinstance(a, str) for a in names):
-            raise SchemaError(f"algorithms must be a tuple of names, not {names!r}")
+            raise SchemaError(f"algorithms must be a tuple of names, not {_shown(names)}")
         unknown = [a for a in names if a not in ALGORITHMS and a not in BASELINES]
         if unknown:
             raise SchemaError(f"unknown algorithms: {unknown}")
@@ -140,18 +150,19 @@ def generate_random_conflicts(
     cap = max_conflicts(n_norms, duplicate_directed_pairs)
     if n_conflicts > cap:
         raise TooManyConflicts(f"{n_conflicts} conflicts exceed the maximum of {cap}")
-    return rng.sample(_id_pairs(n_norms, duplicate_directed_pairs), n_conflicts)
+    ids = _benchmark_ids(n_norms)
+    chosen = rng.sample(_position_pairs(n_norms, duplicate_directed_pairs), n_conflicts)
+    return [(ids[i], ids[j]) for i, j in chosen]
 
 
 @lru_cache(maxsize=4)  # bounded, since n norms give about n² pairs
-def _id_pairs(
+def _position_pairs(
     n_norms: int, duplicate_directed_pairs: bool
-) -> tuple[tuple[NormId, NormId], ...]:
-    """Every candidate conflict of the standard norm set, in itertools
-    order, which fixes the pairs that a seeded sample draws."""
-    ids = _benchmark_ids(n_norms)
+) -> tuple[tuple[int, int], ...]:
+    """Every candidate conflict between the positions of n norms, in
+    itertools order, which fixes the pairs that a seeded sample draws."""
     pairs = permutations if duplicate_directed_pairs else combinations
-    return tuple(pairs(ids, 2))
+    return tuple(pairs(range(n_norms), 2))
 
 
 def _measure(
@@ -161,10 +172,11 @@ def _measure(
     ranks: WeakOrdering,
     point_seed: int,
     prepared: tuple[Colouring, list[int]] | None,
+    scores: dict[NormId, int] | None,
 ) -> list[tuple[str, str, float]]:
     """Run one algorithm on one instance, given its shared ``_prepare``
-    result (None if no colouring algorithm runs); returns (policy, metric,
-    value) rows."""
+    result (None if no colouring algorithm runs) and, when ranks ranks every
+    norm, each norm's net score under it; returns (policy, metric, value) rows."""
     if algorithm == "random-drop":
         rng = random.Random(derive_seed(point_seed, "random-drop"))
         label, admitted = "none", random_drop(g, rng)
@@ -185,7 +197,10 @@ def _measure(
 
     if cfg.metric is Metric.ADMITTED_COUNT:
         return [(label, "admitted_count", float(len(admitted)))]
-    value = float(score_admitted_set(g, admitted, ranks))
+    if scores is None:  # a partial rank map: name the first unranked norm read
+        value = float(score_admitted_set(g, admitted, ranks))
+    else:
+        value = float(sum(map(scores.__getitem__, admitted)))
     if cfg.metric is Metric.SCORE_AVG:
         value = value / len(admitted) if admitted else 0.0
     return [(label, cfg.metric.value.replace("-", "_"), value)]
@@ -193,26 +208,32 @@ def _measure(
 
 def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
     """Run the configured sweep; deterministic for a fixed config."""
-    norms = benchmark_norms(cfg.n_norms)
+    template = ConflictGraph(benchmark_norms(cfg.n_norms), ())
     if isinstance(cfg.policy, Policy) and cfg.policy.ranks is not None:
         ranks: WeakOrdering = cfg.policy.ranks
     else:
         ranks = default_weak_ordering(cfg.n_norms)
+    ids = template.ids
+    key = None  # each norm's rank, when a score metric's rank map ranks every norm
+    if cfg.metric is not Metric.ADMITTED_COUNT and all(v in ranks for v in ids):
+        key = [ranks[v] for v in ids]
     any_colouring = any(a in ALGORITHMS for a in cfg.algorithms)
+    population = _position_pairs(cfg.n_norms, cfg.duplicate_directed_pairs)
     rows: list[BenchRow] = []
     lo, hi = cfg.conflict_range
     for num_conflicts in range(lo, hi + 1):
         for trial in range(cfg.trials_per_point):
             point_seed = derive_seed(cfg.seed, num_conflicts, trial)
-            rng = random.Random(point_seed)
-            pairs = generate_random_conflicts(
-                cfg.n_norms, num_conflicts, cfg.duplicate_directed_pairs, rng
-            )
-            g = build_graph(norms, pairs)
+            # the draws of generate_random_conflicts, as positions
+            pairs = random.Random(point_seed).sample(population, num_conflicts)
+            g = ConflictGraph._from_positions(template, pairs)
             prepared = _prepare(g, cfg.policy) if any_colouring else None
+            scores = None
+            if key is not None:
+                scores = {v: _norm_score(g, key, i, True) for i, v in enumerate(ids)}
             for algorithm in sorted(cfg.algorithms):
                 for policy, metric, value in _measure(
-                    algorithm, g, cfg, ranks, point_seed, prepared
+                    algorithm, g, cfg, ranks, point_seed, prepared, scores
                 ):
                     rows.append(
                         BenchRow(num_conflicts, trial, algorithm, policy, metric, value, point_seed)
@@ -276,6 +297,6 @@ _PRESETS = {
 def preset_config(name: str, *, seed: int = 0, trials: int | None = None) -> BenchConfig:
     """The preset called name, with the given seed and, if given, trials per point."""
     if not isinstance(name, str) or name not in _PRESETS:
-        raise SchemaError(f"unknown preset {name!r}")
+        raise SchemaError(f"unknown preset {_shown(name)}")
     cfg = replace(_PRESETS[name], seed=seed)
     return cfg if trials is None else replace(cfg, trials_per_point=trials)

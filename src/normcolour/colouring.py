@@ -16,8 +16,15 @@ vertex pushes a fresh entry for each uncoloured neighbour whose saturation
 it raises, and the older entry stays in the heap. An entry is stale once
 its vertex is coloured: since saturation only grows, a vertex's newest
 entry sorts before its older ones, so the first of its entries to be
-popped is always current. Only the assignment goes back to norm ids;
-``_by_position`` is the one way back from a colouring to positions.
+popped is always current. A saturation is an int bitmask of the colours
+held by coloured neighbours (the bitboard idiom of San Segundo,
+Rodríguez-Losada and Jiménez 2011): its lowest clear bit is the colour to
+take, its popcount the saturation degree. Only the assignment goes back to
+norm ids; ``_by_position`` is the one way back from a colouring to positions.
+
+The public ``Colouring`` constructor checks every colour; the trusted
+``Colouring._trusted`` skips that for the colourings the package builds
+itself, DSATUR's and each algorithm's final one, valid by construction.
 """
 from __future__ import annotations
 
@@ -49,6 +56,15 @@ class Colouring:
                     f"vertex {v!r} has colour {c}, not in 0..{self.num_colours - 1}"
                 )
 
+    @classmethod
+    def _trusted(cls, assignment: Mapping[NormId, int], num_colours: int) -> Colouring:
+        """A colouring built without the constructor's checks, for one the
+        package has built itself with every colour in 0..num_colours-1."""
+        phi = cls.__new__(cls)
+        object.__setattr__(phi, "assignment", assignment)
+        object.__setattr__(phi, "num_colours", num_colours)
+        return phi
+
 
 def dsatur(g: ConflictGraph) -> Colouring:
     """Colour g greedily by descending saturation degree.
@@ -65,8 +81,8 @@ def dsatur(g: ConflictGraph) -> Colouring:
     max_degree = max(degree, default=0)
     stride = (max_degree + 1) * n
     base = [(max_degree - d) * n + i for i, d in enumerate(degree)]
-    # saturation set = distinct colours among already-coloured neighbours
-    saturation: list[set[int]] = [set() for _ in ids]
+    # saturation bitmask: bit c is set when a coloured neighbour holds colour c
+    saturation = [0] * n
     coloured = [False] * n
     heap = list(base)
     heapq.heapify(heap)
@@ -78,22 +94,22 @@ def dsatur(g: ConflictGraph) -> Colouring:
         i = pop(heap) % n
         if coloured[i]:
             continue  # stale entry
-        blocked = saturation[i]
-        colour = 0
-        while colour in blocked:
-            colour += 1
+        s = saturation[i]
+        colour = (~s & (s + 1)).bit_length() - 1  # the lowest colour not in s
         coloured[i] = True
         assignment[ids[i]] = colour
         if colour == num_used:
             num_used += 1
+        bit = 1 << colour
         for j in adj[i]:
             if not coloured[j]:
-                seen = saturation[j]
-                if colour not in seen:
-                    seen.add(colour)
-                    push(heap, base[j] - len(seen) * stride)
+                s = saturation[j]
+                if not s & bit:
+                    s |= bit
+                    saturation[j] = s
+                    push(heap, base[j] - s.bit_count() * stride)
 
-    return Colouring(assignment, num_used)
+    return Colouring._trusted(assignment, num_used)
 
 
 def _by_position(g: ConflictGraph, phi: Colouring) -> list[int]:

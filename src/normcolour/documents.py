@@ -20,6 +20,7 @@ its position or path: ``norms[3].declared_at: expected an integer``,
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .errors import DocumentSyntaxError, SchemaError
@@ -36,6 +37,9 @@ def _loads(text: str) -> object:
         ) from None
     except RecursionError:
         raise DocumentSyntaxError("JSON nested too deeply") from None
+    except ValueError:  # an integer literal over Python's limit of digits
+        message = f"an integer literal has over {sys.get_int_max_str_digits()} digits"
+        raise DocumentSyntaxError(f"invalid JSON: {message}") from None
 
 
 def _require_str(value: object, where: str) -> str:

@@ -13,6 +13,11 @@ and the oracle run on those. A conflict pair is a list or tuple of two
 different norms' ids; an error names its input as a document path
 (``conflicts[3]: unknown norm id 'x'``, ``conflicts[0][1]: expected a
 string``, ``norms[2]: duplicate norm id``).
+
+The public constructor and ``build_graph`` check every norm and pair. The
+one trusted constructor, ``ConflictGraph._from_positions``, is for the
+bench, whose instances are pairs of positions it drew itself: it checks
+nothing and shares one norm list, id tuple and id map across instances.
 """
 from __future__ import annotations
 
@@ -28,6 +33,15 @@ def _require_int(value: object, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(f"{where}: expected an integer")
     return value
+
+
+def _shown(value: object) -> str:
+    """repr(value) for an error message, or a stand-in when Python refuses to
+    print it: an int of over 4,300 digits (see sys.set_int_max_str_digits)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return "<too long to print>"
 
 
 @dataclass(frozen=True)
@@ -99,6 +113,22 @@ class ConflictGraph:
             adj[i].add(j)
             adj[j].add(i)
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(ns)) for ns in adj)
+
+    @classmethod
+    def _from_positions(
+        cls, template: ConflictGraph, pairs: Iterable[tuple[int, int]]
+    ) -> ConflictGraph:
+        """A graph on template's norms, sharing its norms, ids and id map,
+        whose conflicts are pairs of positions. Trusted: every pair must join
+        two different positions of template, and nothing is checked."""
+        g = cls.__new__(cls)
+        g.norms, g.ids, g._index = template.norms, template.ids, template._index
+        adj: list[set[int]] = [set() for _ in template.ids]
+        for i, j in pairs:
+            adj[i].add(j)
+            adj[j].add(i)
+        g._adj = tuple(tuple(sorted(ns)) for ns in adj)
+        return g
 
     def _position(self, v: NormId) -> int:
         try:

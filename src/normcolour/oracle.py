@@ -106,18 +106,20 @@ def max_cardinality_admissible(g: ConflictGraph) -> frozenset[NormId]:
     best_mask = 0
     best_count = 0
 
-    def explore(i: int, chosen: int, count: int, blocked: int) -> None:
+    def explore(chosen: int, count: int, free: int) -> None:
+        # free: the norms after the last one decided that chosen does not
+        # block; at most all of them can still join, which bounds the branch
         nonlocal best_mask, best_count
-        if count + (n - i) <= best_count:
+        if count + free.bit_count() <= best_count:
             return
-        if i == n:
+        if not free:
             best_mask, best_count = chosen, count
             return
-        if not (blocked >> i) & 1:
-            explore(i + 1, chosen | (1 << i), count + 1, blocked | adj[i])
-        explore(i + 1, chosen, count, blocked)
+        bit = free & -free  # the next free norm; blocked ones are skipped
+        explore(chosen | bit, count + 1, free & ~bit & ~adj[bit.bit_length() - 1])
+        explore(chosen, count, free & ~bit)
 
-    explore(0, 0, 0, 0)
+    explore(0, 0, (1 << n) - 1)
     return frozenset(g.ids[order[r]] for r in range(n) if (best_mask >> r) & 1)
 
 

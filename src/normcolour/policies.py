@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .colouring import Colouring, _by_position
 from .errors import InvalidScore, SchemaError, UnknownColour, UnknownNormId
-from .graph import ConflictGraph, Norm, NormId, _require_int
+from .graph import ConflictGraph, Norm, NormId, _require_int, _shown
 
 WeakOrdering = Mapping[NormId, int]
 
@@ -59,9 +59,9 @@ class Policy:
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, PolicyKind):
-            raise SchemaError(f"policy kind must be a PolicyKind, not {self.kind!r}")
+            raise SchemaError(f"policy kind must be a PolicyKind, not {_shown(self.kind)}")
         if not isinstance(self.mode, ScoreMode):
-            raise SchemaError(f"score mode must be a ScoreMode, not {self.mode!r}")
+            raise SchemaError(f"score mode must be a ScoreMode, not {_shown(self.mode)}")
         if not isinstance(self.prefer_recent, bool):
             raise SchemaError("prefer_recent: expected a bool")
         if self.kind is PolicyKind.WEAK_ORDER and self.ranks is None:

@@ -129,7 +129,8 @@ def _admit(
             wrt = sorted(index[j] for j in adj[i] if j in index)
             entries.append(CurtailedNorm(ids[i], tuple(entries[k].norm for k in wrt)))
             index[i] = len(index)
-    final = Colouring(dict(zip(ids, colour)), phi.num_colours)
+    # completion only moves norms into classes of phi, so the colours stay in range
+    final = Colouring._trusted(dict(zip(ids, colour)), phi.num_colours)
     return Resolution(algorithm, policy_label(policy), tuple(entries), final, tuple(order))
 
 

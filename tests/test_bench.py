@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,12 +7,14 @@ from normcolour import (
     EmptyInput,
     NormColourError,
     Policy,
+    PolicyKind,
     SchemaError,
     TooManyConflicts,
+    UnknownNormId,
     build_graph,
     dsatur,
 )
-from normcolour import resolution
+from normcolour import bench, graph, resolution
 from normcolour.bench import (
     BenchConfig,
     Metric,
@@ -115,11 +118,32 @@ class TestConfig:
         with pytest.raises(SchemaError, match=next(iter(overrides))):
             BenchConfig(**fields)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n_norms": -(10**5000)},
+            {"trials_per_point": -(10**5000)},
+            {"conflict_range": (0, 10**5000)},
+            {"conflict_range": (10**5000, 1)},
+            {"conflict_range": (1, 2, 10**5000)},
+            {"algorithms": (10**5000,)},
+            {"metric": 10**5000},
+            {"policy": 10**5000},
+        ],
+    )
+    def test_a_value_too_long_to_print_is_not_shown(self, overrides):
+        fields = {"policy": Policy.max_class(), "metric": Metric.ADMITTED_COUNT, **overrides}
+        with pytest.raises(NormColourError, match=next(iter(overrides))) as info:
+            BenchConfig(**fields)
+        assert "<too long to print>" in str(info.value)
+
     def test_unknown_preset_is_a_package_error(self):
         with pytest.raises(NormColourError, match="mystery"):
             preset_config("mystery")
         with pytest.raises(NormColourError, match="oren-count"):
             preset_config(["oren-count"])
+        with pytest.raises(NormColourError, match="<too long to print>"):
+            preset_config(10**5000)
 
     def test_max_conflicts(self):
         assert max_conflicts(16, True) == 240
@@ -238,6 +262,39 @@ class TestRunBenchmark:
     def test_baselines_alone_colour_nothing(self, dsatur_calls):
         run_benchmark(small_config(conflict_range=(1, 3), algorithms=("random-drop", "preferred")))
         assert dsatur_calls == []
+
+    @pytest.fixture
+    def checked_calls(self, monkeypatch):
+        """Counts of the checked calls that the trusted bench path replaces:
+        graph construction (which build_graph makes) and set scoring."""
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        init = graph.ConflictGraph.__init__
+        monkeypatch.setattr(graph.ConflictGraph, "__init__", counting("ConflictGraph", init))
+        scorer = bench.score_admitted_set
+        monkeypatch.setattr(bench, "score_admitted_set", counting("score_admitted_set", scorer))
+        return calls
+
+    def test_complete_rank_map_trusts_every_instance(self, checked_calls):
+        run_benchmark(small_config(metric=Metric.SCORE_SUM, conflict_range=(1, 3), trials_per_point=2,
+                                   algorithms=("curtail", "preferred", "random-drop", "resolve")))
+        # one checked graph of the run's norms, and none per instance
+        assert checked_calls == {"ConflictGraph": 1}
+
+    def test_partial_rank_map_scores_each_set_with_checks(self, checked_calls):
+        ranks = default_weak_ordering(16)
+        del ranks["n15"]
+        policy = Policy(PolicyKind.LEX_POSTERIOR, ranks=ranks)
+        with pytest.raises(UnknownNormId, match="'n15'"):
+            run_benchmark(small_config(policy=policy, metric=Metric.SCORE_SUM,
+                                       conflict_range=(0, 0), algorithms=("preferred",)))
+        assert checked_calls == {"ConflictGraph": 1, "score_admitted_set": 1}
 
     def test_different_seeds_differ(self):
         rows_a = run_benchmark(small_config(conflict_range=(40, 40), seed=1))

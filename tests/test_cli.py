@@ -103,6 +103,18 @@ class TestResolveCommand:
         assert str(rank_file) in err
         assert "nested too deeply" in err
 
+    def test_overlong_integer_in_rank_file_is_input_error(self, k2_file, tmp_path, capsys):
+        rank_file = tmp_path / "ranks.json"
+        rank_file.write_text('{"a": ' + "9" * 5000 + ', "b": 1}')
+        code = main(
+            ["resolve", "--input", k2_file, "--policy", "weak-order",
+             "--rank-file", str(rank_file)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(rank_file) in err
+        assert "integer literal" in err
+
     def test_missing_input_file(self, capsys):
         code = main(["resolve", "--input", "/nonexistent.json", "--policy", "max-class"])
         assert code == 2
@@ -123,6 +135,12 @@ class TestResolveCommand:
         bad.write_bytes(b'{"norms": [{"id": "\xff"}]}')
         assert main(["resolve", "--input", str(bad), "--policy", "max-class"]) == 2
         assert "UTF-8" in capsys.readouterr().err
+
+    def test_overlong_integer_in_document_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "long.json"
+        bad.write_text('{"norms": [{"id": "a", "declared_at": -' + "9" * 5000 + "}]}")
+        assert main(["resolve", "--input", str(bad), "--policy", "lex-posterior"]) == 2
+        assert "integer literal" in capsys.readouterr().err
 
     def test_deeply_nested_document_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "deep.json"

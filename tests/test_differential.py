@@ -3,13 +3,15 @@ scoring kernel, the random-drop baseline, the bench loop and its conflict
 sampler, and the oracle's predicates and exhaustive searches against
 private copies of the implementations they replaced, plus fuzzing of the
 document parsers. Every algorithm's output is also checked against the
-oracle's predicates.
+oracle's predicates, and every colouring the package builds without its
+checks against the public ``Colouring`` constructor.
 
 The reference below colours with DSATUR's O(n²) selection scan, keeps the
 four algorithms as four separate loops and scores every pairwise policy
 through a per-kind ``prefers`` dispatch, as the package did before all
 three were rewritten; its bench runs each algorithm from scratch on every
-instance. Outputs must stay equal, so any refactor behind the public names
+instance, through the checked ``build_graph`` and ``score_admitted_set``.
+Outputs must stay equal, so any refactor behind the public names
 can prove that it changed nothing.
 """
 from __future__ import annotations
@@ -50,6 +52,7 @@ from normcolour.bench import (
     BenchConfig,
     BenchRow,
     Metric,
+    _position_pairs,
     benchmark_norms,
     default_weak_ordering,
     derive_seed,
@@ -57,7 +60,7 @@ from normcolour.bench import (
     max_conflicts,
     run_benchmark,
 )
-from normcolour.documents import parse_norm_document, read_resolution
+from normcolour.documents import parse_norm_document, parse_rank_map, read_resolution
 from normcolour.oracle import (
     MAX_ADMISSIBLE_SEARCH,
     MAX_CHROMATIC_SEARCH,
@@ -338,6 +341,15 @@ def test_algorithm_outputs_meet_the_oracle(gp):
 
 @settings(max_examples=200, deadline=None)
 @given(graphs_with_every_policy())
+def test_internal_colourings_pass_the_public_check(gp):
+    g, policy = gp
+    colourings = [dsatur(g), *(algorithm(g, policy).colouring for algorithm in ALGORITHMS.values())]
+    for phi in colourings:
+        assert Colouring(phi.assignment, phi.num_colours) == phi
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_every_policy())
 def test_class_scores_match_the_reference(gp):
     g, policy = gp
     phi = dsatur(g)
@@ -601,6 +613,20 @@ def test_conflict_sampler_matches_the_reference(n, duplicate, data):
     assert rng.random() == ref_rng.random()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12), st.booleans(), st.data())
+def test_graph_from_positions_matches_build_graph(n, duplicate, data):
+    k = data.draw(st.integers(0, max_conflicts(n, duplicate)))
+    seed = data.draw(st.integers(0, 2**32))
+    norms = benchmark_norms(n)
+    positions = random.Random(seed).sample(_position_pairs(n, duplicate), k)
+    g = ConflictGraph._from_positions(build_graph(norms, []), positions)
+    expected = build_graph(norms, generate_random_conflicts(n, k, duplicate, random.Random(seed)))
+    assert g == expected
+    assert (g.ids, g.edges, repr(g)) == (expected.ids, expected.edges, repr(expected))
+    assert [g._position(v) for v in g.ids] == list(range(n))
+
+
 def weighted_by_colour(g: ConflictGraph, phi: Colouring, c: int) -> float:
     """A callable heuristic: the class's size, weighted towards low colours."""
     return sum(1 for v in g.ids if phi.assignment[v] == c) / (c + 1)
@@ -635,6 +661,35 @@ def test_bench_matches_the_reference(policy, metric):
         assert run_benchmark(cfg) == _ref_run_benchmark(cfg)
 
 
+# n8 is unranked: scoring raises once it reads n8's rank, as an admitted
+# norm or as a neighbour of one, and only then
+_PARTIAL_RANKS = Policy(PolicyKind.LEX_POSTERIOR, ranks={f"n{i}": 8 - i for i in range(8)})
+
+
+@pytest.mark.parametrize("metric", [Metric.SCORE_SUM, Metric.SCORE_AVG])
+@pytest.mark.parametrize(
+    "overrides, raises",
+    [
+        ({"conflict_range": (12, 13), "trials_per_point": 1, "algorithms": ("resolve",)}, False),
+        ({"conflict_range": (0, 36), "trials_per_point": 2, "algorithms": (*ALGORITHMS, *BASELINES)}, True),
+    ],
+)
+def test_bench_matches_the_reference_under_a_partial_rank_map(metric, overrides, raises):
+    cfg = BenchConfig(
+        policy=_PARTIAL_RANKS, metric=metric, n_norms=9, duplicate_directed_pairs=False, **overrides
+    )
+    try:
+        expected = _ref_run_benchmark(cfg)
+    except UnknownNormId as exc:
+        assert raises
+        with pytest.raises(UnknownNormId) as info:
+            run_benchmark(cfg)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+    else:
+        assert not raises
+        assert run_benchmark(cfg) == expected
+
+
 # -- fuzzing: malformed documents raise NormColourError, nothing else -------
 
 # the field names both document shapes use, so that fuzzing gets past the top level
@@ -644,18 +699,33 @@ _FIELDS = st.sampled_from(
         "entries", "norm", "curtailed_wrt", "algorithm", "policy", "colours_used",
     ]
 )
+# a leaf that the text replaces with a number literal of 4,000-6,000 digits,
+# past Python's default limit of 4,300 digits for reading an int
+_LONG_NUMBER = "<long number>"
 _json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.just(_LONG_NUMBER),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(_FIELDS | st.text(max_size=4), inner, max_size=5),
     max_leaves=24,
 )
+_long_numbers = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", "-"]),
+    st.integers(4000, 6000).map("7".__mul__),
+    st.sampled_from(["", ".5", "e3"]),
+)
+_json_texts = st.builds(
+    lambda value, number: json.dumps(value).replace(json.dumps(_LONG_NUMBER), number),
+    _json_values,
+    _long_numbers,
+)
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(_json_values.map(json.dumps), st.text()))
+@given(st.one_of(_json_texts, st.text()))
 def test_parsers_raise_only_package_errors(text):
-    for parse in (parse_norm_document, read_resolution):
+    for parse in (parse_norm_document, parse_rank_map, read_resolution):
         try:
             parse(text)
         except NormColourError:

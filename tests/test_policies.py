@@ -371,6 +371,12 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             Policy(kind, mode)
 
+    @pytest.mark.parametrize("field", ["kind", "mode"])
+    def test_a_value_too_long_to_print_is_not_shown(self, field):
+        fields = {"kind": PolicyKind.LEX_SUPERIOR, field: -(10**5000)}
+        with pytest.raises(SchemaError, match=f"{field} must be a .* not <too long to print>"):
+            Policy(**fields)
+
     @pytest.mark.parametrize("rank", ["2", True, 1.5, None])
     def test_ranks_must_be_integers(self, rank):
         with pytest.raises(ValueError, match="'b'"):
