@@ -149,7 +149,9 @@ def generate_random_conflicts(
     """
     cap = max_conflicts(n_norms, duplicate_directed_pairs)
     if n_conflicts > cap:
-        raise TooManyConflicts(f"{n_conflicts} conflicts exceed the maximum of {cap}")
+        raise TooManyConflicts(
+            f"{_shown(n_conflicts)} conflicts exceed the maximum of {_shown(cap)}"
+        )
     ids = _benchmark_ids(n_norms)
     chosen = rng.sample(_position_pairs(n_norms, duplicate_directed_pairs), n_conflicts)
     return [(ids[i], ids[j]) for i, j in chosen]

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import IncompleteColouring, UnknownColour
-from .graph import ConflictGraph, NormId, _require_int
+from .graph import ConflictGraph, NormId, _require_int, _shown
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,11 @@ class Colouring:
         _require_int(self.num_colours, "num_colours")
         for v, c in self.assignment.items():
             if type(c) is not int:  # skips only the call: _require_int passes every int
-                _require_int(c, f"colour of {v!r}")
+                _require_int(c, f"colour of {_shown(v)}")
             if not 0 <= c < self.num_colours:
                 raise UnknownColour(
-                    f"vertex {v!r} has colour {c}, not in 0..{self.num_colours - 1}"
+                    f"vertex {_shown(v)} has colour {_shown(c)}, "
+                    f"not in 0..{_shown(self.num_colours - 1)}"
                 )
 
     @classmethod

@@ -16,12 +16,21 @@ rank 0, no antecedents). ``Norm`` checks the fields and ``build_graph`` the
 pairs and ids; this module checks the JSON around them. Every failure names
 its position or path: ``norms[3].declared_at: expected an integer``,
 ``conflicts[2]: unknown norm id 'x'``, ``norms[1]: duplicate norm id 'a'``.
+
+Reading and writing take a fast path and fall back to the checked code on
+any surprise, so outputs and errors are the checked code's. A norm object
+whose fields have exactly the JSON types a norm needs (ints, not bools) is
+built by ``Norm._trusted``; any other item goes through the checked
+constructor. ``build_graph`` does the same for the pairs. A resolution is
+written as text directly, quoting strings with ``json.dumps``'s own C
+function; a hand-built one holding any other value goes to ``json.dumps``.
 """
 from __future__ import annotations
 
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .errors import DocumentSyntaxError, SchemaError
 from .graph import ConflictGraph, Norm, NormId, _require_int, build_graph
@@ -78,7 +87,21 @@ def parse_norm_document(text: str) -> ConflictGraph:
     raw_norms = doc.get("norms")
     if not isinstance(raw_norms, list):
         raise SchemaError("norms: expected a list")
-    norms = [_parse_norm(item, i) for i, item in enumerate(raw_norms)]
+    norms = []
+    trusted = Norm._trusted
+    for i, item in enumerate(raw_norms):
+        if type(item) is dict:
+            get = item.get
+            id_, label, ants = get("id"), get("label", ""), get("antecedents", [])
+            declared_at, authority_rank = get("declared_at", 0), get("authority_rank", 0)
+            if (
+                type(id_) is str and id_ and type(label) is str
+                and type(declared_at) is int and type(authority_rank) is int
+                and type(ants) is list and all(type(atom) is str for atom in ants)
+            ):
+                norms.append(trusted(id_, label, declared_at, authority_rank, frozenset(ants)))
+                continue
+        norms.append(_parse_norm(item, i))
 
     raw_conflicts = doc.get("conflicts", [])
     if not isinstance(raw_conflicts, list):
@@ -125,15 +148,44 @@ class ResolutionDocument:
 
 
 def write_resolution(r: Resolution) -> str:
-    doc = {
-        "algorithm": r.algorithm,
-        "policy": r.policy,
-        "colours_used": r.colouring.num_colours,
-        "entries": [
-            {"norm": e.norm, "curtailed_wrt": list(e.curtailed_wrt)} for e in r.entries
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The resolution as JSON, laid out as ``json.dumps(doc, indent=2)``."""
+    try:
+        return _resolution_text(r)
+    except TypeError:  # a value that json.dumps renders in its own way
+        doc = {
+            "algorithm": r.algorithm,
+            "policy": r.policy,
+            "colours_used": r.colouring.num_colours,
+            "entries": [
+                {"norm": e.norm, "curtailed_wrt": list(e.curtailed_wrt)} for e in r.entries
+            ],
+        }
+        return json.dumps(doc, indent=2) + "\n"
+
+
+def _resolution_text(r: Resolution) -> str:
+    """write_resolution's text, built directly. Raises TypeError, having
+    consumed nothing, for any value but a str id or label, an int count and
+    tuples of entries and curtailments."""
+    algorithm, policy = r.algorithm, r.policy
+    colours_used, entries = r.colouring.num_colours, r.entries
+    if type(colours_used) is not int or type(entries) is not tuple:
+        raise TypeError
+    q = encode_basestring_ascii  # json.dumps's quoting; TypeError for anything but a str
+    blocks = []
+    for e in entries:
+        wrt = e.curtailed_wrt
+        if type(wrt) is not tuple:
+            raise TypeError
+        listed = "[\n        " + ",\n        ".join(map(q, wrt)) + "\n      ]" if wrt else "[]"
+        blocks.append(
+            f'    {{\n      "norm": {q(e.norm)},\n      "curtailed_wrt": {listed}\n    }}'
+        )
+    listed = "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
+    return (
+        f'{{\n  "algorithm": {q(algorithm)},\n  "policy": {q(policy)},\n'
+        f'  "colours_used": {colours_used},\n  "entries": {listed}\n}}\n'
+    )
 
 
 def read_resolution(text: str) -> ResolutionDocument:

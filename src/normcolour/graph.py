@@ -14,10 +14,15 @@ different norms' ids; an error names its input as a document path
 (``conflicts[3]: unknown norm id 'x'``, ``conflicts[0][1]: expected a
 string``, ``norms[2]: duplicate norm id``).
 
-The public constructor and ``build_graph`` check every norm and pair. The
-one trusted constructor, ``ConflictGraph._from_positions``, is for the
-bench, whose instances are pairs of positions it drew itself: it checks
-nothing and shares one norm list, id tuple and id map across instances.
+The public constructor and ``build_graph`` check every norm and pair. A
+fast loop takes pairs that are exactly a list or tuple of two ``str`` ids
+of different norms; at the first other pair, the checking loop reruns over
+all pairs on fresh sets, so it names the first bad pair and accepts what it
+always has (a ``str`` subclass id, say). ``Norm._trusted`` skips the field
+checks for the document parser, which has checked the exact JSON types.
+``ConflictGraph._from_positions`` is for the bench, whose instances are
+pairs of positions it drew itself: it checks nothing and shares one norm
+list, id tuple and id map across instances.
 """
 from __future__ import annotations
 
@@ -78,6 +83,44 @@ class Norm:
                 raise SchemaError(f"antecedents[{i}]: expected a string")
         object.__setattr__(self, "antecedents", frozenset(ants))
 
+    @classmethod
+    def _trusted(
+        cls, id: NormId, label: str, declared_at: int, authority_rank: int,
+        antecedents: frozenset[str],
+    ) -> Norm:
+        """A norm built without ``__post_init__``'s checks, for fields the
+        caller has checked: every value as the constructor requires it, and
+        antecedents already a frozenset."""
+        norm = cls.__new__(cls)
+        object.__setattr__(norm, "id", id)
+        object.__setattr__(norm, "label", label)
+        object.__setattr__(norm, "declared_at", declared_at)
+        object.__setattr__(norm, "authority_rank", authority_rank)
+        object.__setattr__(norm, "antecedents", antecedents)
+        return norm
+
+
+def _checked_adjacency(index: dict[NormId, int], pairs: Sequence[object]) -> list[set[int]]:
+    """Each norm's neighbours by position, given each norm's position by
+    id, checking every pair; raises for the first bad pair, naming it
+    ``conflicts[k]``."""
+    adj: list[set[int]] = [set() for _ in index]
+    for k, pair in enumerate(pairs):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise SchemaError(f"conflicts[{k}]: expected a pair of norm ids")
+        a, b = pair
+        if not isinstance(a, str) or not isinstance(b, str):
+            raise SchemaError(f"conflicts[{k}][{int(isinstance(a, str))}]: expected a string")
+        try:
+            i, j = index[a], index[b]
+        except KeyError as exc:
+            raise UnknownNormId(f"conflicts[{k}]: unknown norm id {exc.args[0]!r}") from None
+        if i == j:
+            raise SelfConflict(f"conflicts[{k}]: norm {a!r} cannot conflict with itself")
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
+
 
 class ConflictGraph:
     """An undirected conflict graph with deterministic vertex order.
@@ -97,22 +140,24 @@ class ConflictGraph:
                 raise DuplicateNormId(f"norms[{pos}]: duplicate norm id {v!r}")
         self._index = index
 
+        # a one-shot iterable is read once: the checking loop may need it again
+        pairs = conflicts if type(conflicts) in (list, tuple) else list(conflicts)
         adj: list[set[int]] = [set() for _ in self.ids]
-        for k, pair in enumerate(conflicts):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise SchemaError(f"conflicts[{k}]: expected a pair of norm ids")
-            a, b = pair
-            if not isinstance(a, str) or not isinstance(b, str):
-                raise SchemaError(f"conflicts[{k}][{int(isinstance(a, str))}]: expected a string")
-            try:
+        try:
+            for pair in pairs:
+                if type(pair) is not list and type(pair) is not tuple:
+                    raise TypeError  # a string or an object of two keys would unpack
+                a, b = pair
+                if type(a) is not str or type(b) is not str:
+                    raise TypeError
                 i, j = index[a], index[b]
-            except KeyError as exc:
-                raise UnknownNormId(f"conflicts[{k}]: unknown norm id {exc.args[0]!r}") from None
-            if i == j:
-                raise SelfConflict(f"conflicts[{k}]: norm {a!r} cannot conflict with itself")
-            adj[i].add(j)
-            adj[j].add(i)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(ns)) for ns in adj)
+                if i == j:
+                    raise ValueError
+                adj[i].add(j)
+                adj[j].add(i)
+        except (TypeError, ValueError, KeyError):
+            adj = _checked_adjacency(index, pairs)
+        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, map(sorted, adj)))
 
     @classmethod
     def _from_positions(

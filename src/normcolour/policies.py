@@ -202,7 +202,7 @@ def score_colour(g: ConflictGraph, phi: Colouring, c: int, policy: Heuristic) ->
     when phi leaves a norm of g uncoloured, InvalidScore for a non-number or NaN.
     """
     if not 0 <= _require_int(c, "colour") < phi.num_colours:
-        raise UnknownColour(f"colour {c} not in 0..{phi.num_colours - 1}")
+        raise UnknownColour(f"colour {_shown(c)} not in 0..{_shown(phi.num_colours - 1)}")
     return _class_scores(g, phi, policy, (c,))[c]
 
 

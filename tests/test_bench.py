@@ -56,6 +56,11 @@ class TestGenerateRandomConflicts:
         with pytest.raises(TooManyConflicts):
             generate_random_conflicts(16, 121, False, random.Random(0))
 
+    def test_a_count_too_long_to_print_is_not_shown(self):
+        with pytest.raises(TooManyConflicts) as info:
+            generate_random_conflicts(16, 10**5000, True, random.Random(0))
+        assert str(info.value) == "<too long to print> conflicts exceed the maximum of 240"
+
     def test_deterministic(self):
         a = generate_random_conflicts(12, 30, False, random.Random(9))
         b = generate_random_conflicts(12, 30, False, random.Random(9))

@@ -121,6 +121,11 @@ class TestValidity:
         with pytest.raises(UnknownColour, match="'b'"):
             Colouring({"a": 0, "b": colour}, 1)
 
+    def test_a_colour_too_long_to_print_is_not_shown(self):
+        with pytest.raises(UnknownColour) as info:
+            Colouring({"a": 10**5000}, 1)
+        assert str(info.value) == "vertex 'a' has colour <too long to print>, not in 0..0"
+
     @pytest.mark.parametrize(
         "assignment, num_colours", [({"a": 0.5, "b": 0}, 1), ({"a": 0}, 1.5), ({"a": True}, 2)]
     )
@@ -133,6 +138,12 @@ class TestValidity:
         g = make_graph("ab", [("a", "b")])
         with pytest.raises(SchemaError):
             score_colour(g, dsatur(g), colour, Policy.max_class())
+
+    def test_a_scored_colour_too_long_to_print_is_not_shown(self):
+        g = make_graph("ab", [("a", "b")])
+        with pytest.raises(UnknownColour) as info:
+            score_colour(g, dsatur(g), 10**5000, Policy.max_class())
+        assert str(info.value) == "colour <too long to print> not in 0..1"
 
 
 class TestColourClasses:

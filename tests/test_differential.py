@@ -1,18 +1,20 @@
 """Differential tests: DSATUR, the admission engine, the per-norm
 scoring kernel, the random-drop baseline, the bench loop and its conflict
-sampler, and the oracle's predicates and exhaustive searches against
-private copies of the implementations they replaced, plus fuzzing of the
-document parsers. Every algorithm's output is also checked against the
-oracle's predicates, and every colouring the package builds without its
-checks against the public ``Colouring`` constructor.
+sampler, the norm-document parser and ``build_graph``, and the oracle's
+predicates and exhaustive searches against private copies of the
+implementations they replaced, plus fuzzing of the document parsers.
+Every algorithm's output is also checked against the oracle's predicates,
+and every colouring the package builds without its checks against the
+public ``Colouring`` constructor.
 
 The reference below colours with DSATUR's O(n²) selection scan, keeps the
 four algorithms as four separate loops and scores every pairwise policy
 through a per-kind ``prefers`` dispatch, as the package did before all
 three were rewritten; its bench runs each algorithm from scratch on every
-instance, through the checked ``build_graph`` and ``score_admitted_set``.
-Outputs must stay equal, so any refactor behind the public names
-can prove that it changed nothing.
+instance, through the checked ``build_graph`` and ``score_admitted_set``;
+its parser checks every norm and pair, and errors must match it in type
+and full message. Outputs must stay equal, so any refactor behind the
+public names can prove that it changed nothing.
 """
 from __future__ import annotations
 
@@ -31,13 +33,16 @@ from normcolour import (
     Colouring,
     ConflictGraph,
     CurtailedNorm,
+    DuplicateNormId,
     Norm,
     NormColourError,
     NormId,
     Policy,
     PolicyKind,
     Resolution,
+    SchemaError,
     ScoreMode,
+    SelfConflict,
     TooLarge,
     UnknownColour,
     UnknownNormId,
@@ -688,6 +693,171 @@ def test_bench_matches_the_reference_under_a_partial_rank_map(metric, overrides,
     else:
         assert not raises
         assert run_benchmark(cfg) == expected
+
+
+# -- reference: the checking norm-document parser --------------------------
+# Every norm through the checked Norm constructor and every pair through the
+# checking loop, as the parser and ConflictGraph did before their fast paths.
+
+
+def _ref_parse_norm(item: object, i: int) -> Norm:
+    if not isinstance(item, dict):
+        raise SchemaError(f"norms[{i}]: expected an object")
+    if "id" not in item:
+        raise SchemaError(f"norms[{i}]: missing required field 'id'")
+    try:
+        return Norm(
+            item["id"],
+            item.get("label", ""),
+            item.get("declared_at", 0),
+            item.get("authority_rank", 0),
+            item.get("antecedents", ()),
+        )
+    except SchemaError as exc:
+        raise SchemaError(f"norms[{i}].{exc}") from None
+
+
+def _ref_build_graph(norms, conflicts) -> tuple[tuple[Norm, ...], tuple[tuple[int, ...], ...]]:
+    """The graph's norms and adjacency by position, or the error it raises."""
+    norms = tuple(norms)
+    index: dict[NormId, int] = {}
+    for pos, v in enumerate(norm.id for norm in norms):
+        if index.setdefault(v, pos) != pos:
+            raise DuplicateNormId(f"norms[{pos}]: duplicate norm id {v!r}")
+    adj: list[set[int]] = [set() for _ in norms]
+    for k, pair in enumerate(conflicts):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise SchemaError(f"conflicts[{k}]: expected a pair of norm ids")
+        a, b = pair
+        if not isinstance(a, str) or not isinstance(b, str):
+            raise SchemaError(f"conflicts[{k}][{int(isinstance(a, str))}]: expected a string")
+        try:
+            i, j = index[a], index[b]
+        except KeyError as exc:
+            raise UnknownNormId(f"conflicts[{k}]: unknown norm id {exc.args[0]!r}") from None
+        if i == j:
+            raise SelfConflict(f"conflicts[{k}]: norm {a!r} cannot conflict with itself")
+        adj[i].add(j)
+        adj[j].add(i)
+    return norms, tuple(tuple(sorted(ns)) for ns in adj)
+
+
+def _ref_parse_norm_document(text: str):
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise SchemaError("top level: expected an object")
+    raw_norms = doc.get("norms")
+    if not isinstance(raw_norms, list):
+        raise SchemaError("norms: expected a list")
+    norms = [_ref_parse_norm(item, i) for i, item in enumerate(raw_norms)]
+    raw_conflicts = doc.get("conflicts", [])
+    if not isinstance(raw_conflicts, list):
+        raise SchemaError("conflicts: expected a list")
+    return _ref_build_graph(norms, raw_conflicts)
+
+
+def _outcome(f, *args):
+    """f's result, or the type and full message of what it raised."""
+    try:
+        return f(*args)
+    except NormColourError as exc:
+        return type(exc), str(exc)
+
+
+# Replacements of a norm's field or of the whole item, each of which the
+# checked constructor rejects
+_DELETE = object()
+_NORM_CORRUPTIONS = [
+    ("id", _DELETE), ("id", None), ("id", ""), ("id", 5), ("id", ["a"]),
+    ("label", 3), ("label", None),
+    ("declared_at", True), ("declared_at", 1.5), ("declared_at", "3"),
+    ("authority_rank", False), ("authority_rank", None),
+    ("antecedents", "p"), ("antecedents", [1]), ("antecedents", ["p", None]),
+    ("antecedents", {"p": 1}), ("antecedents", [["p"]]),
+    ("item", 5), ("item", "a"), ("item", ["id", "a"]), ("item", None),
+]
+# Replacements of a conflict pair; "ab" and {"a": .., "b": ..} would unpack
+# to the ids a and b, which every document below has.
+_PAIR_CORRUPTIONS = [
+    "ab", {"a": 1, "b": 2}, ["a", "b", "c"], ["a"], [], ["a", "a"], ["a", "zz"],
+    ["zz", "a"], ["a", 5], [5, "a"], [True, "b"], [None, None], 5, None,
+]
+
+
+@st.composite
+def corrupted_norm_documents(draw):
+    """A valid norm document, then up to three corruptions at random norm or
+    pair indices: bad fields and items, duplicate ids, bad pairs."""
+    extra = draw(st.lists(st.sampled_from(["c", "d", "é", "x\"y", "\u2028"]), unique=True))
+    ids = draw(st.permutations(["a", "b", *extra]))
+    norms = []
+    for v in ids:
+        item = {"id": v}
+        for field, values in (
+            ("label", st.text(max_size=3)),
+            ("declared_at", st.integers(-5, 5)),
+            ("authority_rank", st.integers(-5, 5)),
+            ("antecedents", st.lists(st.sampled_from(["p", "q", "r"]), max_size=3)),
+        ):
+            if draw(st.booleans()):
+                item[field] = draw(values)
+        norms.append(item)
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
+    conflicts = [list(p) for p in draw(st.lists(pair, max_size=8))]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["norm", "duplicate", "pair"]))
+        if kind == "pair":
+            if conflicts:
+                k = draw(st.integers(0, len(conflicts) - 1))
+                conflicts[k] = draw(st.sampled_from(_PAIR_CORRUPTIONS))
+            continue
+        i = draw(st.integers(0, len(norms) - 1))
+        if kind == "duplicate":
+            field, value = "id", draw(st.sampled_from(ids))
+        else:
+            field, value = draw(st.sampled_from(_NORM_CORRUPTIONS))
+        if field == "item":
+            norms[i] = value
+        elif not isinstance(norms[i], dict):
+            continue  # already replaced whole
+        elif value is _DELETE:
+            norms[i] = {k: v for k, v in norms[i].items() if k != field}
+        else:
+            norms[i] = {**norms[i], field: value}
+    return json.dumps({"norms": norms, "conflicts": conflicts})
+
+
+@settings(max_examples=500, deadline=None)
+@given(corrupted_norm_documents())
+def test_parse_errors_match_the_checking_parser(text):
+    expected = _outcome(_ref_parse_norm_document, text)
+    got = _outcome(parse_norm_document, text)
+    if isinstance(got, ConflictGraph):
+        got = got.norms, got._adj
+    assert got == expected
+
+
+_CONTAINERS = {
+    "list": list,
+    "tuple of tuples": lambda pairs: tuple(tuple(p) if isinstance(p, list) else p for p in pairs),
+    "one-shot": iter,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_norm_documents(), st.sampled_from(sorted(_CONTAINERS)))
+def test_build_graph_errors_match_the_checking_loop(text, container):
+    doc = json.loads(text)
+    try:
+        norms = [_ref_parse_norm(item, i) for i, item in enumerate(doc["norms"])]
+    except SchemaError:
+        return  # no graph to build
+    make = _CONTAINERS[container]
+    expected = _outcome(_ref_build_graph, norms, make(doc["conflicts"]))
+    got = _outcome(build_graph, norms, make(doc["conflicts"]))
+    if isinstance(got, ConflictGraph):
+        got = got.norms, got._adj
+    assert got == expected
 
 
 # -- fuzzing: malformed documents raise NormColourError, nothing else -------

@@ -1,12 +1,21 @@
+import dataclasses
 import json
+import pickle
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normcolour import (
+    ALGORITHMS,
+    Colouring,
+    CurtailedNorm,
     DocumentSyntaxError,
     DuplicateNormId,
+    Norm,
     Policy,
+    Resolution,
     SchemaError,
     SelfConflict,
     UnknownNormId,
@@ -96,6 +105,36 @@ class TestParseNormDocument:
             parse_norm_document(text)
 
 
+class TestTrustedNorms:
+    TEXT = json.dumps(
+        {
+            "norms": [
+                {"id": "a", "label": "l", "declared_at": 3, "authority_rank": -2,
+                 "antecedents": ["q", "p", "q"]},
+                {"id": "b"},
+            ]
+        }
+    )
+    BUILT = (Norm("a", "l", 3, -2, ["q", "p", "q"]), Norm("b"))
+
+    def test_a_parsed_norm_is_a_constructed_one(self):
+        for parsed, built in zip(parse_norm_document(self.TEXT).norms, self.BUILT):
+            assert type(parsed) is Norm
+            assert parsed == built and hash(parsed) == hash(built)
+            assert repr(parsed) == repr(built)
+            assert vars(parsed) == vars(built)
+            assert dataclasses.replace(parsed, label="m") == dataclasses.replace(built, label="m")
+            copy = pickle.loads(pickle.dumps(parsed))
+            assert copy == built and vars(copy) == vars(built)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                parsed.label = "x"
+
+    def test_replace_still_checks(self):
+        parsed = parse_norm_document(self.TEXT).norms[0]
+        with pytest.raises(SchemaError, match="^declared_at"):
+            dataclasses.replace(parsed, declared_at=True)
+
+
 class TestGraphRoundTrip:
     def test_full_metadata_round_trip(self):
         g = make_graph(
@@ -156,3 +195,72 @@ class TestResolutionDocuments:
             read_resolution('{"entries": [{"curtailed_wrt": []}]}')
         with pytest.raises(DocumentSyntaxError):
             read_resolution("{")
+
+
+def json_rendering(r: Resolution) -> str:
+    """The resolution document as json.dumps lays it out."""
+    doc = {
+        "algorithm": r.algorithm,
+        "policy": r.policy,
+        "colours_used": r.colouring.num_colours,
+        "entries": [
+            {"norm": e.norm, "curtailed_wrt": list(e.curtailed_wrt)} for e in r.entries
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII, astral characters (a
+# surrogate pair each when escaped), and the two JavaScript line separators
+_AWKWARD = st.sampled_from(
+    ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "\U0001f600", "\u2028", "\u2029"]
+)
+_strings = st.text(_AWKWARD | st.characters(), max_size=6)
+
+
+class TestWriterIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _strings,
+        _strings,
+        st.integers(0, 10**6),
+        st.lists(st.tuples(_strings, st.lists(_strings, max_size=3)), max_size=4),
+    )
+    def test_text_is_the_json_rendering(self, algorithm, policy, colours, entries):
+        entries = tuple(CurtailedNorm(v, tuple(wrt)) for v, wrt in entries)
+        r = Resolution(algorithm, policy, entries, Colouring({}, colours), ())
+        assert write_resolution(r) == json_rendering(r)
+
+    def test_empty_entries_and_curtailments(self):
+        a, b = CurtailedNorm("a"), CurtailedNorm("b", ("a",))
+        for entries in ((), (a,), (a, b)):
+            r = Resolution("curtail", "max-class", entries, Colouring({}, 1), ())
+            assert write_resolution(r) == json_rendering(r)
+
+    def test_every_algorithm_on_the_six_norm_system(self, six_norm_graph):
+        for algorithm in ALGORITHMS.values():
+            r = algorithm(six_norm_graph, Policy.lex_posterior())
+            assert write_resolution(r) == json_rendering(r)
+
+    @pytest.mark.parametrize(
+        "algorithm, policy, colours, entries",
+        [
+            ("resolve", "max-class", 1, lambda: (CurtailedNorm(5, ()),)),
+            ("resolve", "max-class", 2, lambda: (CurtailedNorm("a", (None, 1.5)),)),
+            (3, "max-class", 1, tuple),
+            ("resolve", None, 1, tuple),
+            ("resolve", "max-class", True, tuple),
+            ("resolve", "max-class", 2.5, tuple),
+            ("resolve", "max-class", 1, lambda: [CurtailedNorm("a", ["b"])]),
+            ("resolve", "max-class", 1, lambda: (CurtailedNorm("a", iter(["b", "c"])),)),
+            ("resolve", "max-class", 1, lambda: (CurtailedNorm("a", iter([])),)),
+            ("resolve", "max-class", 1, lambda: iter([CurtailedNorm("a")])),
+        ],
+    )
+    def test_a_hand_built_resolution_keeps_its_json_rendering(
+        self, algorithm, policy, colours, entries
+    ):
+        def r():
+            return Resolution(algorithm, policy, entries(), Colouring._trusted({}, colours), ())
+
+        assert write_resolution(r()) == json_rendering(r())

@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import pytest
 
 from normcolour import (
@@ -60,6 +62,17 @@ class TestBuildGraph:
             [("c", "a"), ("b", "d"), ("a", "d"), ("c", "b"), ("d", "b"), ("a", "b"), ("c", "d")],
         )
         assert g.edges == (("d", "b"), ("d", "a"), ("d", "c"), ("b", "a"), ("b", "c"), ("a", "c"))
+
+    def test_str_subclass_ids_and_tuple_subclass_pairs_are_accepted(self):
+        # neither is an exact str or tuple, so the checking loop takes them
+        class Id(str):
+            pass
+
+        Pair = namedtuple("Pair", "a b")
+        g = build_graph([Norm(Id("a")), Norm("b"), Norm("c")], [("a", "b"), (Id("b"), "c")])
+        assert g.edges == (("a", "b"), ("b", "c"))
+        g = build_graph([Norm("a"), Norm("b")], iter([Pair("a", "b"), ["b", Id("a")]]))
+        assert g.edges == (("a", "b"),)
 
 
 class TestNormSchema:
