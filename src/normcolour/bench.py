@@ -17,10 +17,11 @@ therefore called once per colour class per instance, not once per algorithm.
 
 ``BenchConfig`` checks a run's input once, and the run trusts what it
 derives: it samples pairs of norm positions and builds each instance with
-the trusted ``ConflictGraph._from_positions``. Under a score metric whose
-rank map ranks every norm, each norm is scored once per instance and a set
-scores the sum over its members; a partial rank map keeps the checked
-``score_admitted_set``, which names the first unranked norm it reads.
+the trusted ``ConflictGraph._from_positions``. A score metric ranks by a
+weak order's own map, else by ``default_weak_ordering``, and reads every
+norm's rank before the first instance, so UnknownNormId names the first
+norm left unranked. Each norm is scored once per instance, and a set
+scores the sum over its members.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from .colouring import Colouring
 from .errors import EmptyInput, SchemaError, TooManyConflicts
 from .graph import ConflictGraph, Norm, NormId, _require_int, _shown
 from .oracle import max_cardinality_admissible, random_drop
-from .policies import Policy, WeakOrdering, _norm_score, score_admitted_set
+from .policies import Policy, WeakOrdering, _norm_score, _ranks
 from .resolution import ALGORITHMS, Resolution, _admit, _prepare
 
 # preferred is a maximum-cardinality stable extension (oracle.max_cardinality_admissible)
@@ -80,11 +81,17 @@ class BenchConfig:
         trials = self.trials_per_point
         if _require_int(trials, "trials_per_point") < 1:
             raise SchemaError(f"trials_per_point must be at least 1, got {_shown(trials)}")
+        if not isinstance(self.duplicate_directed_pairs, bool):
+            raise SchemaError("duplicate_directed_pairs: expected a bool")
         cap = max_conflicts(self.n_norms, self.duplicate_directed_pairs)
         if hi > cap:
             raise TooManyConflicts(
                 f"conflict_range: {_shown(hi)} conflicts exceed the maximum of {_shown(cap)}"
             )
+        # derive_seed hashes repr(seed), so it must print as digits: True is not 1
+        shown = _shown(self.seed)
+        if not isinstance(self.seed, int) or not shown.lstrip("-").isdigit():
+            raise SchemaError(f"seed must be an integer that Python can print, not {shown}")
         names = self.algorithms
         if not isinstance(names, tuple) or not all(isinstance(a, str) for a in names):
             raise SchemaError(f"algorithms must be a tuple of names, not {_shown(names)}")
@@ -171,14 +178,13 @@ def _measure(
     algorithm: str,
     g: ConflictGraph,
     cfg: BenchConfig,
-    ranks: WeakOrdering,
     point_seed: int,
     prepared: tuple[Colouring, list[int]] | None,
     scores: dict[NormId, int] | None,
 ) -> list[tuple[str, str, float]]:
     """Run one algorithm on one instance, given its shared ``_prepare``
-    result (None if no colouring algorithm runs) and, when ranks ranks every
-    norm, each norm's net score under it; returns (policy, metric, value) rows."""
+    result (None if no colouring algorithm runs) and, under a score metric,
+    each norm's net score; returns (policy, metric, value) rows."""
     if algorithm == "random-drop":
         rng = random.Random(derive_seed(point_seed, "random-drop"))
         label, admitted = "none", random_drop(g, rng)
@@ -199,10 +205,7 @@ def _measure(
 
     if cfg.metric is Metric.ADMITTED_COUNT:
         return [(label, "admitted_count", float(len(admitted)))]
-    if scores is None:  # a partial rank map: name the first unranked norm read
-        value = float(score_admitted_set(g, admitted, ranks))
-    else:
-        value = float(sum(map(scores.__getitem__, admitted)))
+    value = float(sum(map(scores.__getitem__, admitted)))
     if cfg.metric is Metric.SCORE_AVG:
         value = value / len(admitted) if admitted else 0.0
     return [(label, cfg.metric.value.replace("-", "_"), value)]
@@ -216,9 +219,8 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
     else:
         ranks = default_weak_ordering(cfg.n_norms)
     ids = template.ids
-    key = None  # each norm's rank, when a score metric's rank map ranks every norm
-    if cfg.metric is not Metric.ADMITTED_COUNT and all(v in ranks for v in ids):
-        key = [ranks[v] for v in ids]
+    # each norm's rank under a score metric; UnknownNormId names the first unranked
+    key = None if cfg.metric is Metric.ADMITTED_COUNT else _ranks(ranks, template.norms)
     any_colouring = any(a in ALGORITHMS for a in cfg.algorithms)
     population = _position_pairs(cfg.n_norms, cfg.duplicate_directed_pairs)
     rows: list[BenchRow] = []
@@ -230,16 +232,12 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
             pairs = random.Random(point_seed).sample(population, num_conflicts)
             g = ConflictGraph._from_positions(template, pairs)
             prepared = _prepare(g, cfg.policy) if any_colouring else None
-            scores = None
-            if key is not None:
-                scores = {v: _norm_score(g, key, i, True) for i, v in enumerate(ids)}
+            scores = None if key is None else {
+                v: _norm_score(g, key, i, True) for i, v in enumerate(ids)
+            }
             for algorithm in sorted(cfg.algorithms):
-                for policy, metric, value in _measure(
-                    algorithm, g, cfg, ranks, point_seed, prepared, scores
-                ):
-                    rows.append(
-                        BenchRow(num_conflicts, trial, algorithm, policy, metric, value, point_seed)
-                    )
+                for row in _measure(algorithm, g, cfg, point_seed, prepared, scores):
+                    rows.append(BenchRow(num_conflicts, trial, algorithm, *row, point_seed))
     return rows
 
 
@@ -247,9 +245,8 @@ def summarise(rows: Iterable[BenchRow]) -> dict[tuple[int, str, str, str], float
     """Mean value per (num_conflicts, algorithm, policy, metric) group."""
     sums: dict[tuple[int, str, str, str], list[float]] = {}
     for row in rows:
-        sums.setdefault((row.num_conflicts, row.algorithm, row.policy, row.metric), []).append(
-            row.value
-        )
+        group = (row.num_conflicts, row.algorithm, row.policy, row.metric)
+        sums.setdefault(group, []).append(row.value)
     if not sums:
         raise EmptyInput("no benchmark rows to summarise")
     return {key: sum(values) / len(values) for key, values in sums.items()}
@@ -261,18 +258,10 @@ def rows_to_csv(rows: Iterable[BenchRow]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow(
-            [
-                row.num_conflicts,
-                row.trial,
-                row.algorithm,
-                row.policy,
-                row.metric,
-                format(row.value, ".6g"),
-                row.seed,
-            ]
-        )
+    writer.writerows(
+        (r.num_conflicts, r.trial, r.algorithm, r.policy, r.metric, format(r.value, ".6g"), r.seed)
+        for r in rows
+    )
     return out.getvalue()
 
 

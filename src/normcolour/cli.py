@@ -18,12 +18,14 @@ from typing import Sequence
 
 from .bench import _PRESETS, preset_config, rows_to_csv, run_benchmark
 from .documents import parse_norm_document, parse_rank_map, write_resolution
-from .errors import NormColourError
+from .errors import NormColourError, SchemaError
 from .oracle import report
 from .policies import Policy, PolicyKind, ScoreMode
 from .resolution import ALGORITHMS
 
 POLICY_NAMES = [kind.value for kind in PolicyKind]
+# the resolve flag that sets each Policy field
+_FLAGS = {"ranks": "--rank-file", "prefer_recent": "--prefer-recent", "mode": "--mode"}
 
 
 class UsageError(Exception):
@@ -89,17 +91,20 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _build_policy(args: argparse.Namespace) -> Policy:
-    kind = PolicyKind(args.policy)
-    ranks = None
-    if kind is PolicyKind.WEAK_ORDER:
-        if not args.rank_file:
+    ranks = args.rank_file  # a path, which Policy refuses unread for a kind that reads no rank map
+    if args.policy == "weak-order":
+        if not ranks:
             raise UsageError("--policy weak-order requires --rank-file")
-        text = _read_text(args.rank_file)
+        text = _read_text(ranks)
         try:
             ranks = parse_rank_map(text)
         except NormColourError as exc:
             raise type(exc)(f"{args.rank_file}: {exc}") from None
-    return Policy(kind, ScoreMode(args.mode), ranks, args.prefer_recent)
+    try:
+        return Policy(PolicyKind(args.policy), ScoreMode(args.mode), ranks, args.prefer_recent)
+    except SchemaError as exc:  # a flag the policy does not read; the message names its field
+        field, _, reason = str(exc).partition(": ")
+        raise UsageError(f"{_FLAGS[field]}: {reason}") from None
 
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
@@ -114,12 +119,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     g = parse_norm_document(_read_text(args.input))
     members = [part for part in args.norm_set.split(",") if part]
     rep = report(g, members)
-    flags = {
-        "conflict_free": rep.conflict_free,
-        "admissible": rep.admissible,
-        "complete": rep.complete,
-    }
-    print(" ".join(f"{name}={str(value).lower()}" for name, value in flags.items()))
+    flags = ("conflict_free", "admissible", "complete")
+    print(" ".join(f"{name}={str(getattr(rep, name)).lower()}" for name in flags))
     return 0
 
 

@@ -172,7 +172,7 @@ class ConflictGraph:
         for i, j in pairs:
             adj[i].add(j)
             adj[j].add(i)
-        g._adj = tuple(tuple(sorted(ns)) for ns in adj)
+        g._adj = tuple(map(tuple, map(sorted, adj)))
         return g
 
     def _position(self, v: NormId) -> int:

@@ -15,7 +15,10 @@ so ``Policy.prefers`` costs O(1):
 * weak-order — an explicit rank map that must rank every norm;
 * max-class — equal keys, so it prefers nothing.
 
-Max-class scores every norm 1, so a class scores its size. Any callable
+Max-class scores every norm 1, so a class scores its size. A ``Policy``
+takes a rank map with weak-order only (which requires one),
+``prefer_recent=True`` with lex posterior only and GROSS with any kind but
+max-class; it raises SchemaError for any other combination. Any callable
 ``(graph, colouring, colour) -> float`` can stand in for a policy wherever
 one is accepted and is called once per class, so bespoke heuristics (trust
 models, etc.) plug in without touching this module.
@@ -53,8 +56,6 @@ class Policy:
     kind: PolicyKind
     mode: ScoreMode = ScoreMode.NET
     ranks: WeakOrdering | None = field(default=None, hash=False)
-    # Direction switch for lex posterior only: False follows the formula as
-    # defined (earlier declaration wins), True prefers the newer norm.
     prefer_recent: bool = False
 
     def __post_init__(self) -> None:
@@ -64,9 +65,18 @@ class Policy:
             raise SchemaError(f"score mode must be a ScoreMode, not {_shown(self.mode)}")
         if not isinstance(self.prefer_recent, bool):
             raise SchemaError("prefer_recent: expected a bool")
-        if self.kind is PolicyKind.WEAK_ORDER and self.ranks is None:
-            raise SchemaError("weak-order policy requires a rank map")
-        if self.ranks is not None:
+        # a field that the kind does not read: each message starts with its name
+        if self.prefer_recent and self.kind is not PolicyKind.LEX_POSTERIOR:
+            raise SchemaError(f"prefer_recent: a {self.kind.value} policy has no direction to flip")
+        if self.mode is ScoreMode.GROSS and self.kind is PolicyKind.MAX_CLASS:
+            raise SchemaError("mode: a max-class policy scores class size, not gross")
+        if self.ranks is not None and self.kind is not PolicyKind.WEAK_ORDER:
+            raise SchemaError(f"ranks: a {self.kind.value} policy reads no rank map")
+        if self.kind is PolicyKind.WEAK_ORDER:
+            if self.ranks is None:
+                raise SchemaError("weak-order policy requires a rank map")
+            if not isinstance(self.ranks, Mapping):
+                raise SchemaError(f"ranks: expected a mapping, not {type(self.ranks).__name__}")
             ranks = dict(self.ranks)
             for v, r in ranks.items():
                 _require_int(r, f"rank of {v!r}")
@@ -224,7 +234,7 @@ def ordering_from_metadata(
 
     Lex posterior ranks by negated declaration time (earlier declared =
     higher rank, unless prefer_recent), lex superior by authority rank.
-    Raises SchemaError for any other kind.
+    Raises SchemaError for any other kind and for prefer_recent with lex superior.
     """
     if kind is not PolicyKind.LEX_POSTERIOR and kind is not PolicyKind.LEX_SUPERIOR:
         raise SchemaError(f"no metadata-derived ordering for {kind}")

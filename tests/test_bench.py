@@ -7,14 +7,13 @@ from normcolour import (
     EmptyInput,
     NormColourError,
     Policy,
-    PolicyKind,
     SchemaError,
     TooManyConflicts,
     UnknownNormId,
     build_graph,
     dsatur,
 )
-from normcolour import bench, graph, resolution
+from normcolour import graph, resolution
 from normcolour.bench import (
     BenchConfig,
     Metric,
@@ -115,6 +114,10 @@ class TestConfig:
             {"n_norms": -2, "conflict_range": (1, 1)},
             {"n_norms": -3, "conflict_range": (0, 0)},
             {"policy": None},
+            {"duplicate_directed_pairs": "no"},
+            {"seed": True},
+            {"seed": "x"},
+            {"seed": 1.0},
         ],
     )
     def test_bad_config_is_a_package_error(self, overrides):
@@ -134,6 +137,7 @@ class TestConfig:
             {"algorithms": (10**5000,)},
             {"metric": 10**5000},
             {"policy": 10**5000},
+            {"seed": 10**5000},
         ],
     )
     def test_a_value_too_long_to_print_is_not_shown(self, overrides):
@@ -270,20 +274,16 @@ class TestRunBenchmark:
 
     @pytest.fixture
     def checked_calls(self, monkeypatch):
-        """Counts of the checked calls that the trusted bench path replaces:
-        graph construction (which build_graph makes) and set scoring."""
+        """Counts of the checked graph construction (which build_graph makes)
+        that the trusted bench path replaces."""
         calls = Counter()
-
-        def counting(name, fn):
-            def counted(*args):
-                calls[name] += 1
-                return fn(*args)
-            return counted
-
         init = graph.ConflictGraph.__init__
-        monkeypatch.setattr(graph.ConflictGraph, "__init__", counting("ConflictGraph", init))
-        scorer = bench.score_admitted_set
-        monkeypatch.setattr(bench, "score_admitted_set", counting("score_admitted_set", scorer))
+
+        def counted(*args):
+            calls["ConflictGraph"] += 1
+            return init(*args)
+
+        monkeypatch.setattr(graph.ConflictGraph, "__init__", counted)
         return calls
 
     def test_complete_rank_map_trusts_every_instance(self, checked_calls):
@@ -292,14 +292,18 @@ class TestRunBenchmark:
         # one checked graph of the run's norms, and none per instance
         assert checked_calls == {"ConflictGraph": 1}
 
-    def test_partial_rank_map_scores_each_set_with_checks(self, checked_calls):
+    @pytest.mark.parametrize("metric", [Metric.SCORE_SUM, Metric.SCORE_AVG])
+    @pytest.mark.parametrize("algorithms", [("resolve", "curtail"), ("random-drop", "preferred")])
+    def test_partial_rank_map_fails_before_any_instance(self, monkeypatch, metric, algorithms):
+        built = []
+        monkeypatch.setattr(graph.ConflictGraph, "_from_positions",
+                            classmethod(lambda cls, *args: built.append(args)))
         ranks = default_weak_ordering(16)
         del ranks["n15"]
-        policy = Policy(PolicyKind.LEX_POSTERIOR, ranks=ranks)
-        with pytest.raises(UnknownNormId, match="'n15'"):
-            run_benchmark(small_config(policy=policy, metric=Metric.SCORE_SUM,
-                                       conflict_range=(0, 0), algorithms=("preferred",)))
-        assert checked_calls == {"ConflictGraph": 1, "score_admitted_set": 1}
+        with pytest.raises(UnknownNormId, match="no rank to 'n15'"):
+            run_benchmark(small_config(policy=Policy.weak_order(ranks), metric=metric,
+                                       algorithms=algorithms))
+        assert built == []
 
     def test_different_seeds_differ(self):
         rows_a = run_benchmark(small_config(conflict_range=(40, 40), seed=1))

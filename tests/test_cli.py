@@ -220,6 +220,31 @@ class TestUsageErrors:
     def test_bad_algorithm_name(self, k2_file):
         assert main(["resolve", "--input", k2_file, "--policy", "max-class", "--algorithm", "nope"]) == 1
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--policy", "lex-posterior", "--rank-file", "RANKS"], "--rank-file"),
+            (["--policy", "max-class", "--rank-file", "RANKS"], "--rank-file"),
+            (["--policy", "lex-superior", "--rank-file", "MISSING"], "--rank-file"),
+            (["--policy", "lex-superior", "--prefer-recent"], "--prefer-recent"),
+            (["--policy", "lex-specialis", "--prefer-recent"], "--prefer-recent"),
+            (["--policy", "weak-order", "--rank-file", "RANKS", "--prefer-recent"], "--prefer-recent"),
+            (["--policy", "max-class", "--mode", "gross"], "--mode"),
+        ],
+    )
+    def test_a_flag_the_policy_does_not_read_is_usage_error(
+        self, k2_file, tmp_path, capsys, flags, named
+    ):
+        rank_file = tmp_path / "ranks.json"
+        rank_file.write_text('{"a": 1, "b": 2}')
+        out = tmp_path / "res.json"
+        argv = ["resolve", "--input", k2_file, "--output", str(out)]
+        files = {"RANKS": str(rank_file), "MISSING": str(tmp_path / "missing.json")}
+        argv += [files.get(flag, flag) for flag in flags]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {named}: ")
+        assert not out.exists()
+
 
 def test_readme_commands_parse():
     # every `normcolour ...` line of the README's console blocks, with its

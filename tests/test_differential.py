@@ -666,35 +666,6 @@ def test_bench_matches_the_reference(policy, metric):
         assert run_benchmark(cfg) == _ref_run_benchmark(cfg)
 
 
-# n8 is unranked: scoring raises once it reads n8's rank, as an admitted
-# norm or as a neighbour of one, and only then
-_PARTIAL_RANKS = Policy(PolicyKind.LEX_POSTERIOR, ranks={f"n{i}": 8 - i for i in range(8)})
-
-
-@pytest.mark.parametrize("metric", [Metric.SCORE_SUM, Metric.SCORE_AVG])
-@pytest.mark.parametrize(
-    "overrides, raises",
-    [
-        ({"conflict_range": (12, 13), "trials_per_point": 1, "algorithms": ("resolve",)}, False),
-        ({"conflict_range": (0, 36), "trials_per_point": 2, "algorithms": (*ALGORITHMS, *BASELINES)}, True),
-    ],
-)
-def test_bench_matches_the_reference_under_a_partial_rank_map(metric, overrides, raises):
-    cfg = BenchConfig(
-        policy=_PARTIAL_RANKS, metric=metric, n_norms=9, duplicate_directed_pairs=False, **overrides
-    )
-    try:
-        expected = _ref_run_benchmark(cfg)
-    except UnknownNormId as exc:
-        assert raises
-        with pytest.raises(UnknownNormId) as info:
-            run_benchmark(cfg)
-        assert type(info.value) is type(exc) and str(info.value) == str(exc)
-    else:
-        assert not raises
-        assert run_benchmark(cfg) == expected
-
-
 # -- reference: the checking norm-document parser --------------------------
 # Every norm through the checked Norm constructor and every pair through the
 # checking loop, as the parser and ConflictGraph did before their fast paths.

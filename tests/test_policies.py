@@ -227,6 +227,10 @@ class TestOrderingFromMetadata:
         ranks = ordering_from_metadata(g, PolicyKind.LEX_SUPERIOR)
         assert ranks["a"] > ranks["b"]
 
+    def test_prefer_recent_is_refused_for_lex_superior(self):
+        with pytest.raises(SchemaError, match="prefer_recent: a lex-superior policy"):
+            ordering_from_metadata(make_graph("ab"), PolicyKind.LEX_SUPERIOR, prefer_recent=True)
+
     def test_no_ordering_for_other_kinds(self):
         g = make_graph("ab")
         with pytest.raises(ValueError):
@@ -363,6 +367,17 @@ def test_weak_order_requires_ranks():
         Policy(PolicyKind.WEAK_ORDER)
 
 
+# the 11 policies of the 5 x 2 x 2 x 2 combinations of (kind, mode, ranked, prefer_recent)
+_ACCEPTED = {
+    *((PolicyKind.LEX_POSTERIOR, mode, False, recent) for mode in ScoreMode for recent in (False, True)),
+    *((PolicyKind.LEX_SUPERIOR, mode, False, False) for mode in ScoreMode),
+    *((PolicyKind.LEX_SPECIALIS, mode, False, False) for mode in ScoreMode),
+    *((PolicyKind.WEAK_ORDER, mode, True, False) for mode in ScoreMode),
+    (PolicyKind.MAX_CLASS, ScoreMode.NET, False, False),
+}
+assert len(_ACCEPTED) == 11
+
+
 class TestPolicyValidation:
     @pytest.mark.parametrize(
         "kind, mode", [(PolicyKind.LEX_SUPERIOR, "net"), ("lex-superior", ScoreMode.NET)]
@@ -391,6 +406,24 @@ class TestPolicyValidation:
         with pytest.raises(NormColourError) as info:
             Policy.weak_order({"a": "1"})
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("ranks", [[1, 2], [("a", 1)]], ids=["values", "pairs"])
+    def test_a_rank_map_must_be_a_mapping(self, ranks):
+        with pytest.raises(SchemaError, match="ranks: expected a mapping, not list"):
+            Policy.weak_order(ranks)
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    @pytest.mark.parametrize("mode", list(ScoreMode))
+    @pytest.mark.parametrize("ranked", [False, True])
+    @pytest.mark.parametrize("recent", [False, True])
+    def test_each_field_is_taken_only_by_the_kinds_that_read_it(self, kind, mode, ranked, recent):
+        ranks = {"a": 1} if ranked else None
+        if (kind, mode, ranked, recent) in _ACCEPTED:
+            assert Policy(kind, mode, ranks, recent).ranks == ranks
+        else:
+            with pytest.raises(SchemaError):
+                Policy(kind, mode, ranks, recent)
+
 
     @pytest.mark.parametrize(
         "policy", [Policy.lex_specialis(), Policy.weak_order({"v1": 1, "v2": 2, "v3": 3, "zz": 0})]
