@@ -39,7 +39,7 @@ from .colouring import Colouring
 from .errors import EmptyInput, SchemaError, TooManyConflicts
 from .graph import ConflictGraph, Norm, NormId, _require_int, _shown
 from .oracle import max_cardinality_admissible, random_drop
-from .policies import Policy, WeakOrdering, _norm_score, _ranks
+from .policies import Policy, WeakOrdering, _norm_score, _ranks, _require_heuristic
 from .resolution import ALGORITHMS, Resolution, _admit, _prepare
 
 # preferred is a maximum-cardinality stable extension (oracle.max_cardinality_admissible)
@@ -66,8 +66,7 @@ class BenchConfig:
     algorithms: tuple[str, ...] = ("resolve",)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.policy, Policy) and not callable(self.policy):
-            raise SchemaError(f"policy must be a Policy or a callable, not {_shown(self.policy)}")
+        _require_heuristic(self.policy)
         if not isinstance(self.metric, Metric):
             raise SchemaError(f"metric must be a Metric, not {_shown(self.metric)}")
         if _require_int(self.n_norms, "n_norms") < 1:
@@ -78,6 +77,7 @@ class BenchConfig:
         lo, hi = (_require_int(x, f"conflict_range[{k}]") for k, x in enumerate(pair))
         if not 0 <= lo <= hi:
             raise SchemaError(f"bad conflict_range {_shown(pair)}")
+        object.__setattr__(self, "conflict_range", (lo, hi))  # a list would leave it unhashable
         trials = self.trials_per_point
         if _require_int(trials, "trials_per_point") < 1:
             raise SchemaError(f"trials_per_point must be at least 1, got {_shown(trials)}")
@@ -98,6 +98,9 @@ class BenchConfig:
         unknown = [a for a in names if a not in ALGORITHMS and a not in BASELINES]
         if unknown:
             raise SchemaError(f"unknown algorithms: {unknown}")
+        for k, a in enumerate(names):
+            if a in names[:k]:  # its rows would be written twice
+                raise SchemaError(f"algorithms: {a!r} is listed twice")
 
 
 @dataclass(frozen=True)

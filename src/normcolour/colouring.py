@@ -22,9 +22,10 @@ Rodríguez-Losada and Jiménez 2011): its lowest clear bit is the colour to
 take, its popcount the saturation degree. Only the assignment goes back to
 norm ids; ``_by_position`` is the one way back from a colouring to positions.
 
-The public ``Colouring`` constructor checks every colour; the trusted
-``Colouring._trusted`` skips that for the colourings the package builds
-itself, DSATUR's and each algorithm's final one, valid by construction.
+The public ``Colouring`` constructor checks that it is given a mapping
+and every colour in it; the trusted ``Colouring._trusted`` skips that for
+the colourings the package builds itself, DSATUR's and each algorithm's
+final one, valid by construction.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import IncompleteColouring, UnknownColour
+from .errors import IncompleteColouring, SchemaError, UnknownColour
 from .graph import ConflictGraph, NormId, _require_int, _shown
 
 
@@ -47,8 +48,11 @@ class Colouring:
     num_colours: int
 
     def __post_init__(self) -> None:
+        assignment = self.assignment
+        if not isinstance(assignment, Mapping):
+            raise SchemaError(f"assignment: expected a mapping, not {type(assignment).__name__}")
         _require_int(self.num_colours, "num_colours")
-        for v, c in self.assignment.items():
+        for v, c in assignment.items():
             if type(c) is not int:  # skips only the call: _require_int passes every int
                 _require_int(c, f"colour of {_shown(v)}")
             if not 0 <= c < self.num_colours:

@@ -17,13 +17,13 @@ pairs and ids; this module checks the JSON around them. Every failure names
 its position or path: ``norms[3].declared_at: expected an integer``,
 ``conflicts[2]: unknown norm id 'x'``, ``norms[1]: duplicate norm id 'a'``.
 
-Reading and writing take a fast path and fall back to the checked code on
-any surprise, so outputs and errors are the checked code's. A norm object
-whose fields have exactly the JSON types a norm needs (ints, not bools) is
-built by ``Norm._trusted``; any other item goes through the checked
-constructor. ``build_graph`` does the same for the pairs. A resolution is
-written as text directly, quoting strings with ``json.dumps``'s own C
-function; a hand-built one holding any other value goes to ``json.dumps``.
+Reading takes a fast path and falls back to the checked code on any
+surprise: a norm object whose fields have exactly the JSON types a norm
+needs (ints, not bools) is built by ``Norm._trusted``, any other by the
+checked constructor; ``build_graph`` does the same for the pairs. A
+resolution is written directly in ``json.dumps``'s layout and quoting. The
+reader's checks are the one statement of its schema: the writer refuses
+what the reader would refuse, with the reader's error.
 """
 from __future__ import annotations
 
@@ -120,19 +120,11 @@ def parse_rank_map(text: str) -> dict[NormId, int]:
 
 
 def write_norm_document(g: ConflictGraph) -> str:
-    """Serialise a graph; default-valued norm fields are omitted."""
+    """Serialise a graph; default-valued (falsy) norm fields are omitted."""
     norms = []
-    for norm in g.norms:
-        item: dict[str, object] = {"id": norm.id}
-        if norm.label:
-            item["label"] = norm.label
-        if norm.declared_at:
-            item["declared_at"] = norm.declared_at
-        if norm.authority_rank:
-            item["authority_rank"] = norm.authority_rank
-        if norm.antecedents:
-            item["antecedents"] = sorted(norm.antecedents)
-        norms.append(item)
+    for norm in g.norms:  # vars() holds the fields in their declared order
+        fields = vars(norm) | {"antecedents": sorted(norm.antecedents)}
+        norms.append({k: v for k, v in fields.items() if v})  # an id is never empty
     doc = {"norms": norms, "conflicts": [list(edge) for edge in g.edges]}
     return json.dumps(doc, indent=2) + "\n"
 
@@ -148,48 +140,54 @@ class ResolutionDocument:
 
 
 def write_resolution(r: Resolution) -> str:
-    """The resolution as JSON, laid out as ``json.dumps(doc, indent=2)``."""
-    try:
-        return _resolution_text(r)
-    except TypeError:  # a value that json.dumps renders in its own way
-        doc = {
-            "algorithm": r.algorithm,
-            "policy": r.policy,
-            "colours_used": r.colouring.num_colours,
-            "entries": [
-                {"norm": e.norm, "curtailed_wrt": list(e.curtailed_wrt)} for e in r.entries
-            ],
-        }
-        return json.dumps(doc, indent=2) + "\n"
-
-
-def _resolution_text(r: Resolution) -> str:
-    """write_resolution's text, built directly. Raises TypeError, having
-    consumed nothing, for any value but a str id or label, an int count and
-    tuples of entries and curtailments."""
-    algorithm, policy = r.algorithm, r.policy
-    colours_used, entries = r.colouring.num_colours, r.entries
-    if type(colours_used) is not int or type(entries) is not tuple:
-        raise TypeError
+    """The resolution as JSON, laid out as ``json.dumps(doc, indent=2)``.
+    Entries and curtailments may be any iterables, each read once; a value
+    the reader would refuse raises the reader's SchemaError (``_refusal``)."""
     q = encode_basestring_ascii  # json.dumps's quoting; TypeError for anything but a str
-    blocks = []
-    for e in entries:
-        wrt = e.curtailed_wrt
-        if type(wrt) is not tuple:
-            raise TypeError
-        listed = "[\n        " + ",\n        ".join(map(q, wrt)) + "\n      ]" if wrt else "[]"
-        blocks.append(
-            f'    {{\n      "norm": {q(e.norm)},\n      "curtailed_wrt": {listed}\n    }}'
+    items, wrts, blocks = None, [], []  # wrts: each entry's curtailments, once read
+    try:
+        items = tuple(r.entries)
+        for e in items:
+            wrts.append(wrt := tuple(e.curtailed_wrt))
+            listed = "[\n        " + ",\n        ".join(map(q, wrt)) + "\n      ]" if wrt else "[]"
+            blocks.append(
+                f'    {{\n      "norm": {q(e.norm)},\n      "curtailed_wrt": {listed}\n    }}'
+            )
+        listed = "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
+        # int.__repr__, as json.dumps writes an int subclass; it writes a bool as true or false
+        count = int.__repr__(_require_int(r.colouring.num_colours, "colours_used"))
+        return (
+            f'{{\n  "algorithm": {q(r.algorithm)},\n  "policy": {q(r.policy)},\n'
+            f'  "colours_used": {count},\n  "entries": {listed}\n}}\n'
         )
-    listed = "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
-    return (
-        f'{{\n  "algorithm": {q(algorithm)},\n  "policy": {q(policy)},\n'
-        f'  "colours_used": {colours_used},\n  "entries": {listed}\n}}\n'
+    except (TypeError, AttributeError, ValueError):
+        raise _refusal(r, items, wrts) from None
+
+
+def _refusal(r: Resolution, items: tuple | None, wrts: list[tuple]) -> SchemaError:
+    """The reader's error for the document json.dumps would be given, where
+    what has no JSON form (entries or curtailments not iterable, an entry
+    without a norm) is null; else its own, for a count too long to print.
+    Reads what the writer read and the entry after, which hold the first bad value."""
+    entries = None if items is None else [
+        {"norm": e.norm, "curtailed_wrt": list(wrts[i]) if i < len(wrts) else None}
+        if hasattr(e, "norm") else None
+        for i, e in enumerate(items[:len(wrts) + 1])
+    ]
+    count = r.colouring.num_colours
+    _resolution_document(
+        dict(algorithm=r.algorithm, policy=r.policy, colours_used=count, entries=entries)
     )
+    return SchemaError(f"colours_used: an integer of over {sys.get_int_max_str_digits()} digits")
 
 
 def read_resolution(text: str) -> ResolutionDocument:
-    doc = _loads(text)
+    """Parse a resolution document; a SchemaError names the first bad value."""
+    return _resolution_document(_loads(text))
+
+
+def _resolution_document(doc: object) -> ResolutionDocument:
+    """The schema of a resolution document, checked on a parsed one."""
     if not isinstance(doc, dict):
         raise SchemaError("top level: expected an object")
     raw_entries = doc.get("entries")

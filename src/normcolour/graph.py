@@ -14,7 +14,9 @@ different norms' ids; an error names its input as a document path
 (``conflicts[3]: unknown norm id 'x'``, ``conflicts[0][1]: expected a
 string``, ``norms[2]: duplicate norm id``).
 
-The public constructor and ``build_graph`` check every norm and pair. A
+The public constructor and ``build_graph`` check every norm and pair: each
+item of the norm list must be a ``Norm`` (``norms[2]: expected a Norm``),
+which checked its own fields, and both arguments must be iterable. A
 fast loop takes pairs that are exactly a list or tuple of two ``str`` ids
 of different norms; at the first other pair, the checking loop reruns over
 all pairs on fresh sets, so it names the first bad pair and accepts what it
@@ -100,6 +102,15 @@ class Norm:
         return norm
 
 
+def _read_all(items: Iterable, where: str, what: str) -> tuple:
+    """tuple(items), or SchemaError naming where when items is not iterable."""
+    try:
+        return tuple(items)
+    except TypeError:
+        message = f"{where}: expected an iterable of {what}, not {_shown(items)}"
+        raise SchemaError(message) from None
+
+
 def _checked_adjacency(index: dict[NormId, int], pairs: Sequence[object]) -> list[set[int]]:
     """Each norm's neighbours by position, given each norm's position by
     id, checking every pair; raises for the first bad pair, naming it
@@ -131,17 +142,21 @@ class ConflictGraph:
 
     __slots__ = ("norms", "ids", "_index", "_adj")
 
-    def __init__(self, norms: Sequence[Norm], conflicts: Iterable[tuple[NormId, NormId]]):
-        self.norms: tuple[Norm, ...] = tuple(norms)
-        self.ids: tuple[NormId, ...] = tuple(norm.id for norm in self.norms)
+    def __init__(self, norms: Iterable[Norm], conflicts: Iterable[tuple[NormId, NormId]]):
+        self.norms: tuple[Norm, ...] = _read_all(norms, "norms", "Norms")
         index: dict[NormId, int] = {}
-        for pos, v in enumerate(self.ids):
-            if index.setdefault(v, pos) != pos:
-                raise DuplicateNormId(f"norms[{pos}]: duplicate norm id {v!r}")
+        for pos, norm in enumerate(self.norms):
+            if not isinstance(norm, Norm):
+                raise SchemaError(f"norms[{pos}]: expected a Norm")
+            if index.setdefault(norm.id, pos) != pos:
+                raise DuplicateNormId(f"norms[{pos}]: duplicate norm id {norm.id!r}")
+        self.ids: tuple[NormId, ...] = tuple(index)  # ids are unique, so in norm order
         self._index = index
 
         # a one-shot iterable is read once: the checking loop may need it again
-        pairs = conflicts if type(conflicts) in (list, tuple) else list(conflicts)
+        pairs = conflicts if type(conflicts) in (list, tuple) else _read_all(
+            conflicts, "conflicts", "pairs of norm ids"
+        )
         adj: list[set[int]] = [set() for _ in self.ids]
         try:
             for pair in pairs:
@@ -220,11 +235,11 @@ class ConflictGraph:
 
 
 def build_graph(
-    norms: Sequence[Norm], conflicts: Iterable[tuple[NormId, NormId]]
+    norms: Iterable[Norm], conflicts: Iterable[tuple[NormId, NormId]]
 ) -> ConflictGraph:
     """Build a conflict graph, collapsing duplicated/reversed conflict pairs.
 
     Raises DuplicateNormId, UnknownNormId, SelfConflict or SchemaError on
-    malformed input, naming its index (see the module docstring).
+    malformed input, naming its index or argument (see the module docstring).
     """
     return ConflictGraph(norms, conflicts)

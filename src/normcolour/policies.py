@@ -21,7 +21,8 @@ takes a rank map with weak-order only (which requires one),
 max-class; it raises SchemaError for any other combination. Any callable
 ``(graph, colouring, colour) -> float`` can stand in for a policy wherever
 one is accepted and is called once per class, so bespoke heuristics (trust
-models, etc.) plug in without touching this module.
+models, etc.) plug in without touching this module; anything else raises
+SchemaError.
 """
 from __future__ import annotations
 
@@ -120,6 +121,12 @@ class Policy:
 Heuristic = Union[Policy, Callable[[ConflictGraph, Colouring, int], float]]
 
 
+def _require_heuristic(policy: object) -> None:
+    """Raise SchemaError unless policy is a Policy or a callable."""
+    if not isinstance(policy, Policy) and not callable(policy):
+        raise SchemaError(f"policy must be a Policy or a callable, not {_shown(policy)}")
+
+
 class _Specific(frozenset):
     __lt__ = frozenset.__gt__  # reverse strict inclusion: the subset ranks higher
 
@@ -168,7 +175,8 @@ def _class_scores(
 ) -> dict[int, float]:
     """Scores of the given classes of phi: each norm is scored once and the
     scores summed by class. Raises IncompleteColouring naming the first
-    uncoloured norm in insertion order, InvalidScore when a callable gives a
+    uncoloured norm in insertion order, SchemaError for a policy that is
+    neither a Policy nor callable, InvalidScore when a callable gives a
     class a non-number, a number too large for a float or a NaN, which no
     ranking orders."""
     if isinstance(policy, Policy):
@@ -179,6 +187,7 @@ def _class_scores(
         for i, c in enumerate(_by_position(g, phi)):
             totals[c] += 1 if count else _norm_score(g, key, i, net)
         return {c: float(totals[c]) for c in colours}
+    _require_heuristic(policy)
     scores: dict[int, float] = {}
     for c in colours:
         score = policy(g, phi, c)
@@ -200,16 +209,18 @@ def policy_label(policy: Heuristic) -> str:
         if policy.kind is PolicyKind.MAX_CLASS:
             return policy.kind.value
         return f"{policy.kind.value}:{policy.mode.value}"
-    return getattr(policy, "__name__", "custom")
+    name = getattr(policy, "__name__", None)
+    return name if isinstance(name, str) else "custom"
 
 
 def score_colour(g: ConflictGraph, phi: Colouring, c: int, policy: Heuristic) -> float:
     """Evaluate colour class c of phi under the given policy.
 
     A built-in policy scores every norm on each call, O(n + m); rank_colours
-    scores all classes at once. Raises SchemaError when c is not an integer,
-    UnknownColour when it is outside phi's colour range, IncompleteColouring
-    when phi leaves a norm of g uncoloured, InvalidScore for a non-number or NaN.
+    scores all classes at once. Raises SchemaError when c is not an integer
+    or policy is neither a Policy nor callable, UnknownColour when c is
+    outside phi's colour range, IncompleteColouring when phi leaves a norm
+    of g uncoloured, InvalidScore for a non-number or NaN.
     """
     if not 0 <= _require_int(c, "colour") < phi.num_colours:
         raise UnknownColour(f"colour {_shown(c)} not in 0..{_shown(phi.num_colours - 1)}")
@@ -220,8 +231,8 @@ def rank_colours(g: ConflictGraph, phi: Colouring, policy: Heuristic) -> list[in
     """All colour ids, best score first; ties go to the lower colour id.
 
     Raises UnknownNormId for a norm a weak order leaves unranked,
-    IncompleteColouring for a norm phi leaves uncoloured, InvalidScore for a
-    non-number or NaN.
+    IncompleteColouring for a norm phi leaves uncoloured, SchemaError for a
+    policy neither a Policy nor callable, InvalidScore for a non-number or NaN.
     """
     scores = _class_scores(g, phi, policy, range(phi.num_colours))
     return sorted(scores, key=lambda c: (-scores[c], c))

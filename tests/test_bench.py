@@ -107,6 +107,7 @@ class TestConfig:
             {"algorithms": ("resolve", "quantum")},
             {"algorithms": "resolve"},
             {"algorithms": ["resolve"]},
+            {"algorithms": ("resolve", "preferred", "resolve")},
             {"metric": "admitted-count"},
             {"conflict_range": (1, 2, 3)},
             {"conflict_range": [1]},
@@ -145,6 +146,18 @@ class TestConfig:
         with pytest.raises(NormColourError, match=next(iter(overrides))) as info:
             BenchConfig(**fields)
         assert "<too long to print>" in str(info.value)
+
+    def test_a_conflict_range_list_is_stored_as_a_tuple(self):
+        fields = {"policy": Policy.max_class(), "metric": Metric.ADMITTED_COUNT}
+        listed = BenchConfig(**fields, conflict_range=[1, 5])
+        assert listed.conflict_range == (1, 5)
+        assert listed == BenchConfig(**fields, conflict_range=(1, 5))
+        assert hash(listed) == hash(BenchConfig(**fields, conflict_range=(1, 5)))
+
+    def test_a_repeated_algorithm_is_named(self):
+        with pytest.raises(SchemaError, match="^algorithms: 'resolve' is listed twice"):
+            BenchConfig(Policy.max_class(), Metric.ADMITTED_COUNT,
+                        algorithms=("resolve", "preferred", "resolve"))
 
     def test_unknown_preset_is_a_package_error(self):
         with pytest.raises(NormColourError, match="mystery"):

@@ -184,6 +184,24 @@ class TestCheckCommand:
         assert proc.stderr == "error: unknown norm id 'p'\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resolve", "--policy", "max-class", "--output"],
+        ["bench", "--preset", "score-sum", "--trials", "1", "--out"],
+    ],
+    ids=["resolve", "bench"],
+)
+def test_an_unwritable_output_is_input_error(argv, six_norms_file, tmp_path, capsys):
+    path = tmp_path / "missing-directory" / "out"
+    if argv[0] == "resolve":
+        argv = [*argv[:1], "--input", six_norms_file, *argv[1:]]
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert not path.parent.exists()
+
+
 class TestBenchCommand:
     def test_small_preset_run(self, tmp_path):
         out = tmp_path / "rows.csv"

@@ -133,6 +133,11 @@ class TestValidity:
         with pytest.raises(SchemaError):
             Colouring(assignment, num_colours)
 
+    @pytest.mark.parametrize("assignment", [[("a", 0)], "ab", None])
+    def test_an_assignment_must_be_a_mapping(self, assignment):
+        with pytest.raises(SchemaError, match="^assignment: expected a mapping"):
+            Colouring(assignment, 1)
+
     @pytest.mark.parametrize("colour", [0.5, True, "0"])
     def test_scored_colour_must_be_an_integer(self, colour):
         g = make_graph("ab", [("a", "b")])

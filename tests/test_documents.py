@@ -2,6 +2,8 @@ import dataclasses
 import json
 import pickle
 import re
+from enum import IntEnum
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from normcolour import (
     SelfConflict,
     UnknownNormId,
     colour_curtail,
+    build_graph,
     colour_resolve,
 )
 from normcolour.documents import (
@@ -82,6 +85,7 @@ class TestParseNormDocument:
             ('{"norms":[{"id":"a"}],"conflicts":["a,b"]}', "conflicts[0]"),
             ('{"norms":[{"id":5}]}', "norms[0].id"),
             ('{"norms":[{"id":"a","antecedents":{"p":1}}]}', "norms[0].antecedents"),
+            ('{"norms":[{"id":"a"}],"conflicts":{"a":"b"}}', "conflicts: expected a list"),
         ],
     )
     def test_schema_errors_carry_path_context(self, text, fragment):
@@ -146,6 +150,19 @@ class TestGraphRoundTrip:
         )
         assert parse_norm_document(write_norm_document(g)) == g
 
+    def test_written_norm_keeps_its_field_order(self):
+        g = build_graph([Norm("a", "no \"disclosure\"", 3, 1, ["q", "p"]), Norm("b", "x")], [])
+        text = write_norm_document(g)
+        assert json.loads(text)["norms"] == [
+            {"id": "a", "label": 'no "disclosure"', "declared_at": 3,
+             "authority_rank": 1, "antecedents": ["p", "q"]},
+            {"id": "b", "label": "x"},
+        ]
+        assert list(json.loads(text)["norms"][0]) == [
+            "id", "label", "declared_at", "authority_rank", "antecedents"
+        ]
+        assert parse_norm_document(text) == g
+
     def test_six_norm_round_trip(self):
         g = parse_norm_document(data_text("six_norms.json"))
         assert parse_norm_document(write_norm_document(g)) == g
@@ -188,11 +205,23 @@ class TestResolutionDocuments:
         # a second write/read cycle is a fixed point
         assert read_resolution(write_resolution(res)) == parsed
 
-    def test_read_rejects_bad_shapes(self):
-        with pytest.raises(SchemaError):
-            read_resolution("[]")
-        with pytest.raises(SchemaError):
-            read_resolution('{"entries": [{"curtailed_wrt": []}]}')
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "top level: expected an object"),
+            ('{"entries": {}}', "entries: expected a list"),
+            ('{"entries": [{"curtailed_wrt": []}]}', "entries[0]: expected an object with a"),
+            ('{"entries": [{"norm": "a", "curtailed_wrt": "b"}]}', "entries[0].curtailed_wrt:"),
+            ('{"entries": [{"norm": "a", "curtailed_wrt": [1]}]}', "entries[0].curtailed_wrt[0]:"),
+            ('{"entries": [{"norm": "a"}, {"norm": 2}]}', "entries[1].norm: expected a string"),
+            ('{"entries": [], "policy": 1}', "policy: expected a string"),
+        ],
+    )
+    def test_read_rejects_bad_shapes(self, text, message):
+        with pytest.raises(SchemaError, match="^" + re.escape(message)):
+            read_resolution(text)
+
+    def test_read_rejects_bad_json(self):
         with pytest.raises(DocumentSyntaxError):
             read_resolution("{")
 
@@ -216,6 +245,22 @@ _AWKWARD = st.sampled_from(
     ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "\U0001f600", "\u2028", "\u2029"]
 )
 _strings = st.text(_AWKWARD | st.characters(), max_size=6)
+
+
+class _Count(IntEnum):
+    TWO = 2
+
+
+class _NamedFive:
+    """A heuristic whose __name__ is not a str: it is labelled custom."""
+
+    __name__ = 5
+
+    def __call__(self, g, phi, c):
+        return float(c)
+
+
+_named_five = _NamedFive()
 
 
 class TestWriterIdentity:
@@ -243,6 +288,22 @@ class TestWriterIdentity:
             assert write_resolution(r) == json_rendering(r)
 
     @pytest.mark.parametrize(
+        "colours, entries",
+        [
+            (1, lambda: [CurtailedNorm("a", ["b"])]),
+            (1, lambda: (CurtailedNorm("a", iter(["b", "c"])),)),
+            (1, lambda: (CurtailedNorm("a", iter([])),)),
+            (1, lambda: iter([CurtailedNorm("a")])),
+            (_Count.TWO, tuple),
+        ],
+    )
+    def test_a_hand_built_resolution_keeps_its_json_rendering(self, colours, entries):
+        def r():
+            return Resolution("resolve", "max-class", entries(), Colouring._trusted({}, colours), ())
+
+        assert write_resolution(r()) == json_rendering(r())
+
+    @pytest.mark.parametrize(
         "algorithm, policy, colours, entries",
         [
             ("resolve", "max-class", 1, lambda: (CurtailedNorm(5, ()),)),
@@ -251,16 +312,50 @@ class TestWriterIdentity:
             ("resolve", None, 1, tuple),
             ("resolve", "max-class", True, tuple),
             ("resolve", "max-class", 2.5, tuple),
-            ("resolve", "max-class", 1, lambda: [CurtailedNorm("a", ["b"])]),
-            ("resolve", "max-class", 1, lambda: (CurtailedNorm("a", iter(["b", "c"])),)),
-            ("resolve", "max-class", 1, lambda: (CurtailedNorm("a", iter([])),)),
-            ("resolve", "max-class", 1, lambda: iter([CurtailedNorm("a")])),
+            ("resolve", "max-class", 1, lambda: (CurtailedNorm("a", iter(["b", 5])),)),
+            ("resolve", "max-class", 1, lambda: iter([CurtailedNorm("a"), CurtailedNorm(5)])),
+            # the reader's order: entries first, then algorithm, policy, colours_used
+            (3, None, 2.5, lambda: (CurtailedNorm("a"), CurtailedNorm("b", ("a", 7)))),
+            (3, None, 2.5, tuple),
+            ("resolve", None, 2.5, tuple),
         ],
     )
-    def test_a_hand_built_resolution_keeps_its_json_rendering(
+    def test_a_hand_built_resolution_is_refused_as_the_reader_refuses_it(
         self, algorithm, policy, colours, entries
     ):
         def r():
             return Resolution(algorithm, policy, entries(), Colouring._trusted({}, colours), ())
 
-        assert write_resolution(r()) == json_rendering(r())
+        with pytest.raises(SchemaError) as read:
+            read_resolution(json_rendering(r()))
+        with pytest.raises(SchemaError) as written:
+            write_resolution(r())
+        assert type(written.value) is type(read.value)
+        assert str(written.value) == str(read.value)
+
+    @pytest.mark.parametrize(
+        "entries, colours, message",
+        [
+            (None, 1, "entries: expected a list"),
+            (("a",), 1, "entries[0]: expected an object with a 'norm' field"),
+            ((SimpleNamespace(curtailed_wrt=()),), 1, "entries[0]: expected an object"),
+            ((CurtailedNorm("a", None),), 1, "entries[0].curtailed_wrt: expected a list"),
+            ((SimpleNamespace(norm="a"),), 1, "entries[0].curtailed_wrt: expected a list"),
+            # the first bad value, even before an entry with no JSON form
+            ((CurtailedNorm(5), "b"), 1, "entries[0].norm: expected a string"),
+            pytest.param((), 10**5000, "colours_used: an integer of over", id="5000-digits"),
+        ],
+    )
+    def test_a_resolution_with_no_json_form_is_refused(self, entries, colours, message):
+        r = Resolution("resolve", "max-class", entries, Colouring._trusted({}, colours), ())
+        with pytest.raises(SchemaError, match="^" + re.escape(message)):
+            write_resolution(r)
+
+    def test_every_resolution_the_package_builds_reads_back(self, six_norm_graph):
+        for algorithm in ALGORITHMS.values():
+            for policy in (Policy.lex_posterior(), Policy.max_class(), _named_five):
+                r = algorithm(six_norm_graph, policy)
+                assert read_resolution(write_resolution(r)) == ResolutionDocument(
+                    r.algorithm, r.policy, r.colouring.num_colours, r.entries
+                )
+

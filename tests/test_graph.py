@@ -1,4 +1,6 @@
+import re
 from collections import namedtuple
+from types import SimpleNamespace
 
 import pytest
 
@@ -73,6 +75,25 @@ class TestBuildGraph:
         assert g.edges == (("a", "b"), ("b", "c"))
         g = build_graph([Norm("a"), Norm("b")], iter([Pair("a", "b"), ["b", Id("a")]]))
         assert g.edges == (("a", "b"),)
+
+
+    @pytest.mark.parametrize(
+        "norms, conflicts, message",
+        [
+            (["a", "b"], [], "norms[0]: expected a Norm"),
+            ([Norm("a"), SimpleNamespace(id=5)], [], "norms[1]: expected a Norm"),
+            (None, [], "norms: expected an iterable of Norms, not None"),
+            ([Norm("a")], None, "conflicts: expected an iterable of pairs of norm ids, not None"),
+            ([Norm("a")], 5, "conflicts: expected an iterable"),
+        ],
+    )
+    def test_norms_must_be_norms_and_both_arguments_iterable(self, norms, conflicts, message):
+        with pytest.raises(SchemaError, match="^" + re.escape(message)):
+            build_graph(norms, conflicts)
+
+    def test_a_norm_generator_is_read_once(self):
+        g = build_graph((Norm(v) for v in "ab"), iter([("a", "b")]))
+        assert g.ids == ("a", "b") and g.edges == (("a", "b"),)
 
 
 class TestNormSchema:
@@ -153,6 +174,13 @@ def test_vertex_iteration_follows_insertion_order():
     g = make_graph(["z", "m", "a"])
     assert g.ids == ("z", "m", "a")
     assert list(g) == ["z", "m", "a"]
+
+
+def test_a_graph_is_unequal_to_a_non_graph():
+    g = make_graph("ab", [("a", "b")])
+    assert g.__eq__(g.edges) is NotImplemented
+    assert g != g.edges and g != "ab"
+    assert g == make_graph("ab", [("b", "a")])
 
 
 def test_ids_are_computed_once():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from normcolour import (
+    ALGORITHMS,
     IncompleteColouring,
     InvalidScore,
     NormColourError,
@@ -24,7 +25,7 @@ from normcolour import (
     score_admitted_set,
     score_colour,
 )
-from normcolour.bench import preset_config
+from normcolour.bench import BenchConfig, Metric, preset_config
 from normcolour.colouring import Colouring
 
 from .conftest import complete_graph, make_graph
@@ -159,6 +160,23 @@ class TestScoreColour:
             rank_colours(g, phi, lambda graph, colouring, colour: bad)
         with pytest.raises(InvalidScore, match="colour 1"):
             score_colour(g, phi, 1, lambda graph, colouring, colour: bad)
+
+    @pytest.mark.parametrize("policy", [None, "x", 3])
+    @pytest.mark.parametrize("ids", ["abc", ""], ids=["path", "empty"])
+    def test_a_policy_neither_a_policy_nor_callable_is_rejected(self, policy, ids):
+        g = make_graph(ids, [("a", "b"), ("b", "c")] if ids else [])
+        phi = dsatur(g)
+        message = "^policy must be a Policy or a callable"
+        for algorithm in ALGORITHMS.values():
+            with pytest.raises(SchemaError, match=message):
+                algorithm(g, policy)
+        with pytest.raises(SchemaError, match=message):
+            rank_colours(g, phi, policy)
+        if ids:
+            with pytest.raises(SchemaError, match=message):
+                score_colour(g, phi, 0, policy)
+        with pytest.raises(SchemaError, match=message):
+            BenchConfig(policy, Metric.ADMITTED_COUNT)
 
     @pytest.mark.parametrize("policy", [Policy.max_class(), Policy.lex_posterior()])
     def test_uncoloured_norm_is_rejected(self, policy):
@@ -453,3 +471,12 @@ def test_policy_labels():
         return 0.0
 
     assert policy_label(my_heuristic) == "my_heuristic"
+
+    class Unnamed:
+        def __call__(self, g, phi, c):
+            return 0.0
+
+    named_five = Unnamed()
+    named_five.__name__ = 5
+    assert policy_label(Unnamed()) == "custom"
+    assert policy_label(named_five) == "custom"
