@@ -22,10 +22,10 @@ Rodríguez-Losada and Jiménez 2011): its lowest clear bit is the colour to
 take, its popcount the saturation degree. Only the assignment goes back to
 norm ids; ``_by_position`` is the one way back from a colouring to positions.
 
-The public ``Colouring`` constructor checks that it is given a mapping
-and every colour in it; the trusted ``Colouring._trusted`` skips that for
-the colourings the package builds itself, DSATUR's and each algorithm's
-final one, valid by construction.
+The public ``Colouring`` constructor checks that it is given a mapping, a
+count that is not negative and every colour in it; the trusted
+``Colouring._trusted`` skips that for the colourings the package builds
+itself, DSATUR's and each algorithm's final one, valid by construction.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import IncompleteColouring, SchemaError, UnknownColour
-from .graph import ConflictGraph, NormId, _require_int, _shown
+from .graph import ConflictGraph, NormId, _require_count, _require_int, _shown
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class Colouring:
         assignment = self.assignment
         if not isinstance(assignment, Mapping):
             raise SchemaError(f"assignment: expected a mapping, not {type(assignment).__name__}")
-        _require_int(self.num_colours, "num_colours")
+        _require_count(self.num_colours, "num_colours")
         for v, c in assignment.items():
             if type(c) is not int:  # skips only the call: _require_int passes every int
                 _require_int(c, f"colour of {_shown(v)}")

@@ -24,17 +24,47 @@ checked constructor; ``build_graph`` does the same for the pairs. A
 resolution is written directly in ``json.dumps``'s layout and quoting. The
 reader's checks are the one statement of its schema: the writer refuses
 what the reader would refuse, with the reader's error.
+
+``parse_norm_document`` runs with Python's cyclic garbage collector paused
+(``_collector_paused``). While a 3,000-norm document is read, the
+``json.loads`` result (some 21,000 lists and dicts) is alive through norm
+and graph building, and each collection of the oldest generation walks all
+of it: about a tenth of a ``resolve`` run went to such collections. Nothing
+the parser builds holds a reference cycle, so reference counting still
+frees all of it. The switch is process-wide: a thread that turns the
+collector on or off while another thread parses a document may find its
+setting restored when the parse ends. ``read_resolution`` is not paused:
+no measured workload reads a large resolution document.
 """
 from __future__ import annotations
 
+import gc
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import Iterator
 
 from .errors import DocumentSyntaxError, SchemaError
-from .graph import ConflictGraph, Norm, NormId, _require_int, build_graph
+from .graph import ConflictGraph, Norm, NormId, _require_count, _require_int, build_graph
 from .resolution import CurtailedNorm, Resolution
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, turning it back on afterwards
+    only if it was on when the block began (see the module docstring).
+    Used as a decorator, so the parser's frame, which holds the parsed
+    JSON, is gone before the collector resumes and its first collection
+    sees only what the parser returns."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _loads(text: str) -> object:
@@ -74,6 +104,7 @@ def _parse_norm(item: object, i: int) -> Norm:
         raise SchemaError(f"norms[{i}].{exc}") from None
 
 
+@_collector_paused()
 def parse_norm_document(text: str) -> ConflictGraph:
     """Parse a norm document into a conflict graph.
 
@@ -155,7 +186,7 @@ def write_resolution(r: Resolution) -> str:
             )
         listed = "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
         # int.__repr__, as json.dumps writes an int subclass; it writes a bool as true or false
-        count = int.__repr__(_require_int(r.colouring.num_colours, "colours_used"))
+        count = int.__repr__(_require_count(r.colouring.num_colours, "colours_used"))
         return (
             f'{{\n  "algorithm": {q(r.algorithm)},\n  "policy": {q(r.policy)},\n'
             f'  "colours_used": {count},\n  "entries": {listed}\n}}\n'
@@ -208,6 +239,6 @@ def _resolution_document(doc: object) -> ResolutionDocument:
     return ResolutionDocument(
         algorithm=_require_str(doc.get("algorithm", ""), "algorithm"),
         policy=_require_str(doc.get("policy", ""), "policy"),
-        colours_used=_require_int(doc.get("colours_used", 0), "colours_used"),
+        colours_used=_require_count(doc.get("colours_used", 0), "colours_used"),
         entries=tuple(entries),
     )

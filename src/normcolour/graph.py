@@ -42,6 +42,13 @@ def _require_int(value: object, where: str) -> int:
     return value
 
 
+def _require_count(value: object, where: str) -> int:
+    """_require_int for a count, which must also not be negative."""
+    if _require_int(value, where) < 0:
+        raise SchemaError(f"{where}: expected a non-negative integer")
+    return value
+
+
 def _shown(value: object) -> str:
     """repr(value) for an error message, or a stand-in when Python refuses to
     print it: an int of over 4,300 digits (see sys.set_int_max_str_digits)."""
@@ -109,6 +116,14 @@ def _read_all(items: Iterable, where: str, what: str) -> tuple:
     except TypeError:
         message = f"{where}: expected an iterable of {what}, not {_shown(items)}"
         raise SchemaError(message) from None
+
+
+def _read_members(members: Iterable[NormId], where: str) -> tuple:
+    """tuple(members) for an argument that names a set of norms; SchemaError
+    naming where for a non-iterable or a str, which reads as its letters."""
+    if isinstance(members, str):
+        raise SchemaError(f"{where}: expected an iterable of norm ids, not a string")
+    return _read_all(members, where, "norm ids")
 
 
 def _checked_adjacency(index: dict[NormId, int], pairs: Sequence[object]) -> list[set[int]]:

@@ -7,8 +7,10 @@ sets. The predicates here nevertheless check the definitions directly so
 they stay an independent oracle for the resolution algorithms.
 
 Predicates and searches read the graph's norm positions (see ``graph``);
-ids go back only in results. A member id outside the graph raises
-UnknownNormId naming the first unknown id in input order.
+ids go back only in results. A set of members is any iterable of ids but
+a str (``graph._read_members``); anything else raises SchemaError naming
+the argument. A member id outside the graph raises UnknownNormId naming
+the first unknown id in input order.
 
 The exhaustive searches (maximum admissible set, chromatic number) are
 budget-capped; they exist to verify the fast paths, not to replace them.
@@ -22,14 +24,14 @@ from typing import Iterable
 
 from .colouring import dsatur
 from .errors import TooLarge
-from .graph import ConflictGraph, NormId
+from .graph import ConflictGraph, NormId, _read_members
 
 MAX_ADMISSIBLE_SEARCH = 24
 MAX_CHROMATIC_SEARCH = 16
 
 
 def _positions(g: ConflictGraph, members: Iterable[NormId]) -> frozenset[int]:
-    return frozenset(map(g._position, members))
+    return frozenset(map(g._position, _read_members(members, "members")))
 
 
 def is_conflict_free(g: ConflictGraph, members: Iterable[NormId]) -> bool:
@@ -77,7 +79,7 @@ class ExtensionReport:
 
 
 def report(g: ConflictGraph, members: Iterable[NormId]) -> ExtensionReport:
-    members = tuple(members)
+    members = _read_members(members, "members")
     return ExtensionReport(
         members=frozenset(members),
         conflict_free=is_conflict_free(g, members),

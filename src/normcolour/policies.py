@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .colouring import Colouring, _by_position
 from .errors import InvalidScore, SchemaError, UnknownColour, UnknownNormId
-from .graph import ConflictGraph, Norm, NormId, _require_int, _shown
+from .graph import ConflictGraph, Norm, NormId, _read_members, _require_int, _shown
 
 WeakOrdering = Mapping[NormId, int]
 
@@ -255,13 +255,15 @@ def ordering_from_metadata(
 def score_admitted_set(
     g: ConflictGraph, admitted: Iterable[NormId], ranks: WeakOrdering
 ) -> int:
-    """Net preference score of an admitted set: its members' net scores
-    under the rank map, summed. Over the full vertex set the two signs
-    cancel edge by edge, so the total is 0. Only admitted norms and their
-    neighbours need ranks: UnknownNormId otherwise, or for a norm outside g,
-    and SchemaError for a rank read that is not an integer.
+    """Net preference score of an admitted set: its distinct members' net
+    scores under the rank map, summed. Over the full vertex set the two
+    signs cancel edge by edge, so the total is 0. Only admitted norms and
+    their neighbours need ranks: UnknownNormId otherwise, or for a norm
+    outside g, and SchemaError for a rank read that is not an integer or
+    for an ``admitted`` that is a str or not iterable.
     """
-    members = [g._position(v) for v in admitted]
+    # a repeated member counts once, kept where it is first seen
+    members = dict.fromkeys(map(g._position, _read_members(admitted, "admitted")))
     norms = g.norms
     # read in order, each member then its neighbours, to name the first unranked norm
     read = {j: norms[j] for i in members for j in (i, *g._adj[i])}

@@ -133,6 +133,11 @@ class TestValidity:
         with pytest.raises(SchemaError):
             Colouring(assignment, num_colours)
 
+    @pytest.mark.parametrize("num_colours", [-1, -5])
+    def test_a_negative_count_is_rejected(self, num_colours):
+        with pytest.raises(SchemaError, match="^num_colours: expected a non-negative integer$"):
+            Colouring({}, num_colours)
+
     @pytest.mark.parametrize("assignment", [[("a", 0)], "ab", None])
     def test_an_assignment_must_be_a_mapping(self, assignment):
         with pytest.raises(SchemaError, match="^assignment: expected a mapping"):

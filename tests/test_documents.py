@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import pickle
 import re
@@ -25,6 +26,7 @@ from normcolour import (
     build_graph,
     colour_resolve,
 )
+from normcolour import documents
 from normcolour.documents import (
     ResolutionDocument,
     parse_norm_document,
@@ -215,6 +217,7 @@ class TestResolutionDocuments:
             ('{"entries": [{"norm": "a", "curtailed_wrt": [1]}]}', "entries[0].curtailed_wrt[0]:"),
             ('{"entries": [{"norm": "a"}, {"norm": 2}]}', "entries[1].norm: expected a string"),
             ('{"entries": [], "policy": 1}', "policy: expected a string"),
+            ('{"entries": [], "colours_used": -3}', "colours_used: expected a non-negative"),
         ],
     )
     def test_read_rejects_bad_shapes(self, text, message):
@@ -318,6 +321,7 @@ class TestWriterIdentity:
             (3, None, 2.5, lambda: (CurtailedNorm("a"), CurtailedNorm("b", ("a", 7)))),
             (3, None, 2.5, tuple),
             ("resolve", None, 2.5, tuple),
+            ("resolve", "max-class", -3, tuple),
         ],
     )
     def test_a_hand_built_resolution_is_refused_as_the_reader_refuses_it(
@@ -359,3 +363,52 @@ class TestWriterIdentity:
                     r.algorithm, r.policy, r.colouring.num_colours, r.entries
                 )
 
+
+_NORMS = '{"norms": [{"id": "a"}, {"id": "b"}], "conflicts": [["a", "b"]]}'
+
+
+class TestCollectorPause:
+    """The norm document parser pauses the cyclic collector for its whole
+    body and leaves it as it found it, on success and on every kind of
+    failure."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (_NORMS, None),
+            ('{"norms": [', DocumentSyntaxError),
+            ('{"norms": [{"id": 1}]}', SchemaError),
+            ('{"norms": [{"id": "a"}], "conflicts": [["a", "x"]]}', UnknownNormId),
+        ],
+    )
+    def test_the_collector_is_left_as_it_was(self, collector, text, error):
+        if error is None:
+            parse_norm_document(text)
+        else:
+            with pytest.raises(error):
+                parse_norm_document(text)
+        assert gc.isenabled() is collector
+
+    def test_the_parser_runs_with_the_collector_paused(self, collector, monkeypatch):
+        # the first step (_loads) and the last (build_graph)
+        seen = []
+
+        def spy(step):
+            def run(*args):
+                seen.append(gc.isenabled())
+                return step(*args)
+
+            return run
+
+        for name in ("_loads", "build_graph"):
+            monkeypatch.setattr(documents, name, spy(getattr(documents, name)))
+        parse_norm_document(_NORMS)
+        assert seen == [False] * 2
+        assert gc.isenabled() is collector

@@ -1,9 +1,10 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
 
-from normcolour import TooLarge, UnknownNormId
+from normcolour import SchemaError, TooLarge, UnknownNormId
 from normcolour.documents import parse_norm_document
 from normcolour.oracle import (
     chromatic_number,
@@ -210,3 +211,14 @@ def test_report_flags(k2_plus_isolated):
     rep = report(k2_plus_isolated, {"a", "x"})
     assert (rep.conflict_free, rep.admissible, rep.complete) == (True, True, True)
     assert rep.members == {"a", "x"}
+
+
+@pytest.mark.parametrize(
+    "check", [report, is_conflict_free, is_admissible, is_complete_extension, is_stable_extension]
+)
+@pytest.mark.parametrize("members, shown", [(None, "None"), (5, "5"), ("ab", "a string")])
+def test_members_must_be_an_iterable_of_ids(k2_plus_isolated, check, members, shown):
+    # a str is refused, not read as the set of its letters
+    message = f"members: expected an iterable of norm ids, not {shown}"
+    with pytest.raises(SchemaError, match="^" + re.escape(message) + "$"):
+        check(k2_plus_isolated, members)

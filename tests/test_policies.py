@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
@@ -324,6 +325,23 @@ class TestScoreAdmittedSet:
     def test_ranks_not_read_are_not_checked(self):
         g = make_graph("abc", [("a", "b")])
         assert score_admitted_set(g, {"a"}, {"a": 2, "b": 1, "c": "x"}) == 1
+
+    def test_a_repeated_member_counts_once(self):
+        g = make_graph("ab", [("a", "b")])
+        ranks = {"a": 1, "b": 0}
+        assert score_admitted_set(g, ["a", "a"], ranks) == score_admitted_set(g, {"a"}, ranks) == 1
+
+    def test_a_repeated_member_keeps_the_first_unranked_norm_named(self):
+        g = make_graph("abc", [("a", "b")])
+        with pytest.raises(UnknownNormId, match="'b'"):
+            score_admitted_set(g, ["a", "c", "a"], {"a": 1})
+
+    @pytest.mark.parametrize("admitted, shown", [(None, "None"), (5, "5"), ("ab", "a string")])
+    def test_admitted_must_be_an_iterable_of_ids(self, admitted, shown):
+        g = make_graph("ab", [("a", "b")])
+        message = f"admitted: expected an iterable of norm ids, not {shown}"
+        with pytest.raises(SchemaError, match="^" + re.escape(message) + "$"):
+            score_admitted_set(g, admitted, {"a": 1, "b": 0})
 
     def test_first_unranked_norm_is_named_member_then_neighbours(self):
         # a's neighbour d is read before the member b
