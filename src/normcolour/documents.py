@@ -17,13 +17,10 @@ pairs and ids; this module checks the JSON around them. Every failure names
 its position or path: ``norms[3].declared_at: expected an integer``,
 ``conflicts[2]: unknown norm id 'x'``, ``norms[1]: duplicate norm id 'a'``.
 
-Reading takes a fast path and falls back to the checked code on any
-surprise: a norm object whose fields have exactly the JSON types a norm
-needs (ints, not bools) is built by ``Norm._trusted``, any other by the
-checked constructor; ``build_graph`` does the same for the pairs. A
-resolution is written directly in ``json.dumps``'s layout and quoting. The
-reader's checks are the one statement of its schema: the writer refuses
-what the reader would refuse, with the reader's error.
+Reading checks each norm and pair once, exact types first. A resolution
+is written directly in ``json.dumps``'s layout and quoting. The reader's
+checks are the one statement of its schema: the writer refuses what the
+reader would refuse, with the reader's error.
 
 ``parse_norm_document`` runs with Python's cyclic garbage collector paused
 (``_collector_paused``). While a 3,000-norm document is read, the
@@ -88,7 +85,7 @@ def _require_str(value: object, where: str) -> str:
 
 
 def _parse_norm(item: object, i: int) -> Norm:
-    if not isinstance(item, dict):
+    if type(item) is not dict and not isinstance(item, dict):
         raise SchemaError(f"norms[{i}]: expected an object")
     if "id" not in item:
         raise SchemaError(f"norms[{i}]: missing required field 'id'")
@@ -118,21 +115,7 @@ def parse_norm_document(text: str) -> ConflictGraph:
     raw_norms = doc.get("norms")
     if not isinstance(raw_norms, list):
         raise SchemaError("norms: expected a list")
-    norms = []
-    trusted = Norm._trusted
-    for i, item in enumerate(raw_norms):
-        if type(item) is dict:
-            get = item.get
-            id_, label, ants = get("id"), get("label", ""), get("antecedents", [])
-            declared_at, authority_rank = get("declared_at", 0), get("authority_rank", 0)
-            if (
-                type(id_) is str and id_ and type(label) is str
-                and type(declared_at) is int and type(authority_rank) is int
-                and type(ants) is list and all(type(atom) is str for atom in ants)
-            ):
-                norms.append(trusted(id_, label, declared_at, authority_rank, frozenset(ants)))
-                continue
-        norms.append(_parse_norm(item, i))
+    norms = [_parse_norm(item, i) for i, item in enumerate(raw_norms)]
 
     raw_conflicts = doc.get("conflicts", [])
     if not isinstance(raw_conflicts, list):

@@ -14,24 +14,20 @@ different norms' ids; an error names its input as a document path
 (``conflicts[3]: unknown norm id 'x'``, ``conflicts[0][1]: expected a
 string``, ``norms[2]: duplicate norm id``).
 
-The public constructor and ``build_graph`` check every norm and pair: each
-item of the norm list must be a ``Norm`` (``norms[2]: expected a Norm``),
-which checked its own fields, and both arguments must be iterable. A
-fast loop takes pairs that are exactly a list or tuple of two ``str`` ids
-of different norms; at the first other pair, the checking loop reruns over
-all pairs on fresh sets, so it names the first bad pair and accepts what it
-always has (a ``str`` subclass id, say). ``Norm._trusted`` skips the field
-checks for the document parser, which has checked the exact JSON types.
-``ConflictGraph._from_positions`` is for the bench, whose instances are
-pairs of positions it drew itself: it checks nothing and shares one norm
-list, id tuple and id map across instances.
+The public constructor and ``build_graph`` check each norm and pair once:
+a norm must be a ``Norm`` (``norms[2]: expected a Norm``), which checked
+its own fields, and both arguments must be iterable. A pair of exact types
+passes on ``type`` tests; any other is checked with ``isinstance``, which
+accepts a ``str`` subclass id or a namedtuple pair. ``_from_positions``
+builds the bench's instances from position pairs it drew itself: it checks
+nothing and shares one norm list, id tuple and id map across instances.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .errors import DuplicateNormId, SchemaError, SelfConflict, UnknownNormId
+from .errors import DuplicateNormId, NormColourError, SchemaError, SelfConflict, UnknownNormId
 
 NormId = str
 
@@ -78,35 +74,22 @@ class Norm:
     antecedents: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id:
+        id_, label, ants = self.id, self.label, self.antecedents
+        if type(id_) is not str and not isinstance(id_, str) or not id_:
             raise SchemaError("id: expected a non-empty string")
-        if not isinstance(self.label, str):
+        if type(label) is not str and not isinstance(label, str):
             raise SchemaError("label: expected a string")
-        _require_int(self.declared_at, "declared_at")
-        _require_int(self.authority_rank, "authority_rank")
-        ants = self.antecedents
-        if not isinstance(ants, (list, tuple, set, frozenset)):
+        if type(self.declared_at) is not int:
+            _require_int(self.declared_at, "declared_at")
+        if type(self.authority_rank) is not int:
+            _require_int(self.authority_rank, "authority_rank")
+        if type(ants) is not list and not isinstance(ants, (list, tuple, set, frozenset)):
             raise SchemaError("antecedents: expected a list of strings")
-        for i, atom in enumerate(ants):
-            if not isinstance(atom, str):
+        for atom in ants:  # before frozenset(ants), which an unhashable atom would break
+            if type(atom) is not str and not isinstance(atom, str):
+                i = next(i for i, a in enumerate(ants) if a is atom)  # the first to fail
                 raise SchemaError(f"antecedents[{i}]: expected a string")
         object.__setattr__(self, "antecedents", frozenset(ants))
-
-    @classmethod
-    def _trusted(
-        cls, id: NormId, label: str, declared_at: int, authority_rank: int,
-        antecedents: frozenset[str],
-    ) -> Norm:
-        """A norm built without ``__post_init__``'s checks, for fields the
-        caller has checked: every value as the constructor requires it, and
-        antecedents already a frozenset."""
-        norm = cls.__new__(cls)
-        object.__setattr__(norm, "id", id)
-        object.__setattr__(norm, "label", label)
-        object.__setattr__(norm, "declared_at", declared_at)
-        object.__setattr__(norm, "authority_rank", authority_rank)
-        object.__setattr__(norm, "antecedents", antecedents)
-        return norm
 
 
 def _read_all(items: Iterable, where: str, what: str) -> tuple:
@@ -126,26 +109,25 @@ def _read_members(members: Iterable[NormId], where: str) -> tuple:
     return _read_all(members, where, "norm ids")
 
 
-def _checked_adjacency(index: dict[NormId, int], pairs: Sequence[object]) -> list[set[int]]:
-    """Each norm's neighbours by position, given each norm's position by
-    id, checking every pair; raises for the first bad pair, naming it
-    ``conflicts[k]``."""
-    adj: list[set[int]] = [set() for _ in index]
-    for k, pair in enumerate(pairs):
+def _pair_positions(index: dict[NormId, int], pairs: tuple, pair: object) -> tuple[int, int]:
+    """The positions of a pair that the exact-type test refused, if the
+    isinstance checks accept it; else its error, naming ``conflicts[k]`` for
+    the first index k holding this very pair (an earlier copy fails alike)."""
+    try:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise SchemaError(f"conflicts[{k}]: expected a pair of norm ids")
+            raise SchemaError(": expected a pair of norm ids")
         a, b = pair
         if not isinstance(a, str) or not isinstance(b, str):
-            raise SchemaError(f"conflicts[{k}][{int(isinstance(a, str))}]: expected a string")
-        try:
-            i, j = index[a], index[b]
-        except KeyError as exc:
-            raise UnknownNormId(f"conflicts[{k}]: unknown norm id {exc.args[0]!r}") from None
+            raise SchemaError(f"[{int(isinstance(a, str))}]: expected a string")
+        i, j = index.get(a), index.get(b)
+        if i is None or j is None:
+            raise UnknownNormId(f": unknown norm id {a if i is None else b!r}")
         if i == j:
-            raise SelfConflict(f"conflicts[{k}]: norm {a!r} cannot conflict with itself")
-        adj[i].add(j)
-        adj[j].add(i)
-    return adj
+            raise SelfConflict(f": norm {a!r} cannot conflict with itself")
+        return i, j
+    except NormColourError as exc:
+        k = next(k for k, p in enumerate(pairs) if p is pair)
+        raise type(exc)(f"conflicts[{k}]{exc}") from None
 
 
 class ConflictGraph:
@@ -168,13 +150,10 @@ class ConflictGraph:
         self.ids: tuple[NormId, ...] = tuple(index)  # ids are unique, so in norm order
         self._index = index
 
-        # a one-shot iterable is read once: the checking loop may need it again
-        pairs = conflicts if type(conflicts) in (list, tuple) else _read_all(
-            conflicts, "conflicts", "pairs of norm ids"
-        )
+        pairs = _read_all(conflicts, "conflicts", "pairs of norm ids")
         adj: list[set[int]] = [set() for _ in self.ids]
-        try:
-            for pair in pairs:
+        for pair in pairs:
+            try:
                 if type(pair) is not list and type(pair) is not tuple:
                     raise TypeError  # a string or an object of two keys would unpack
                 a, b = pair
@@ -183,10 +162,10 @@ class ConflictGraph:
                 i, j = index[a], index[b]
                 if i == j:
                     raise ValueError
-                adj[i].add(j)
-                adj[j].add(i)
-        except (TypeError, ValueError, KeyError):
-            adj = _checked_adjacency(index, pairs)
+            except (TypeError, ValueError, KeyError):
+                i, j = _pair_positions(index, pairs, pair)
+            adj[i].add(j)
+            adj[j].add(i)
         self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, map(sorted, adj)))
 
     @classmethod
@@ -208,7 +187,7 @@ class ConflictGraph:
     def _position(self, v: NormId) -> int:
         try:
             return self._index[v]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise UnknownNormId(f"unknown norm id {v!r}") from None
 
     # -- vertex access -------------------------------------------------
@@ -220,7 +199,10 @@ class ConflictGraph:
         return len(self.norms)
 
     def __contains__(self, v: object) -> bool:
-        return v in self._index
+        try:
+            return v in self._index
+        except TypeError:  # an unhashable id
+            return False
 
     def __iter__(self) -> Iterator[NormId]:
         return iter(self.ids)

@@ -80,9 +80,9 @@ class ExtensionReport:
 
 def report(g: ConflictGraph, members: Iterable[NormId]) -> ExtensionReport:
     members = _read_members(members, "members")
-    return ExtensionReport(
-        members=frozenset(members),
+    return ExtensionReport(  # conflict_free first: it names an unknown or unhashable id
         conflict_free=is_conflict_free(g, members),
+        members=frozenset(members),
         admissible=is_admissible(g, members),
         complete=is_complete_extension(g, members),
     )

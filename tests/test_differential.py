@@ -709,9 +709,26 @@ def test_bench_matches_the_reference(policy, metric):
         assert run_benchmark(cfg) == _ref_run_benchmark(cfg)
 
 
-# -- reference: the checking norm-document parser --------------------------
-# Every norm through the checked Norm constructor and every pair through the
-# checking loop, as the parser and ConflictGraph did before their fast paths.
+# -- reference: the norm-document parser, in isinstance checks only ---------
+# The field and pair rules as Norm, the parser and ConflictGraph stated them
+# before their exact-type tests, kept here as a statement of the rules that
+# is independent of the code under test.
+
+
+def _ref_norm_fields(id, label, declared_at, authority_rank, antecedents) -> None:
+    """Norm's field rules: SchemaError for the first bad field."""
+    if not isinstance(id, str) or not id:
+        raise SchemaError("id: expected a non-empty string")
+    if not isinstance(label, str):
+        raise SchemaError("label: expected a string")
+    for field, value in (("declared_at", declared_at), ("authority_rank", authority_rank)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise SchemaError(f"{field}: expected an integer")
+    if not isinstance(antecedents, (list, tuple, set, frozenset)):
+        raise SchemaError("antecedents: expected a list of strings")
+    for i, atom in enumerate(antecedents):
+        if not isinstance(atom, str):
+            raise SchemaError(f"antecedents[{i}]: expected a string")
 
 
 def _ref_parse_norm(item: object, i: int) -> Norm:
@@ -719,16 +736,18 @@ def _ref_parse_norm(item: object, i: int) -> Norm:
         raise SchemaError(f"norms[{i}]: expected an object")
     if "id" not in item:
         raise SchemaError(f"norms[{i}]: missing required field 'id'")
+    fields = (
+        item["id"],
+        item.get("label", ""),
+        item.get("declared_at", 0),
+        item.get("authority_rank", 0),
+        item.get("antecedents", ()),
+    )
     try:
-        return Norm(
-            item["id"],
-            item.get("label", ""),
-            item.get("declared_at", 0),
-            item.get("authority_rank", 0),
-            item.get("antecedents", ()),
-        )
+        _ref_norm_fields(*fields)
     except SchemaError as exc:
         raise SchemaError(f"norms[{i}].{exc}") from None
+    return Norm(*fields)  # outside the try: a field Norm refuses wrongly shows unprefixed
 
 
 def _ref_build_graph(norms, conflicts) -> tuple[tuple[Norm, ...], tuple[tuple[int, ...], ...]]:

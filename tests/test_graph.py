@@ -7,13 +7,20 @@ import pytest
 from normcolour import (
     DuplicateNormId,
     Norm,
+    Policy,
     SchemaError,
     SelfConflict,
     UnknownNormId,
     build_graph,
+    score_admitted_set,
 )
+from normcolour.oracle import is_conflict_free, report
 
 from .conftest import complete_graph, make_graph
+
+
+_AB = [Norm("a"), Norm("b")]
+_BAD_PAIR = ["a"]
 
 
 class TestBuildGraph:
@@ -66,7 +73,7 @@ class TestBuildGraph:
         assert g.edges == (("d", "b"), ("d", "a"), ("d", "c"), ("b", "a"), ("b", "c"), ("a", "c"))
 
     def test_str_subclass_ids_and_tuple_subclass_pairs_are_accepted(self):
-        # neither is an exact str or tuple, so the checking loop takes them
+        # neither is an exact str or tuple, so the isinstance checks take them
         class Id(str):
             pass
 
@@ -75,6 +82,7 @@ class TestBuildGraph:
         assert g.edges == (("a", "b"), ("b", "c"))
         g = build_graph([Norm("a"), Norm("b")], iter([Pair("a", "b"), ["b", Id("a")]]))
         assert g.edges == (("a", "b"),)
+        assert build_graph(_AB, [Pair("b", "a")] * 2000) == build_graph(_AB, [("b", "a")] * 2000)
 
 
     @pytest.mark.parametrize(
@@ -85,9 +93,14 @@ class TestBuildGraph:
             (None, [], "norms: expected an iterable of Norms, not None"),
             ([Norm("a")], None, "conflicts: expected an iterable of pairs of norm ids, not None"),
             ([Norm("a")], 5, "conflicts: expected an iterable"),
+            # a bad pair is named at the first index that holds it
+            (_AB, [("a", "b"), ["b", "a"], _BAD_PAIR, ("a", "b"), _BAD_PAIR],
+             "conflicts[2]: expected a pair of norm ids"),
+            (_AB, iter([("a", "b"), ("b", "a"), ("a", 5), ("a", 5)]),
+             "conflicts[2][1]: expected a string"),
         ],
     )
-    def test_norms_must_be_norms_and_both_arguments_iterable(self, norms, conflicts, message):
+    def test_bad_arguments_and_pairs_are_named(self, norms, conflicts, message):
         with pytest.raises(SchemaError, match="^" + re.escape(message)):
             build_graph(norms, conflicts)
 
@@ -181,6 +194,25 @@ def test_a_graph_is_unequal_to_a_non_graph():
     assert g.__eq__(g.edges) is NotImplemented
     assert g != g.edges and g != "ab"
     assert g == make_graph("ab", [("b", "a")])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: g.norm(["a"]),
+        lambda g: g.degree(["a"]),
+        lambda g: is_conflict_free(g, [["a"]]),
+        lambda g: score_admitted_set(g, [["a"]], {"a": 0, "b": 0}),
+        lambda g: Policy.max_class().prefers(g, ["a"], "b"),
+        lambda g: report(g, [["a"]]),
+    ],
+    ids=["norm", "degree", "is_conflict_free", "score_admitted_set", "prefers", "report"],
+)
+def test_an_unhashable_id_is_an_unknown_norm(call):
+    g = make_graph(["a", "b"], [("a", "b")])
+    with pytest.raises(UnknownNormId, match=re.escape("unknown norm id ['a']")):
+        call(g)
+    assert ["a"] not in g
 
 
 def test_ids_are_computed_once():
