@@ -15,13 +15,16 @@ is shared by every colouring algorithm run on it, since all four start
 from the same DSATUR colouring and policy ranking. A callable heuristic is
 therefore called once per colour class per instance, not once per algorithm.
 
-``BenchConfig`` checks a run's input once, and the run trusts what it
-derives: it samples pairs of norm positions and builds each instance with
-the trusted ``ConflictGraph._from_positions``. A score metric ranks by a
-weak order's own map, else by ``default_weak_ordering``, and reads every
-norm's rank before the first instance, so UnknownNormId names the first
-norm left unranked. Each norm is scored once per instance, and a set
-scores the sum over its members.
+``BenchConfig`` checks a run's input once. Each instance samples pairs of
+norm ids from one cached tuple, as ``generate_random_conflicts`` does, and
+is built by the checked ``ConflictGraph`` constructor. The bench reads its
+metrics straight from ``resolution._admission`` by norm position, so it
+builds no ``Resolution`` that it would only count; the policy label is
+worked out once per run. A score metric ranks by a weak order's own map,
+else by ``default_weak_ordering``, and reads every norm's rank before the
+first instance, so UnknownNormId names the first norm left unranked. Each
+norm is scored once per instance, and a set scores the sum over its
+members.
 """
 from __future__ import annotations
 
@@ -35,12 +38,11 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable
 
-from .colouring import Colouring
 from .errors import EmptyInput, SchemaError, TooManyConflicts
-from .graph import ConflictGraph, Norm, NormId, _require_int, _shown
+from .graph import ConflictGraph, Norm, NormId, _require_count, _require_int, _shown
 from .oracle import max_cardinality_admissible, random_drop
-from .policies import Policy, WeakOrdering, _norm_score, _ranks, _require_heuristic
-from .resolution import ALGORITHMS, Resolution, _admit, _prepare
+from .policies import Policy, WeakOrdering, _norm_score, _ranks, _require_heuristic, policy_label
+from .resolution import ALGORITHMS, _admission, _prepare
 
 # preferred is a maximum-cardinality stable extension (oracle.max_cardinality_admissible)
 BASELINES = ("random-drop", "preferred")
@@ -120,6 +122,7 @@ def max_conflicts(n_norms: int, duplicate_directed_pairs: bool) -> int:
 
 
 def _benchmark_ids(n: int) -> list[NormId]:
+    _require_count(n, "n")
     width = len(str(max(n - 1, 0)))
     return [f"n{i:0{width}d}" for i in range(n)]
 
@@ -157,54 +160,57 @@ def generate_random_conflicts(
     graph build; that replicates the 240-conflict ceiling of the original
     directed-graph methodology. Without it, unordered pairs are sampled.
     """
+    _require_count(n_norms, "n_norms")
+    _require_count(n_conflicts, "n_conflicts")
     cap = max_conflicts(n_norms, duplicate_directed_pairs)
     if n_conflicts > cap:
         raise TooManyConflicts(
             f"{_shown(n_conflicts)} conflicts exceed the maximum of {_shown(cap)}"
         )
-    ids = _benchmark_ids(n_norms)
-    chosen = rng.sample(_position_pairs(n_norms, duplicate_directed_pairs), n_conflicts)
-    return [(ids[i], ids[j]) for i, j in chosen]
+    return rng.sample(_candidate_pairs(n_norms, duplicate_directed_pairs), n_conflicts)
 
 
 @lru_cache(maxsize=4)  # bounded, since n norms give about n² pairs
-def _position_pairs(
+def _candidate_pairs(
     n_norms: int, duplicate_directed_pairs: bool
-) -> tuple[tuple[int, int], ...]:
-    """Every candidate conflict between the positions of n norms, in
+) -> tuple[tuple[NormId, NormId], ...]:
+    """Every candidate conflict between the ids of n benchmark norms, in
     itertools order, which fixes the pairs that a seeded sample draws."""
     pairs = permutations if duplicate_directed_pairs else combinations
-    return tuple(pairs(range(n_norms), 2))
+    return tuple(pairs(_benchmark_ids(n_norms), 2))
 
 
 def _measure(
     algorithm: str,
     g: ConflictGraph,
     cfg: BenchConfig,
+    label: str,
     point_seed: int,
-    prepared: tuple[Colouring, list[int]] | None,
-    scores: dict[NormId, int] | None,
+    prepared: tuple[list[int], int, list[int]] | None,
+    scores: list[int] | None,
 ) -> list[tuple[str, str, float]]:
-    """Run one algorithm on one instance, given its shared ``_prepare``
-    result (None if no colouring algorithm runs) and, under a score metric,
-    each norm's net score; returns (policy, metric, value) rows."""
+    """Run one algorithm on one instance, given the run's policy label, the
+    instance's shared ``_prepare`` result (None if no colouring algorithm
+    runs) and, under a score metric, each norm's net score by position;
+    returns (policy, metric, value) rows."""
     if algorithm == "random-drop":
         rng = random.Random(derive_seed(point_seed, "random-drop"))
-        label, admitted = "none", random_drop(g, rng)
+        label, admitted = "none", list(map(g._position, random_drop(g, rng)))
     elif algorithm == "preferred":
-        label, admitted = "none", max_cardinality_admissible(g)
+        label, admitted = "none", list(map(g._position, max_cardinality_admissible(g)))
     else:
-        res: Resolution = _admit(algorithm, g, cfg.policy, prepared)
-        label, admitted = res.policy, res.admitted
+        entries, _ = _admission(algorithm, g, *prepared)
         if algorithm in ("curtail", "curtail-complete"):
             if cfg.metric is Metric.ADMITTED_COUNT:
                 # Curtailing algorithms admit everything, so a raw count says
                 # nothing; report how much survived uncurtailed instead.
                 return [
-                    (label, "curtailment_total", float(res.total_curtailments)),
-                    (label, "uncurtailed_count", float(len(res.admitted_unconditionally))),
+                    (label, "curtailment_total", float(sum(len(w) for _, w in entries))),
+                    (label, "uncurtailed_count", float(sum(not w for _, w in entries))),
                 ]
-            admitted = res.admitted_unconditionally
+            admitted = [i for i, w in entries if not w]
+        else:
+            admitted = [i for i, _ in entries]
 
     if cfg.metric is Metric.ADMITTED_COUNT:
         return [(label, "admitted_count", float(len(admitted)))]
@@ -216,30 +222,30 @@ def _measure(
 
 def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
     """Run the configured sweep; deterministic for a fixed config."""
-    template = ConflictGraph(benchmark_norms(cfg.n_norms), ())
+    norms = benchmark_norms(cfg.n_norms)
     if isinstance(cfg.policy, Policy) and cfg.policy.ranks is not None:
         ranks: WeakOrdering = cfg.policy.ranks
     else:
         ranks = default_weak_ordering(cfg.n_norms)
-    ids = template.ids
     # each norm's rank under a score metric; UnknownNormId names the first unranked
-    key = None if cfg.metric is Metric.ADMITTED_COUNT else _ranks(ranks, template.norms)
+    key = None if cfg.metric is Metric.ADMITTED_COUNT else _ranks(ranks, norms)
+    label = policy_label(cfg.policy)
     any_colouring = any(a in ALGORITHMS for a in cfg.algorithms)
-    population = _position_pairs(cfg.n_norms, cfg.duplicate_directed_pairs)
+    population = _candidate_pairs(cfg.n_norms, cfg.duplicate_directed_pairs)
     rows: list[BenchRow] = []
     lo, hi = cfg.conflict_range
     for num_conflicts in range(lo, hi + 1):
         for trial in range(cfg.trials_per_point):
             point_seed = derive_seed(cfg.seed, num_conflicts, trial)
-            # the draws of generate_random_conflicts, as positions
+            # the draws of generate_random_conflicts
             pairs = random.Random(point_seed).sample(population, num_conflicts)
-            g = ConflictGraph._from_positions(template, pairs)
+            g = ConflictGraph(norms, pairs)
             prepared = _prepare(g, cfg.policy) if any_colouring else None
-            scores = None if key is None else {
-                v: _norm_score(g, key, i, True) for i, v in enumerate(ids)
-            }
+            scores = None if key is None else [
+                _norm_score(g, key, i, True) for i in range(cfg.n_norms)
+            ]
             for algorithm in sorted(cfg.algorithms):
-                for row in _measure(algorithm, g, cfg, point_seed, prepared, scores):
+                for row in _measure(algorithm, g, cfg, label, point_seed, prepared, scores):
                     rows.append(BenchRow(num_conflicts, trial, algorithm, *row, point_seed))
     return rows
 

@@ -22,10 +22,10 @@ Rodríguez-Losada and Jiménez 2011): its lowest clear bit is the colour to
 take, its popcount the saturation degree. Only the assignment goes back to
 norm ids; ``_by_position`` is the one way back from a colouring to positions.
 
-The public ``Colouring`` constructor checks that it is given a mapping, a
-count that is not negative and every colour in it; the trusted
-``Colouring._trusted`` skips that for the colourings the package builds
-itself, DSATUR's and each algorithm's final one, valid by construction.
+The ``Colouring`` constructor checks that it is given a mapping, a count
+that is not negative and every colour in it. It is the only way to build a
+colouring, so DSATUR's and each algorithm's final one pass the same checks
+as a caller's.
 """
 from __future__ import annotations
 
@@ -60,15 +60,6 @@ class Colouring:
                     f"vertex {_shown(v)} has colour {_shown(c)}, "
                     f"not in 0..{_shown(self.num_colours - 1)}"
                 )
-
-    @classmethod
-    def _trusted(cls, assignment: Mapping[NormId, int], num_colours: int) -> Colouring:
-        """A colouring built without the constructor's checks, for one the
-        package has built itself with every colour in 0..num_colours-1."""
-        phi = cls.__new__(cls)
-        object.__setattr__(phi, "assignment", assignment)
-        object.__setattr__(phi, "num_colours", num_colours)
-        return phi
 
 
 def dsatur(g: ConflictGraph) -> Colouring:
@@ -114,7 +105,7 @@ def dsatur(g: ConflictGraph) -> Colouring:
                     saturation[j] = s
                     push(heap, base[j] - s.bit_count() * stride)
 
-    return Colouring._trusted(assignment, num_used)
+    return Colouring(assignment, num_used)
 
 
 def _by_position(g: ConflictGraph, phi: Colouring) -> list[int]:

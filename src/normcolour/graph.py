@@ -18,9 +18,9 @@ The public constructor and ``build_graph`` check each norm and pair once:
 a norm must be a ``Norm`` (``norms[2]: expected a Norm``), which checked
 its own fields, and both arguments must be iterable. A pair of exact types
 passes on ``type`` tests; any other is checked with ``isinstance``, which
-accepts a ``str`` subclass id or a namedtuple pair. ``_from_positions``
-builds the bench's instances from position pairs it drew itself: it checks
-nothing and shares one norm list, id tuple and id map across instances.
+accepts a ``str`` subclass id or a namedtuple pair. There is no other way
+to build a graph: the bench builds each instance through the constructor
+too.
 """
 from __future__ import annotations
 
@@ -168,27 +168,11 @@ class ConflictGraph:
             adj[j].add(i)
         self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, map(sorted, adj)))
 
-    @classmethod
-    def _from_positions(
-        cls, template: ConflictGraph, pairs: Iterable[tuple[int, int]]
-    ) -> ConflictGraph:
-        """A graph on template's norms, sharing its norms, ids and id map,
-        whose conflicts are pairs of positions. Trusted: every pair must join
-        two different positions of template, and nothing is checked."""
-        g = cls.__new__(cls)
-        g.norms, g.ids, g._index = template.norms, template.ids, template._index
-        adj: list[set[int]] = [set() for _ in template.ids]
-        for i, j in pairs:
-            adj[i].add(j)
-            adj[j].add(i)
-        g._adj = tuple(map(tuple, map(sorted, adj)))
-        return g
-
     def _position(self, v: NormId) -> int:
         try:
             return self._index[v]
         except (KeyError, TypeError):  # TypeError: an unhashable id
-            raise UnknownNormId(f"unknown norm id {v!r}") from None
+            raise UnknownNormId(f"unknown norm id {_shown(v)}") from None
 
     # -- vertex access -------------------------------------------------
 

@@ -80,7 +80,7 @@ class Policy:
                 raise SchemaError(f"ranks: expected a mapping, not {type(self.ranks).__name__}")
             ranks = dict(self.ranks)
             for v, r in ranks.items():
-                _require_int(r, f"rank of {v!r}")
+                _require_int(r, f"rank of {_shown(v)}")
             # a read-only copy, so that a hashed policy cannot change
             object.__setattr__(self, "ranks", MappingProxyType(ranks))
 

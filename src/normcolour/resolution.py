@@ -23,11 +23,14 @@ first. Two switches, ``complete`` and ``first_class_only``, tell them apart:
 
 So ``resolve`` is the first class of ``curtail``, and ``resolve-complete``
 the first class of ``curtail-complete``. The colouring and the ranking
-depend only on the graph and the policy, so ``_prepare`` makes them once
-and ``_admit`` takes them by algorithm name, which lets a caller that runs
-several algorithms on one graph share them. Vertices are always swept in norm
-insertion order and recoloured one at a time; recolouring everything at
-once could put two conflicting vertices into the same class.
+depend only on the graph and the policy, so ``_prepare`` makes them once,
+by norm position, and ``_admission`` runs the loop on them by algorithm
+name without changing them, which lets a caller that runs several
+algorithms on one graph share them. ``_admit`` packs the loop's result
+into a ``Resolution``, its final colouring built by the checked
+``Colouring`` constructor. Vertices are always swept in norm insertion
+order and recoloured one at a time; recolouring everything at once could
+put two conflicting vertices into the same class.
 """
 from __future__ import annotations
 
@@ -78,13 +81,15 @@ class Resolution:
         return sum(len(e.curtailed_wrt) for e in self.entries)
 
 
-def _prepare(g: ConflictGraph, policy: Heuristic) -> tuple[Colouring, list[int]]:
-    """Colour g and rank its classes: the start all four algorithms share."""
+def _prepare(g: ConflictGraph, policy: Heuristic) -> tuple[list[int], int, list[int]]:
+    """Colour g and rank its classes: the start all four algorithms share.
+    Returns each norm's colour by position, the colour count and the
+    policy's ranking of the colours, best first."""
     phi = dsatur(g)
-    return phi, rank_colours(g, phi, policy)
+    return _by_position(g, phi), phi.num_colours, rank_colours(g, phi, policy)
 
 
-# algorithm name -> the switches (complete, first_class_only) of _admit
+# algorithm name -> the switches (complete, first_class_only) of _admission
 _SWITCHES = {
     "resolve": (False, True),
     "resolve-complete": (True, True),
@@ -93,22 +98,24 @@ _SWITCHES = {
 }
 
 
-def _admit(
-    algorithm: str, g: ConflictGraph, policy: Heuristic, prepared: tuple[Colouring, list[int]]
-) -> Resolution:
+def _admission(
+    algorithm: str, g: ConflictGraph, colour: list[int], num_colours: int, order: list[int]
+) -> tuple[list[tuple[int, tuple[NormId, ...]]], list[int]]:
     """Admit the classes of a prepared colouring of g best first; see the
-    module docstring. prepared is ``_prepare(g, policy)`` and is not changed."""
+    module docstring. colour, num_colours and order are ``_prepare(g, ...)``
+    and are not changed. Returns the admitted norms' positions in admission
+    order, each with the ids it is curtailed with respect to, and each
+    norm's final colour by position."""
     complete, first_class_only = _SWITCHES[algorithm]
-    phi, order = prepared
     ids, adj = g.ids, g._adj
-    colour = _by_position(g, phi)
+    colour = list(colour)  # completion recolours, and the caller may share colour
     admitted = [False] * len(ids)
     # each norm's admitted neighbours' ids, handed forward as each is admitted,
     # so in admission order
     wrt: list[list[NormId]] = [[] for _ in ids]
-    entries: list[CurtailedNorm] = []
+    entries: list[tuple[int, tuple[NormId, ...]]] = []
     # each class's members in insertion order, from one pass over the norms
-    buckets: list[list[int]] = [[] for _ in range(phi.num_colours)]
+    buckets: list[list[int]] = [[] for _ in range(num_colours)]
     for i, c in enumerate(colour):
         buckets[c].append(i)
     unadmitted = range(len(ids))  # in insertion order; kept for completion only
@@ -131,29 +138,38 @@ def _admit(
             unadmitted = rest
         # a class is independent, so its members never curtail each other
         for i in members:
-            v = ids[i]
-            entries.append(CurtailedNorm(v, tuple(wrt[i])))
+            entries.append((i, tuple(wrt[i])))
             admitted[i] = True
+            v = ids[i]
             for j in adj[i]:
                 wrt[j].append(v)
-    # completion only moves norms into classes of phi, so the colours stay in range
-    final = Colouring._trusted(dict(zip(ids, colour)), phi.num_colours)
-    return Resolution(algorithm, policy_label(policy), tuple(entries), final, tuple(order))
+    return entries, colour
+
+
+def _admit(algorithm: str, g: ConflictGraph, policy: Heuristic) -> Resolution:
+    """Run one algorithm on g: ``_admission`` on ``_prepare(g, policy)``,
+    packed as a Resolution."""
+    colour, num_colours, order = _prepare(g, policy)
+    entries, final = _admission(algorithm, g, colour, num_colours, order)
+    ids = g.ids
+    packed = tuple(CurtailedNorm(ids[i], wrt) for i, wrt in entries)
+    phi = Colouring(dict(zip(ids, final)), num_colours)
+    return Resolution(algorithm, policy_label(policy), packed, phi, tuple(order))
 
 
 def colour_resolve(g: ConflictGraph, policy: Heuristic) -> Resolution:
     """Admit the colour class the policy scores highest."""
-    return _admit("resolve", g, policy, _prepare(g, policy))
+    return _admit("resolve", g, policy)
 
 
 def colour_resolve_complete(g: ConflictGraph, policy: Heuristic) -> Resolution:
     """Admit the best class plus every vertex it does not conflict with."""
-    return _admit("resolve-complete", g, policy, _prepare(g, policy))
+    return _admit("resolve-complete", g, policy)
 
 
 def colour_curtail(g: ConflictGraph, policy: Heuristic) -> Resolution:
     """Admit every norm, curtailing it against earlier-admitted conflicts."""
-    return _admit("curtail", g, policy, _prepare(g, policy))
+    return _admit("curtail", g, policy)
 
 
 def colour_curtail_complete(g: ConflictGraph, policy: Heuristic) -> Resolution:
@@ -163,7 +179,7 @@ def colour_curtail_complete(g: ConflictGraph, policy: Heuristic) -> Resolution:
     yet, so earlier (better) classes can absorb vertices from later ones,
     admitting them with fewer curtailments.
     """
-    return _admit("curtail-complete", g, policy, _prepare(g, policy))
+    return _admit("curtail-complete", g, policy)
 
 
 ALGORITHMS = {

@@ -13,7 +13,7 @@ from normcolour import (
     build_graph,
     dsatur,
 )
-from normcolour import graph, resolution
+from normcolour import colouring, graph, resolution
 from normcolour.bench import (
     BenchConfig,
     Metric,
@@ -30,8 +30,31 @@ from normcolour.bench import (
 
 
 class TestGenerateRandomConflicts:
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda rng: generate_random_conflicts(4, -1, True, rng), "n_conflicts"),
+            (lambda rng: generate_random_conflicts(-1, 1, True, rng), "n_norms"),
+            (lambda rng: generate_random_conflicts("4", 1, True, rng), "n_norms"),
+            (lambda rng: generate_random_conflicts(4, 1.0, True, rng), "n_conflicts"),
+            (lambda rng: benchmark_norms(-3), "n"),
+            (lambda rng: default_weak_ordering(-3), "n"),
+            (lambda rng: benchmark_norms(True), "n"),
+        ],
+        ids=["negative-conflicts", "negative-norms", "str-norms", "float-conflicts",
+             "benchmark_norms", "default_weak_ordering", "bool-norms"],
+    )
+    def test_a_bad_count_is_named(self, call, name):
+        rng = random.Random(0)
+        with pytest.raises(SchemaError, match=f"^{name}: expected a"):
+            call(rng)
+        assert rng.random() == random.Random(0).random()  # nothing was drawn
+
     def test_zero_conflicts(self):
         assert generate_random_conflicts(16, 0, True, random.Random(0)) == []
+        # zero norms is a valid count too
+        assert generate_random_conflicts(0, 0, True, random.Random(0)) == []
+        assert benchmark_norms(0) == [] and default_weak_ordering(0) == {}
 
     def test_full_directed_budget_collapses_to_complete_graph(self):
         pairs = generate_random_conflicts(16, 240, True, random.Random(1))
@@ -287,36 +310,36 @@ class TestRunBenchmark:
 
     @pytest.fixture
     def checked_calls(self, monkeypatch):
-        """Counts of the checked graph construction (which build_graph makes)
-        that the trusted bench path replaces."""
+        """Counts of the checked constructions of a graph and of a colouring."""
         calls = Counter()
-        init = graph.ConflictGraph.__init__
 
-        def counted(*args):
-            calls["ConflictGraph"] += 1
-            return init(*args)
+        def counting(name, original):
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+            return counted
 
-        monkeypatch.setattr(graph.ConflictGraph, "__init__", counted)
+        cg, phi = graph.ConflictGraph, colouring.Colouring
+        monkeypatch.setattr(cg, "__init__", counting("ConflictGraph", cg.__init__))
+        monkeypatch.setattr(phi, "__post_init__", counting("Colouring", phi.__post_init__))
         return calls
 
-    def test_complete_rank_map_trusts_every_instance(self, checked_calls):
+    def test_each_instance_is_one_checked_graph_and_colouring(self, checked_calls):
         run_benchmark(small_config(metric=Metric.SCORE_SUM, conflict_range=(1, 3), trials_per_point=2,
                                    algorithms=("curtail", "preferred", "random-drop", "resolve")))
-        # one checked graph of the run's norms, and none per instance
-        assert checked_calls == {"ConflictGraph": 1}
+        # six instances, each built by the checked constructor and coloured
+        # once; the algorithms build no Resolution, so no final colouring
+        assert checked_calls == {"ConflictGraph": 6, "Colouring": 6}
 
     @pytest.mark.parametrize("metric", [Metric.SCORE_SUM, Metric.SCORE_AVG])
     @pytest.mark.parametrize("algorithms", [("resolve", "curtail"), ("random-drop", "preferred")])
-    def test_partial_rank_map_fails_before_any_instance(self, monkeypatch, metric, algorithms):
-        built = []
-        monkeypatch.setattr(graph.ConflictGraph, "_from_positions",
-                            classmethod(lambda cls, *args: built.append(args)))
+    def test_partial_rank_map_fails_before_any_instance(self, checked_calls, metric, algorithms):
         ranks = default_weak_ordering(16)
         del ranks["n15"]
         with pytest.raises(UnknownNormId, match="no rank to 'n15'"):
             run_benchmark(small_config(policy=Policy.weak_order(ranks), metric=metric,
                                        algorithms=algorithms))
-        assert built == []
+        assert checked_calls == {}
 
     def test_different_seeds_differ(self):
         rows_a = run_benchmark(small_config(conflict_range=(40, 40), seed=1))

@@ -4,7 +4,7 @@ sampler, the norm-document parser and ``build_graph``, and the oracle's
 predicates and exhaustive searches against private copies of the
 implementations they replaced, plus fuzzing of the document parsers.
 Every algorithm's output is also checked against the oracle's predicates,
-and every colouring the package builds without its checks against the
+and every colouring the package builds must equal its rebuild by the
 public ``Colouring`` constructor.
 
 The reference below colours with DSATUR's O(n²) selection scan, keeps the
@@ -57,7 +57,6 @@ from normcolour.bench import (
     BenchConfig,
     BenchRow,
     Metric,
-    _position_pairs,
     benchmark_norms,
     default_weak_ordering,
     derive_seed,
@@ -659,20 +658,6 @@ def test_conflict_sampler_matches_the_reference(n, duplicate, data):
     )
     # the same number of draws, so a caller's later draws are unchanged too
     assert rng.random() == ref_rng.random()
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 12), st.booleans(), st.data())
-def test_graph_from_positions_matches_build_graph(n, duplicate, data):
-    k = data.draw(st.integers(0, max_conflicts(n, duplicate)))
-    seed = data.draw(st.integers(0, 2**32))
-    norms = benchmark_norms(n)
-    positions = random.Random(seed).sample(_position_pairs(n, duplicate), k)
-    g = ConflictGraph._from_positions(build_graph(norms, []), positions)
-    expected = build_graph(norms, generate_random_conflicts(n, k, duplicate, random.Random(seed)))
-    assert g == expected
-    assert (g.ids, g.edges, repr(g)) == (expected.ids, expected.edges, repr(expected))
-    assert [g._position(v) for v in g.ids] == list(range(n))
 
 
 def weighted_by_colour(g: ConflictGraph, phi: Colouring, c: int) -> float:

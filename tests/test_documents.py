@@ -302,7 +302,7 @@ class TestWriterIdentity:
     )
     def test_a_hand_built_resolution_keeps_its_json_rendering(self, colours, entries):
         def r():
-            return Resolution("resolve", "max-class", entries(), Colouring._trusted({}, colours), ())
+            return Resolution("resolve", "max-class", entries(), SimpleNamespace(num_colours=colours), ())
 
         assert write_resolution(r()) == json_rendering(r())
 
@@ -328,7 +328,7 @@ class TestWriterIdentity:
         self, algorithm, policy, colours, entries
     ):
         def r():
-            return Resolution(algorithm, policy, entries(), Colouring._trusted({}, colours), ())
+            return Resolution(algorithm, policy, entries(), SimpleNamespace(num_colours=colours), ())
 
         with pytest.raises(SchemaError) as read:
             read_resolution(json_rendering(r()))
@@ -351,7 +351,7 @@ class TestWriterIdentity:
         ],
     )
     def test_a_resolution_with_no_json_form_is_refused(self, entries, colours, message):
-        r = Resolution("resolve", "max-class", entries, Colouring._trusted({}, colours), ())
+        r = Resolution("resolve", "max-class", entries, SimpleNamespace(num_colours=colours), ())
         with pytest.raises(SchemaError, match="^" + re.escape(message)):
             write_resolution(r)
 

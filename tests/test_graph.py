@@ -14,7 +14,7 @@ from normcolour import (
     build_graph,
     score_admitted_set,
 )
-from normcolour.oracle import is_conflict_free, report
+from normcolour.oracle import is_admissible, is_conflict_free, report
 
 from .conftest import complete_graph, make_graph
 
@@ -213,6 +213,31 @@ def test_an_unhashable_id_is_an_unknown_norm(call):
     with pytest.raises(UnknownNormId, match=re.escape("unknown norm id ['a']")):
         call(g)
     assert ["a"] not in g
+
+
+_BIG = 10**5000  # repr refuses an int of over 4,300 digits
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda g: g.norm(_BIG), UnknownNormId),
+        (lambda g: g.degree(_BIG), UnknownNormId),
+        (lambda g: g.neighbours(_BIG), UnknownNormId),
+        (lambda g: is_conflict_free(g, [_BIG]), UnknownNormId),
+        (lambda g: is_admissible(g, [_BIG]), UnknownNormId),
+        (lambda g: report(g, [_BIG]), UnknownNormId),
+        (lambda g: score_admitted_set(g, [_BIG], {"a": 0, "b": 0}), UnknownNormId),
+        (lambda g: Policy.max_class().prefers(g, "a", _BIG), UnknownNormId),
+        (lambda g: Policy.weak_order({_BIG: "x"}), SchemaError),
+    ],
+    ids=["norm", "degree", "neighbours", "is_conflict_free", "is_admissible", "report",
+         "score_admitted_set", "prefers", "weak_order"],
+)
+def test_an_unprintable_int_is_named_by_a_stand_in(call, error):
+    g = make_graph(["a", "b"], [("a", "b")])
+    with pytest.raises(error, match="<too long to print>"):
+        call(g)
 
 
 def test_ids_are_computed_once():

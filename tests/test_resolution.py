@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from normcolour import (
@@ -9,6 +11,7 @@ from normcolour import (
     colour_resolve_complete,
     is_valid_colouring,
 )
+from normcolour import resolution
 from normcolour.oracle import is_admissible, is_complete_extension, is_conflict_free
 
 from .conftest import complete_graph, make_graph
@@ -194,6 +197,20 @@ class TestSharedBehaviour:
         res = ALGORITHMS[name](g, policy)
         assert res.algorithm == name
         assert res.policy == "weak-order:net"
+
+    def test_admission_leaves_a_shared_preparation_unchanged(self, triangle_plus_edge):
+        # the bench runs every algorithm on one _prepare result, in name order,
+        # so curtail-complete's completion runs before resolve reads the colours
+        g, policy = triangle_plus_edge
+        prepared = resolution._prepare(g, policy)
+        before = copy.deepcopy(prepared)
+        for name in sorted(ALGORITHMS):
+            entries, _ = resolution._admission(name, g, *prepared)
+            assert prepared == before
+            expected = ALGORITHMS[name](g, policy).entries
+            assert [(g.ids[i], wrt) for i, wrt in entries] == [
+                (e.norm, e.curtailed_wrt) for e in expected
+            ]
 
     def test_custom_heuristic_accepted(self, triangle_plus_edge):
         g, _ = triangle_plus_edge
