@@ -15,12 +15,12 @@ is shared by every colouring algorithm run on it, since all four start
 from the same DSATUR colouring and policy ranking. A callable heuristic is
 therefore called once per colour class per instance, not once per algorithm.
 
-``BenchConfig`` checks a run's input once. Each instance samples pairs of
-norm ids from one cached tuple, as ``generate_random_conflicts`` does, and
-is built by the checked ``ConflictGraph`` constructor. The bench reads its
-metrics straight from ``resolution._admission`` by norm position, so it
-builds no ``Resolution`` that it would only count; the policy label is
-worked out once per run. A score metric ranks by a weak order's own map,
+``BenchConfig`` checks a run's input once. Each instance's conflicts are
+drawn by ``generate_random_conflicts`` and built into a graph by the
+checked ``ConflictGraph`` constructor. The bench reads its metrics
+straight from ``resolution._admission`` by norm position, so it builds no
+``Resolution`` that it would only count; the policy label is worked out
+once per run. A score metric ranks by a weak order's own map,
 else by ``default_weak_ordering``, and reads every norm's rank before the
 first instance, so UnknownNormId names the first norm left unranked. Each
 norm is scored once per instance, and a set scores the sum over its
@@ -32,6 +32,7 @@ import csv
 import hashlib
 import io
 import random
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -83,13 +84,7 @@ class BenchConfig:
         trials = self.trials_per_point
         if _require_int(trials, "trials_per_point") < 1:
             raise SchemaError(f"trials_per_point must be at least 1, got {_shown(trials)}")
-        if not isinstance(self.duplicate_directed_pairs, bool):
-            raise SchemaError("duplicate_directed_pairs: expected a bool")
-        cap = max_conflicts(self.n_norms, self.duplicate_directed_pairs)
-        if hi > cap:
-            raise TooManyConflicts(
-                f"conflict_range: {_shown(hi)} conflicts exceed the maximum of {_shown(cap)}"
-            )
+        _require_drawable(self.n_norms, hi, self.duplicate_directed_pairs, "conflict_range: ")
         # derive_seed hashes repr(seed), so it must print as digits: True is not 1
         shown = _shown(self.seed)
         if not isinstance(self.seed, int) or not shown.lstrip("-").isdigit():
@@ -121,9 +116,25 @@ def max_conflicts(n_norms: int, duplicate_directed_pairs: bool) -> int:
     return ordered if duplicate_directed_pairs else ordered // 2
 
 
-def _benchmark_ids(n: int) -> list[NormId]:
-    _require_count(n, "n")
-    width = len(str(max(n - 1, 0)))
+def _require_drawable(n_norms: int, n_conflicts: int, directed: bool, where: str) -> None:
+    """Refuse a duplicate_directed_pairs that is not a bool, then more
+    conflicts than n_norms norms admit; where prefixes the latter error."""
+    if not isinstance(directed, bool):
+        raise SchemaError("duplicate_directed_pairs: expected a bool")
+    cap = max_conflicts(n_norms, directed)
+    if n_conflicts > cap:
+        raise TooManyConflicts(
+            f"{where}{_shown(n_conflicts)} conflicts exceed the maximum of {_shown(cap)}"
+        )
+
+
+def _benchmark_ids(n: int, where: str) -> list[NormId]:
+    _require_count(n, where)
+    try:
+        width = len(str(max(n - 1, 0)))
+    except ValueError:  # over Python's limit of digits; a stand-in width would build n ids
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError(f"{where}: an integer of over {limit} digits") from None
     return [f"n{i:0{width}d}" for i in range(n)]
 
 
@@ -132,13 +143,13 @@ def benchmark_norms(n: int) -> list[Norm]:
     order, with authority falling as the index rises."""
     return [
         Norm(id=v, declared_at=i, authority_rank=n - 1 - i)
-        for i, v in enumerate(_benchmark_ids(n))
+        for i, v in enumerate(_benchmark_ids(n, "n"))
     ]
 
 
 def default_weak_ordering(n: int) -> dict[NormId, int]:
     """Distinct ranks n-1..0 by norm index: the first norm is most preferred."""
-    return {v: n - 1 - i for i, v in enumerate(_benchmark_ids(n))}
+    return {v: n - 1 - i for i, v in enumerate(_benchmark_ids(n, "n"))}
 
 
 def derive_seed(master: int, *parts: object) -> int:
@@ -162,11 +173,7 @@ def generate_random_conflicts(
     """
     _require_count(n_norms, "n_norms")
     _require_count(n_conflicts, "n_conflicts")
-    cap = max_conflicts(n_norms, duplicate_directed_pairs)
-    if n_conflicts > cap:
-        raise TooManyConflicts(
-            f"{_shown(n_conflicts)} conflicts exceed the maximum of {_shown(cap)}"
-        )
+    _require_drawable(n_norms, n_conflicts, duplicate_directed_pairs, "")
     return rng.sample(_candidate_pairs(n_norms, duplicate_directed_pairs), n_conflicts)
 
 
@@ -177,7 +184,7 @@ def _candidate_pairs(
     """Every candidate conflict between the ids of n benchmark norms, in
     itertools order, which fixes the pairs that a seeded sample draws."""
     pairs = permutations if duplicate_directed_pairs else combinations
-    return tuple(pairs(_benchmark_ids(n_norms), 2))
+    return tuple(pairs(_benchmark_ids(n_norms, "n_norms"), 2))
 
 
 def _measure(
@@ -186,7 +193,7 @@ def _measure(
     cfg: BenchConfig,
     label: str,
     point_seed: int,
-    prepared: tuple[list[int], int, list[int]] | None,
+    prepared: tuple | None,
     scores: list[int] | None,
 ) -> list[tuple[str, str, float]]:
     """Run one algorithm on one instance, given the run's policy label, the
@@ -231,14 +238,13 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
     key = None if cfg.metric is Metric.ADMITTED_COUNT else _ranks(ranks, norms)
     label = policy_label(cfg.policy)
     any_colouring = any(a in ALGORITHMS for a in cfg.algorithms)
-    population = _candidate_pairs(cfg.n_norms, cfg.duplicate_directed_pairs)
+    n, directed = cfg.n_norms, cfg.duplicate_directed_pairs
     rows: list[BenchRow] = []
     lo, hi = cfg.conflict_range
     for num_conflicts in range(lo, hi + 1):
         for trial in range(cfg.trials_per_point):
             point_seed = derive_seed(cfg.seed, num_conflicts, trial)
-            # the draws of generate_random_conflicts
-            pairs = random.Random(point_seed).sample(population, num_conflicts)
+            pairs = generate_random_conflicts(n, num_conflicts, directed, random.Random(point_seed))
             g = ConflictGraph(norms, pairs)
             prepared = _prepare(g, cfg.policy) if any_colouring else None
             scores = None if key is None else [

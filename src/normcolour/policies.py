@@ -269,6 +269,5 @@ def score_admitted_set(
     read = {j: norms[j] for i in members for j in (i, *g._adj[i])}
     key = dict(zip(read, _ranks(ranks, read.values())))
     for j, r in key.items():
-        if type(r) is not int:  # skips only the call: _require_int passes every int
-            _require_int(r, f"rank of {g.ids[j]!r}")
+        _require_int(r, f"rank of {g.ids[j]!r}")
     return sum(_norm_score(g, key, i, True) for i in members)

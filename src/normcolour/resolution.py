@@ -24,9 +24,10 @@ first. Two switches, ``complete`` and ``first_class_only``, tell them apart:
 So ``resolve`` is the first class of ``curtail``, and ``resolve-complete``
 the first class of ``curtail-complete``. The colouring and the ranking
 depend only on the graph and the policy, so ``_prepare`` makes them once,
-by norm position, and ``_admission`` runs the loop on them by algorithm
-name without changing them, which lets a caller that runs several
-algorithms on one graph share them. ``_admit`` packs the loop's result
+as ``dsatur``'s ``Colouring`` and ``rank_colours``' ranking, and
+``_admission`` runs the loop on them by algorithm name and norm position.
+Completion recolours a list of its own, so a caller that runs several
+algorithms on one graph can share them. ``_admit`` packs the loop's result
 into a ``Resolution``, its final colouring built by the checked
 ``Colouring`` constructor. Vertices are always swept in norm insertion
 order and recoloured one at a time; recolouring everything at once could
@@ -81,12 +82,11 @@ class Resolution:
         return sum(len(e.curtailed_wrt) for e in self.entries)
 
 
-def _prepare(g: ConflictGraph, policy: Heuristic) -> tuple[list[int], int, list[int]]:
-    """Colour g and rank its classes: the start all four algorithms share.
-    Returns each norm's colour by position, the colour count and the
-    policy's ranking of the colours, best first."""
+def _prepare(g: ConflictGraph, policy: Heuristic) -> tuple[Colouring, list[int]]:
+    """Colour g and rank its classes, best first: the start all four
+    algorithms share."""
     phi = dsatur(g)
-    return _by_position(g, phi), phi.num_colours, rank_colours(g, phi, policy)
+    return phi, rank_colours(g, phi, policy)
 
 
 # algorithm name -> the switches (complete, first_class_only) of _admission
@@ -99,23 +99,22 @@ _SWITCHES = {
 
 
 def _admission(
-    algorithm: str, g: ConflictGraph, colour: list[int], num_colours: int, order: list[int]
+    algorithm: str, g: ConflictGraph, phi: Colouring, order: list[int]
 ) -> tuple[list[tuple[int, tuple[NormId, ...]]], list[int]]:
-    """Admit the classes of a prepared colouring of g best first; see the
-    module docstring. colour, num_colours and order are ``_prepare(g, ...)``
-    and are not changed. Returns the admitted norms' positions in admission
+    """Admit phi's classes in ``order``, best first; see the module
+    docstring. Returns the admitted norms' positions in admission
     order, each with the ids it is curtailed with respect to, and each
     norm's final colour by position."""
     complete, first_class_only = _SWITCHES[algorithm]
     ids, adj = g.ids, g._adj
-    colour = list(colour)  # completion recolours, and the caller may share colour
+    colour = _by_position(g, phi)
     admitted = [False] * len(ids)
     # each norm's admitted neighbours' ids, handed forward as each is admitted,
     # so in admission order
     wrt: list[list[NormId]] = [[] for _ in ids]
     entries: list[tuple[int, tuple[NormId, ...]]] = []
     # each class's members in insertion order, from one pass over the norms
-    buckets: list[list[int]] = [[] for _ in range(num_colours)]
+    buckets: list[list[int]] = [[] for _ in range(phi.num_colours)]
     for i, c in enumerate(colour):
         buckets[c].append(i)
     unadmitted = range(len(ids))  # in insertion order; kept for completion only
@@ -149,12 +148,12 @@ def _admission(
 def _admit(algorithm: str, g: ConflictGraph, policy: Heuristic) -> Resolution:
     """Run one algorithm on g: ``_admission`` on ``_prepare(g, policy)``,
     packed as a Resolution."""
-    colour, num_colours, order = _prepare(g, policy)
-    entries, final = _admission(algorithm, g, colour, num_colours, order)
+    phi, order = _prepare(g, policy)
+    entries, final = _admission(algorithm, g, phi, order)
     ids = g.ids
     packed = tuple(CurtailedNorm(ids[i], wrt) for i, wrt in entries)
-    phi = Colouring(dict(zip(ids, final)), num_colours)
-    return Resolution(algorithm, policy_label(policy), packed, phi, tuple(order))
+    final_phi = Colouring(dict(zip(ids, final)), phi.num_colours)
+    return Resolution(algorithm, policy_label(policy), packed, final_phi, tuple(order))
 
 
 def colour_resolve(g: ConflictGraph, policy: Heuristic) -> Resolution:

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -40,13 +41,39 @@ class TestGenerateRandomConflicts:
             (lambda rng: benchmark_norms(-3), "n"),
             (lambda rng: default_weak_ordering(-3), "n"),
             (lambda rng: benchmark_norms(True), "n"),
+            (lambda rng: generate_random_conflicts(4, 2, "no", rng), "duplicate_directed_pairs"),
+            (lambda rng: generate_random_conflicts(4, 2, None, rng), "duplicate_directed_pairs"),
+            (lambda rng: generate_random_conflicts(4, 2, 1, rng), "duplicate_directed_pairs"),
         ],
         ids=["negative-conflicts", "negative-norms", "str-norms", "float-conflicts",
-             "benchmark_norms", "default_weak_ordering", "bool-norms"],
+             "benchmark_norms", "default_weak_ordering", "bool-norms",
+             "str-directed", "none-directed", "int-directed"],
     )
     def test_a_bad_count_is_named(self, call, name):
         rng = random.Random(0)
         with pytest.raises(SchemaError, match=f"^{name}: expected a"):
+            call(rng)
+        assert rng.random() == random.Random(0).random()  # nothing was drawn
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda rng: benchmark_norms(10**5000), "n"),
+            (lambda rng: default_weak_ordering(10**5000), "n"),
+            (lambda rng: generate_random_conflicts(10**5000, 1, True, rng), "n_norms"),
+            (lambda rng: run_benchmark(BenchConfig(
+                policy=Policy.max_class(), metric=Metric.ADMITTED_COUNT, n_norms=10**5000,
+                conflict_range=(1, 1), trials_per_point=1,
+            )), "n"),
+        ],
+        ids=["benchmark_norms", "default_weak_ordering", "generate_random_conflicts",
+             "run_benchmark"],
+    )
+    def test_a_count_too_long_to_print_is_refused(self, call, name):
+        # such a count passes every cap, so only str() can stop it building its ids
+        rng = random.Random(0)
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(SchemaError, match=f"^{name}: an integer of over {limit} digits$"):
             call(rng)
         assert rng.random() == random.Random(0).random()  # nothing was drawn
 

@@ -56,6 +56,50 @@ def test_a_metric_counts_only_the_pairs_that_report_it_on_both_sides():
     assert pairs.summarise([], _END_TO_END) == []
 
 
+def verdict(parent, change, metric=0):
+    """The verdict on one metric of _END_TO_END over pairs of bare values."""
+    spec = _END_TO_END[metric]
+    runs = [
+        ({"metrics": {spec["name"]: {"value": p}}}, {"metrics": {spec["name"]: {"value": c}}})
+        for p, c in zip(parent, change)
+    ]
+    (s,) = pairs.summarise(runs, [spec])
+    return s["verdict"]
+
+
+_STEADY = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # quartiles 101.75, 107.25
+
+
+@pytest.mark.parametrize(
+    "parent, change, metric, expected",
+    [
+        # ten wins, medians 10 apart against an interquartile range of 5.5
+        (_STEADY, [x + 10 for x in _STEADY], 0, "gain"),
+        # lower is better for op_p50_ms
+        (_STEADY, [x - 10 for x in _STEADY], 1, "gain"),
+        # nine wins and a tie are nine tenths
+        (_STEADY, [x + 10 for x in _STEADY[:9]] + [109], 0, "gain"),
+        # eight wins and two ties are not
+        (_STEADY, [x + 10 for x in _STEADY[:8]] + [108, 109], 0, "within bound"),
+        # ten wins, but the medians differ by less than the interquartile range
+        (_STEADY, [x + 1 for x in _STEADY], 0, "within bound"),
+        # 26% slower against a bound of 25%
+        (_STEADY, [x * 0.74 for x in _STEADY], 0, "worse"),
+        (_STEADY, [x * 1.26 for x in _STEADY], 1, "worse"),
+        (_STEADY, [x * 0.76 for x in _STEADY], 0, "within bound"),
+        # the parent's runs spread over more than 25% of their median
+        ([10] * 5 + [100] * 5, [10] * 5 + [100] * 5, 0, "unresolved"),
+        # unless every change run beats every parent run
+        ([10] * 5 + [100] * 5, [101] * 10, 0, "within bound"),
+        ([10] * 5 + [100] * 5, [100] * 10, 0, "unresolved"),
+    ],
+    ids=["gain", "gain-lower", "nine-wins-one-tie", "eight-wins-two-ties", "inside-iqr",
+         "worse", "worse-lower", "inside-bound", "unresolved", "all-runs-better", "a-tie-is-no-win"],
+)
+def test_each_verdict(parent, change, metric, expected):
+    assert verdict(parent, change, metric) == expected
+
+
 def test_runs_that_failed_or_were_not_correct_are_listed():
     runs = [
         (result(100), result(100)),

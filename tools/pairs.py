@@ -10,15 +10,28 @@ sides alike. The last line of a run's standard output is its JSON result.
 
 The script prints every run's end-to-end metrics, then per metric the
 median of each side, how many pairs the change won, the parent's
-quartiles and how much worse the change's median is than the parent's,
-against the metric's bound. Directions and bounds come from the parent's
-``BENCHMARK.json``. Runs that were not correct or failed an operation are
-listed at the end. Standard library only.
+quartiles, how much worse the change's median is than the parent's,
+against the metric's bound, and a verdict, the first that holds of:
+
+* ``gain``: the change wins at least nine tenths of the pairs, ties
+  counting for neither, and its median is better than the parent's by
+  more than the parent's interquartile range;
+* ``worse``: the change's median is worse than the parent's by more than
+  the bound;
+* ``unresolved``: the parent's interquartile range is wider than the
+  bound (as a share of the parent's median), and some change run is no
+  better than some parent run;
+* ``within bound``.
+
+Directions and bounds come from the parent's ``BENCHMARK.json``. Runs
+that were not correct or failed an operation are listed at the end.
+Standard library only.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import statistics
 import subprocess
 import sys
@@ -53,11 +66,12 @@ def summarise(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[di
     """Per metric of end_to_end (BENCHMARK.json entries with ``name``,
     ``better`` and ``bound``), over the (parent, change) result pairs that
     both report it: each side's median, the change's wins, the parent's
-    quartiles, and ``worse_by``, the change's median as a fraction worse
-    than the parent's (negative when better)."""
+    quartiles, ``worse_by``, the change's median as a fraction worse than
+    the parent's (negative when better), and the verdict (module docstring)."""
     summary = []
     for spec in end_to_end:
-        name, higher = spec["name"], spec["better"] == "higher"
+        name, bound, higher = spec["name"], spec["bound"], spec["better"] == "higher"
+        better = operator.gt if higher else operator.lt
         both = [
             (p["metrics"][name]["value"], c["metrics"][name]["value"])
             for p, c in pairs
@@ -67,13 +81,24 @@ def summarise(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[di
             continue
         parent = [p for p, _ in both]
         change = [c for _, c in both]
-        wins = sum(c > p if higher else c < p for p, c in both)
+        wins = sum(better(c, p) for p, c in both)
         p_med, c_med = statistics.median(parent), statistics.median(change)
         worse_by = ((p_med - c_med) if higher else (c_med - p_med)) / p_med if p_med else 0.0
+        q1, q3 = quartiles(parent)
+        if 10 * wins >= 9 * len(both) and better(c_med, p_med) and abs(c_med - p_med) > q3 - q1:
+            verdict = "gain"
+        elif worse_by > bound:
+            verdict = "worse"
+        elif q3 - q1 > bound * abs(p_med) and not all(
+            better(c, p) for c in change for p in parent
+        ):
+            verdict = "unresolved"
+        else:
+            verdict = "within bound"
         summary.append({
             "name": name, "pairs": len(both), "parent_median": p_med, "change_median": c_med,
-            "wins": wins, "parent_quartiles": quartiles(parent),
-            "worse_by": worse_by, "bound": spec["bound"],
+            "wins": wins, "parent_quartiles": (q1, q3),
+            "worse_by": worse_by, "bound": bound, "verdict": verdict,
         })
     return summary
 
@@ -121,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{s['name']:12} parent {s['parent_median']:.6g} change {s['change_median']:.6g}"
             f" wins {s['wins']}/{s['pairs']} parent IQR {q1:.6g}..{q3:.6g}"
-            f" worse by {s['worse_by']:+.2%} (bound {s['bound']:.0%})"
+            f" worse by {s['worse_by']:+.2%} (bound {s['bound']:.0%}): {s['verdict']}"
         )
     for line in problems(pairs):
         print(f"problem: {line}")
