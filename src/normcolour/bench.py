@@ -10,21 +10,36 @@ the master seed alone, so every algorithm in a run sees the same instance
 and curves can be compared point by point. The only other consumer of
 randomness, the random-drop baseline, draws from its own derived stream.
 
-Each instance is coloured and ranked once, and that colouring and ranking
-is shared by every colouring algorithm run on it, since all four start
-from the same DSATUR colouring and policy ranking. A callable heuristic is
-therefore called once per colour class per instance, not once per algorithm.
+Each instance is coloured once, by the DSATUR core ``colouring._dsatur``,
+and its classes ranked once; every colouring algorithm run on it shares
+both, since all four start from the same DSATUR colouring and policy
+ranking. A callable heuristic is therefore called once per colour class
+per instance, not once per algorithm.
 
 ``BenchConfig`` checks a run's input once. Each instance's conflicts are
-drawn by ``generate_random_conflicts`` and built into a graph by the
-checked ``ConflictGraph`` constructor. The bench reads its metrics
-straight from ``resolution._admission`` by norm position, so it builds no
-``Resolution`` that it would only count; the policy label is worked out
-once per run. A score metric ranks by a weak order's own map,
-else by ``default_weak_ordering``, and reads every norm's rank before the
-first instance, so UnknownNormId names the first norm left unranked. Each
-norm is scored once per instance, and a set scores the sum over its
-members.
+drawn by ``generate_random_conflicts``. The metrics read only a set size, a
+score sum, a curtailment total or an uncurtailed count, so under a
+built-in ``Policy`` an instance is run on Python-int neighbour bitmasks
+(the bitboard idiom of San Segundo, Rodríguez-Losada and Jiménez 2011),
+built straight from the drawn pairs, with no ``ConflictGraph`` or
+``Colouring``:
+
+* a norm scores ``popcount(nb & lower) - popcount(nb & higher)``, where nb
+  is its neighbour mask and lower and higher are the masks of the norms
+  whose policy key is below and above its own, built once per run with the
+  keys' own ``<`` (gross scoring leaves higher empty);
+* admission and completion run the library's loop on masks
+  (``_uncurtailed``): each conflict curtails its later-admitted end, so
+  ``curtailment_total`` is the edge count.
+
+A callable heuristic needs a graph and a ``Colouring``, and the baselines
+need a graph; the checked ``ConflictGraph`` constructor builds it for
+them, and the callable's ranking feeds the same mask admission. A
+score metric ranks norms by a weak order's own map, else by
+``default_weak_ordering``, and reads every norm's rank before the first
+instance, so UnknownNormId names the first norm left unranked. Each norm
+is scored once per instance, and a set scores the sum over its members.
+The norm set of each size is built once and cached.
 """
 from __future__ import annotations
 
@@ -37,13 +52,24 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Iterable
+from typing import Iterable, Sequence
 
+from .colouring import _by_position, _dsatur, dsatur
 from .errors import EmptyInput, SchemaError, TooManyConflicts
 from .graph import ConflictGraph, Norm, NormId, _require_count, _require_int, _shown
 from .oracle import max_cardinality_admissible, random_drop
-from .policies import Policy, WeakOrdering, _norm_score, _ranks, _require_heuristic, policy_label
-from .resolution import ALGORITHMS, _admission, _prepare
+from .policies import (
+    Policy,
+    PolicyKind,
+    ScoreMode,
+    WeakOrdering,
+    _keys,
+    _ranks,
+    _require_heuristic,
+    policy_label,
+    rank_colours,
+)
+from .resolution import ALGORITHMS, _SWITCHES
 
 # preferred is a maximum-cardinality stable extension (oracle.max_cardinality_admissible)
 BASELINES = ("random-drop", "preferred")
@@ -74,6 +100,7 @@ class BenchConfig:
             raise SchemaError(f"metric must be a Metric, not {_shown(self.metric)}")
         if _require_int(self.n_norms, "n_norms") < 1:
             raise SchemaError(f"n_norms must be at least 1, got {_shown(self.n_norms)}")
+        _id_width(self.n_norms, "n_norms")
         pair = self.conflict_range
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise SchemaError(f"conflict_range must be a pair of integers, not {_shown(pair)}")
@@ -128,23 +155,36 @@ def _require_drawable(n_norms: int, n_conflicts: int, directed: bool, where: str
         )
 
 
-def _benchmark_ids(n: int, where: str) -> list[NormId]:
-    _require_count(n, where)
+def _id_width(n: int, where: str) -> int:
+    """The digits of the last of n benchmark ids; SchemaError naming where
+    for an n too long to print, whose ids could not be built."""
     try:
-        width = len(str(max(n - 1, 0)))
+        return len(str(max(n - 1, 0)))
     except ValueError:  # over Python's limit of digits; a stand-in width would build n ids
         limit = sys.get_int_max_str_digits()
         raise SchemaError(f"{where}: an integer of over {limit} digits") from None
+
+
+def _benchmark_ids(n: int, where: str) -> list[NormId]:
+    width = _id_width(_require_count(n, where), where)
     return [f"n{i:0{width}d}" for i in range(n)]
+
+
+@lru_cache(maxsize=4)  # bounded, since each set holds n norms
+def _norm_set(n: int) -> tuple[tuple[Norm, ...], dict[NormId, int]]:
+    """The n benchmark norms and each id's position. Callers check n first,
+    since True would share 1's entry; the map is never handed out."""
+    norms = tuple(
+        Norm(id=v, declared_at=i, authority_rank=n - 1 - i)
+        for i, v in enumerate(_benchmark_ids(n, "n"))
+    )
+    return norms, {norm.id: i for i, norm in enumerate(norms)}
 
 
 def benchmark_norms(n: int) -> list[Norm]:
     """The standard norm set: n0..n(n-1), zero-padded, declared in index
     order, with authority falling as the index rises."""
-    return [
-        Norm(id=v, declared_at=i, authority_rank=n - 1 - i)
-        for i, v in enumerate(_benchmark_ids(n, "n"))
-    ]
+    return list(_norm_set(_require_count(n, "n"))[0])
 
 
 def default_weak_ordering(n: int) -> dict[NormId, int]:
@@ -187,37 +227,121 @@ def _candidate_pairs(
     return tuple(pairs(_benchmark_ids(n_norms, "n_norms"), 2))
 
 
+def _order_masks(key: Sequence) -> tuple[list[int], list[int]]:
+    """For each norm, the mask of the norms whose key is below its own and
+    the mask of those whose key is above it, under the keys' own ``<``, so
+    that a partial order (lex specialis) leaves incomparable norms in neither."""
+    lower = [sum(1 << j for j, kw in enumerate(key) if kw < kv) for kv in key]
+    higher = [sum(1 << j for j, kw in enumerate(key) if kv < kw) for kv in key]
+    return lower, higher
+
+
+def _neighbours(
+    pairs: list[tuple[NormId, NormId]], index: dict[NormId, int], bits: list[int]
+) -> tuple[list[set[int]], list[int]]:
+    """Each norm's neighbours, as a set of positions and as a mask, once each
+    however often a pair was drawn."""
+    adj: list[set[int]] = [set() for _ in bits]
+    nb = [0] * len(bits)
+    for a, b in pairs:
+        i, j = index[a], index[b]
+        adj[i].add(j)
+        adj[j].add(i)
+        nb[i] |= bits[j]
+        nb[j] |= bits[i]
+    return adj, nb
+
+
+def _scores(nb: list[int], lower: list[int], higher: list[int]) -> list[int]:
+    """Each norm's score against its neighbours nb: +1 per neighbour in its
+    lower mask, -1 per neighbour in its higher mask."""
+    return [(m & lo).bit_count() - (m & hi).bit_count() for m, lo, hi in zip(nb, lower, higher)]
+
+
+def _buckets(colour: list[int]) -> list[list[int]]:
+    """Each colour class's members, in insertion order."""
+    buckets: list[list[int]] = [[] for _ in range(max(colour, default=-1) + 1)]
+    for i, c in enumerate(colour):
+        buckets[c].append(i)
+    return buckets
+
+
+def _best_first(buckets: list[list[int]], scores: list[int] | None) -> list[int]:
+    """The classes best first, ties to the lower colour id, as
+    ``rank_colours`` orders them: a class scores the sum of its members'
+    scores, or its size when scores is None."""
+    if scores is None:
+        totals = list(map(len, buckets))
+    else:
+        totals = [sum(map(scores.__getitem__, members)) for members in buckets]
+    # a stable sort, so reverse=True keeps equal totals in colour order
+    return sorted(range(len(buckets)), key=totals.__getitem__, reverse=True)
+
+
+def _uncurtailed(
+    algorithm: str, nb: list[int], buckets: list[list[int]], order: list[int]
+) -> list[int]:
+    """``resolution._admission`` on neighbour masks: the positions that the
+    algorithm admits with no earlier-admitted neighbour, in admission order,
+    given each class's members and the class ranking."""
+    complete, first_class_only = _SWITCHES[algorithm]
+    admitted = 0
+    unadmitted = range(len(nb))  # in insertion order; kept for completion only
+    free = []
+    for c in order[:1] if first_class_only else order:
+        # completion may have admitted some members with an earlier class
+        members = [i for i in buckets[c] if not admitted >> i & 1]
+        if complete:
+            blocked = 0
+            for i in members:
+                blocked |= nb[i]
+            members, rest = [], []
+            for i in unadmitted:
+                if blocked >> i & 1:
+                    rest.append(i)
+                else:
+                    blocked |= nb[i]
+                    members.append(i)
+            unadmitted = rest
+        # a class is independent, so its members never curtail each other
+        for i in members:
+            if not nb[i] & admitted:
+                free.append(i)
+            admitted |= 1 << i
+    return free
+
+
 def _measure(
     algorithm: str,
-    g: ConflictGraph,
     cfg: BenchConfig,
     label: str,
     point_seed: int,
-    prepared: tuple | None,
+    g: ConflictGraph | None,
+    nb: list[int],
+    classes: tuple[list[list[int]], list[int]] | None,
     scores: list[int] | None,
 ) -> list[tuple[str, str, float]]:
     """Run one algorithm on one instance, given the run's policy label, the
-    instance's shared ``_prepare`` result (None if no colouring algorithm
-    runs) and, under a score metric, each norm's net score by position;
-    returns (policy, metric, value) rows."""
+    instance's graph (None unless a baseline or a callable policy needs
+    one), neighbour masks, classes and their ranking (None if no colouring
+    algorithm runs) and, under a score metric, each norm's net score by
+    position; returns (policy, metric, value) rows."""
     if algorithm == "random-drop":
         rng = random.Random(derive_seed(point_seed, "random-drop"))
         label, admitted = "none", list(map(g._position, random_drop(g, rng)))
     elif algorithm == "preferred":
         label, admitted = "none", list(map(g._position, max_cardinality_admissible(g)))
     else:
-        entries, _ = _admission(algorithm, g, *prepared)
-        if algorithm in ("curtail", "curtail-complete"):
-            if cfg.metric is Metric.ADMITTED_COUNT:
-                # Curtailing algorithms admit everything, so a raw count says
-                # nothing; report how much survived uncurtailed instead.
-                return [
-                    (label, "curtailment_total", float(sum(len(w) for _, w in entries))),
-                    (label, "uncurtailed_count", float(sum(not w for _, w in entries))),
-                ]
-            admitted = [i for i, w in entries if not w]
-        else:
-            admitted = [i for i, _ in entries]
+        admitted = _uncurtailed(algorithm, nb, *classes)
+        if cfg.metric is Metric.ADMITTED_COUNT and algorithm.startswith("curtail"):
+            # Curtailing algorithms admit everything, so a raw count says
+            # nothing; report how much survived uncurtailed instead. Each
+            # conflict curtails its later-admitted end once.
+            edges = sum(m.bit_count() for m in nb) // 2
+            return [
+                (label, "curtailment_total", float(edges)),
+                (label, "uncurtailed_count", float(len(admitted))),
+            ]
 
     if cfg.metric is Metric.ADMITTED_COUNT:
         return [(label, "admitted_count", float(len(admitted)))]
@@ -229,29 +353,55 @@ def _measure(
 
 def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
     """Run the configured sweep; deterministic for a fixed config."""
-    norms = benchmark_norms(cfg.n_norms)
-    if isinstance(cfg.policy, Policy) and cfg.policy.ranks is not None:
-        ranks: WeakOrdering = cfg.policy.ranks
-    else:
-        ranks = default_weak_ordering(cfg.n_norms)
-    # each norm's rank under a score metric; UnknownNormId names the first unranked
-    key = None if cfg.metric is Metric.ADMITTED_COUNT else _ranks(ranks, norms)
-    label = policy_label(cfg.policy)
-    any_colouring = any(a in ALGORITHMS for a in cfg.algorithms)
-    n, directed = cfg.n_norms, cfg.duplicate_directed_pairs
+    n, policy = cfg.n_norms, cfg.policy
+    norms, index = _norm_set(n)
+    built_in = isinstance(policy, Policy)
+    algorithms = sorted(cfg.algorithms)
+    colours = any(a in ALGORITHMS for a in algorithms)
+    needs_graph = any(a in BASELINES for a in algorithms) or (colours and not built_in)
+    metric_masks = class_masks = None
+    if cfg.metric is not Metric.ADMITTED_COUNT:
+        if built_in and policy.ranks is not None:
+            ranks: WeakOrdering = policy.ranks
+        else:
+            ranks = default_weak_ordering(n)
+        # UnknownNormId names the first norm left unranked, before any instance
+        metric_masks = _order_masks(_ranks(ranks, norms))
+    if colours and built_in and policy.kind is not PolicyKind.MAX_CLASS:
+        lower, higher = _order_masks(_keys(policy, norms))
+        if policy.mode is ScoreMode.GROSS:
+            higher = [0] * n  # gross scoring counts wins only
+        class_masks = (lower, higher)
+        if class_masks == metric_masks:
+            class_masks = metric_masks  # so each norm is scored once
+    label = policy_label(policy)
+    bits = [1 << i for i in range(n)]
     rows: list[BenchRow] = []
     lo, hi = cfg.conflict_range
     for num_conflicts in range(lo, hi + 1):
         for trial in range(cfg.trials_per_point):
             point_seed = derive_seed(cfg.seed, num_conflicts, trial)
-            pairs = generate_random_conflicts(n, num_conflicts, directed, random.Random(point_seed))
-            g = ConflictGraph(norms, pairs)
-            prepared = _prepare(g, cfg.policy) if any_colouring else None
-            scores = None if key is None else [
-                _norm_score(g, key, i, True) for i in range(cfg.n_norms)
-            ]
-            for algorithm in sorted(cfg.algorithms):
-                for row in _measure(algorithm, g, cfg, label, point_seed, prepared, scores):
+            pairs = generate_random_conflicts(
+                n, num_conflicts, cfg.duplicate_directed_pairs, random.Random(point_seed)
+            )
+            adj, nb = _neighbours(pairs, index, bits)
+            g = ConflictGraph(norms, pairs) if needs_graph else None
+            scores = None if metric_masks is None else _scores(nb, *metric_masks)
+            classes = None
+            if colours and built_in:
+                if class_masks is None:  # max-class: a class scores its size
+                    class_scores = None
+                elif class_masks is metric_masks:
+                    class_scores = scores
+                else:
+                    class_scores = _scores(nb, *class_masks)
+                buckets = _buckets(_dsatur(adj)[0])
+                classes = buckets, _best_first(buckets, class_scores)
+            elif colours:
+                phi = dsatur(g)
+                classes = _buckets(_by_position(g, phi)), rank_colours(g, phi, policy)
+            for algorithm in algorithms:
+                for row in _measure(algorithm, cfg, label, point_seed, g, nb, classes, scores):
                     rows.append(BenchRow(num_conflicts, trial, algorithm, *row, point_seed))
     return rows
 

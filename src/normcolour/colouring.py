@@ -19,8 +19,11 @@ entry sorts before its older ones, so the first of its entries to be
 popped is always current. A saturation is an int bitmask of the colours
 held by coloured neighbours (the bitboard idiom of San Segundo,
 Rodríguez-Losada and Jiménez 2011): its lowest clear bit is the colour to
-take, its popcount the saturation degree. Only the assignment goes back to
-norm ids; ``_by_position`` is the one way back from a colouring to positions.
+take, its popcount the saturation degree. The loop is ``_dsatur``, which
+reads neighbour positions and gives colours by position; ``dsatur`` runs it
+on a graph and maps the result back to norm ids, and the bench runs it on
+the adjacency of its drawn pairs. ``_by_position`` is the one way back from
+a colouring to positions.
 
 The ``Colouring`` constructor checks that it is given a mapping, a count
 that is not negative and every colour in it. It is the only way to build a
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Mapping, Sequence
 
 from .errors import IncompleteColouring, SchemaError, UnknownColour
 from .graph import ConflictGraph, NormId, _require_count, _require_int, _shown
@@ -69,8 +72,16 @@ def dsatur(g: ConflictGraph) -> Colouring:
     graph thanks to the pinned tie-breaks described in the module docstring.
     ``assignment`` lists the norms in the order they were coloured.
     """
-    ids, adj = g.ids, g._adj
-    n = len(ids)
+    colour, order = _dsatur(g._adj)
+    ids = g.ids
+    return Colouring({ids[i]: colour[i] for i in order}, max(colour, default=-1) + 1)
+
+
+def _dsatur(adj: Sequence[Collection[int]]) -> tuple[list[int], list[int]]:
+    """DSATUR on positions: adj[i] holds the neighbours of position i, each
+    once. Returns each position's colour, and the positions in the order
+    they were coloured; the colours used are 0..max(colour)."""
+    n = len(adj)
     degree = list(map(len, adj))
     # a heap entry is one int ordered like (-saturation, -degree, index):
     # -saturation * stride + base[i], with 0 <= base[i] < stride
@@ -79,33 +90,30 @@ def dsatur(g: ConflictGraph) -> Colouring:
     base = [(max_degree - d) * n + i for i, d in enumerate(degree)]
     # saturation bitmask: bit c is set when a coloured neighbour holds colour c
     saturation = [0] * n
-    coloured = [False] * n
+    colour = [-1] * n  # -1: not coloured yet
+    order: list[int] = []
     heap = list(base)
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
-    assignment: dict[NormId, int] = {}
-    num_used = 0
 
     while heap:
         i = pop(heap) % n
-        if coloured[i]:
+        if colour[i] >= 0:
             continue  # stale entry
         s = saturation[i]
-        colour = (~s & (s + 1)).bit_length() - 1  # the lowest colour not in s
-        coloured[i] = True
-        assignment[ids[i]] = colour
-        if colour == num_used:
-            num_used += 1
-        bit = 1 << colour
+        c = (~s & (s + 1)).bit_length() - 1  # the lowest colour not in s
+        colour[i] = c
+        order.append(i)
+        bit = 1 << c
         for j in adj[i]:
-            if not coloured[j]:
+            if colour[j] < 0:
                 s = saturation[j]
                 if not s & bit:
                     s |= bit
                     saturation[j] = s
                     push(heap, base[j] - s.bit_count() * stride)
 
-    return Colouring(assignment, num_used)
+    return colour, order
 
 
 def _by_position(g: ConflictGraph, phi: Colouring) -> list[int]:

@@ -26,12 +26,13 @@ the first class of ``curtail-complete``. The colouring and the ranking
 depend only on the graph and the policy, so ``_prepare`` makes them once,
 as ``dsatur``'s ``Colouring`` and ``rank_colours``' ranking, and
 ``_admission`` runs the loop on them by algorithm name and norm position.
-Completion recolours a list of its own, so a caller that runs several
-algorithms on one graph can share them. ``_admit`` packs the loop's result
-into a ``Resolution``, its final colouring built by the checked
-``Colouring`` constructor. Vertices are always swept in norm insertion
-order and recoloured one at a time; recolouring everything at once could
-put two conflicting vertices into the same class.
+Completion recolours a list of its own and leaves them unchanged.
+``_admit`` packs the loop's result into a ``Resolution``, its final
+colouring built by the checked ``Colouring`` constructor. The bench runs
+the same loop on neighbour bitmasks (``bench._uncurtailed``). Vertices are
+always swept in norm insertion order and recoloured one at a time;
+recolouring everything at once could put two conflicting vertices into the
+same class.
 """
 from __future__ import annotations
 

@@ -1,6 +1,7 @@
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -12,9 +13,8 @@ from normcolour import (
     TooManyConflicts,
     UnknownNormId,
     build_graph,
-    dsatur,
 )
-from normcolour import colouring, graph, resolution
+from normcolour import bench, colouring, graph
 from normcolour.bench import (
     BenchConfig,
     Metric,
@@ -64,7 +64,7 @@ class TestGenerateRandomConflicts:
             (lambda rng: run_benchmark(BenchConfig(
                 policy=Policy.max_class(), metric=Metric.ADMITTED_COUNT, n_norms=10**5000,
                 conflict_range=(1, 1), trials_per_point=1,
-            )), "n"),
+            )), "n_norms"),
         ],
         ids=["benchmark_norms", "default_weak_ordering", "generate_random_conflicts",
              "run_benchmark"],
@@ -82,6 +82,17 @@ class TestGenerateRandomConflicts:
         # zero norms is a valid count too
         assert generate_random_conflicts(0, 0, True, random.Random(0)) == []
         assert benchmark_norms(0) == [] and default_weak_ordering(0) == {}
+
+    def test_each_call_hands_out_a_fresh_norm_list(self):
+        # the norm set is cached per count; a caller's edits must not reach it
+        first = benchmark_norms(5)
+        first.reverse()
+        first.append(first[0])
+        assert [norm.id for norm in benchmark_norms(5)] == ["n0", "n1", "n2", "n3", "n4"]
+        cached = bench._norm_set.cache_info().currsize
+        with pytest.raises(SchemaError):
+            benchmark_norms(10**5000)
+        assert bench._norm_set.cache_info().currsize == cached
 
     def test_full_directed_budget_collapses_to_complete_graph(self):
         pairs = generate_random_conflicts(16, 240, True, random.Random(1))
@@ -234,6 +245,11 @@ class TestConfig:
             preset_config("mystery")
 
 
+def class_size(g, phi, c):
+    """A callable heuristic: the size of colour class c."""
+    return sum(1 for v in g.ids if phi.assignment[v] == c)
+
+
 def small_config(**overrides):
     base = dict(
         policy=Policy.weak_order(default_weak_ordering(16)),
@@ -315,21 +331,27 @@ class TestRunBenchmark:
 
     @pytest.fixture
     def dsatur_calls(self, monkeypatch):
+        """The adjacency of each call of the DSATUR core, whether the bench
+        calls it directly or through ``dsatur``."""
         calls = []
+        core = colouring._dsatur
 
-        def counting_dsatur(g):
-            calls.append(g)
-            return dsatur(g)
+        def counting_core(adj):
+            calls.append(adj)
+            return core(adj)
 
-        monkeypatch.setattr(resolution, "dsatur", counting_dsatur)
+        monkeypatch.setattr(colouring, "_dsatur", counting_core)
+        monkeypatch.setattr(bench, "_dsatur", counting_core)
         return calls
 
-    def test_each_instance_is_coloured_once(self, dsatur_calls):
-        cfg = small_config(conflict_range=(1, 3), trials_per_point=2,
+    @pytest.mark.parametrize("policy", [Policy.weak_order(default_weak_ordering(16)), class_size],
+                             ids=["built-in", "callable"])
+    def test_each_instance_is_coloured_once(self, dsatur_calls, policy):
+        cfg = small_config(policy=policy, conflict_range=(1, 3), trials_per_point=2,
                            algorithms=("resolve", "resolve-complete", "curtail", "random-drop"))
         run_benchmark(cfg)
         assert len(dsatur_calls) == 6
-        assert len({id(g) for g in dsatur_calls}) == 6
+        assert len({id(adj) for adj in dsatur_calls}) == 6
 
     def test_baselines_alone_colour_nothing(self, dsatur_calls):
         run_benchmark(small_config(conflict_range=(1, 3), algorithms=("random-drop", "preferred")))
@@ -351,12 +373,24 @@ class TestRunBenchmark:
         monkeypatch.setattr(phi, "__post_init__", counting("Colouring", phi.__post_init__))
         return calls
 
-    def test_each_instance_is_one_checked_graph_and_colouring(self, checked_calls):
-        run_benchmark(small_config(metric=Metric.SCORE_SUM, conflict_range=(1, 3), trials_per_point=2,
-                                   algorithms=("curtail", "preferred", "random-drop", "resolve")))
-        # six instances, each built by the checked constructor and coloured
-        # once; the algorithms build no Resolution, so no final colouring
-        assert checked_calls == {"ConflictGraph": 6, "Colouring": 6}
+    @pytest.mark.parametrize(
+        "policy, algorithms, built",
+        [
+            # a built-in policy runs on neighbour masks: no graph, no colouring
+            (None, ("curtail", "resolve"), {}),
+            # a baseline needs the graph, but the colouring stays on masks
+            (None, ("curtail", "preferred", "random-drop", "resolve"), {"ConflictGraph": 6}),
+            # a callable scores a Colouring of a graph: dsatur's, once per instance
+            (class_size, ("curtail", "resolve"), {"ConflictGraph": 6, "Colouring": 6}),
+        ],
+        ids=["built-in", "baselines", "callable"],
+    )
+    def test_each_instance_builds_only_what_it_needs(self, checked_calls, policy, algorithms,
+                                                     built):
+        cfg = small_config(metric=Metric.SCORE_SUM, conflict_range=(1, 3), trials_per_point=2,
+                           algorithms=algorithms)
+        run_benchmark(cfg if policy is None else replace(cfg, policy=policy))
+        assert checked_calls == built
 
     @pytest.mark.parametrize("metric", [Metric.SCORE_SUM, Metric.SCORE_AVG])
     @pytest.mark.parametrize("algorithms", [("resolve", "curtail"), ("random-drop", "preferred")])

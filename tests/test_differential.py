@@ -665,33 +665,50 @@ def weighted_by_colour(g: ConflictGraph, phi: Colouring, c: int) -> float:
     return sum(1 for v in g.ids if phi.assignment[v] == c) / (c + 1)
 
 
-_BENCH_POLICIES = [
-    Policy.max_class(),
-    Policy.lex_posterior(),
-    Policy.lex_posterior(ScoreMode.GROSS, prefer_recent=True),
-    Policy.lex_superior(),
-    Policy.lex_specialis(),
-    Policy.weak_order(default_weak_ordering(9)),
-    Policy.weak_order({f"n{i}": i % 3 for i in range(9)}, ScoreMode.GROSS),
-    weighted_by_colour,
+def _bench_policies(n: int) -> list:
+    """The policies the bench is checked under, with rank maps for n norms."""
+    ids = [norm.id for norm in benchmark_norms(n)]
+    return [
+        Policy.max_class(),
+        Policy.lex_posterior(),
+        Policy.lex_posterior(ScoreMode.GROSS, prefer_recent=True),
+        Policy.lex_superior(),
+        Policy.lex_specialis(),
+        Policy.weak_order(default_weak_ordering(n)),
+        Policy.weak_order({v: i % 3 for i, v in enumerate(ids)}, ScoreMode.GROSS),
+        weighted_by_colour,
+    ]
+
+
+_BENCH_POLICIES = {policy_label(p): k for k, p in enumerate(_bench_policies(1))}
+
+
+# (n_norms, conflict range or None for all, trials, algorithms)
+_BENCH_SIZES = [
+    (9, (0, 36), 2, (*ALGORITHMS, *BASELINES)),
+    # the paper's size over its whole range; a directed draw repeats edges
+    (16, None, 1, (*ALGORITHMS, *BASELINES)),
+    # masks of more than one machine word; the exact search stops at 24 norms
+    (70, (150, 165), 1, (*ALGORITHMS, "random-drop")),
 ]
 
 
 @pytest.mark.parametrize("metric", list(Metric))
-@pytest.mark.parametrize("policy", _BENCH_POLICIES, ids=policy_label)
+@pytest.mark.parametrize("policy", _BENCH_POLICIES)
 def test_bench_matches_the_reference(policy, metric):
-    for seed, duplicate in ((3, True), (4, False)):
-        cfg = BenchConfig(
-            policy=policy,
-            metric=metric,
-            n_norms=9,
-            conflict_range=(0, 36),
-            trials_per_point=2,
-            duplicate_directed_pairs=duplicate,
-            seed=seed,
-            algorithms=(*ALGORITHMS, *BASELINES),
-        )
-        assert run_benchmark(cfg) == _ref_run_benchmark(cfg)
+    for n, conflicts, trials, algorithms in _BENCH_SIZES:
+        for seed, duplicate in ((3, True), (4, False)):
+            cfg = BenchConfig(
+                policy=_bench_policies(n)[_BENCH_POLICIES[policy]],
+                metric=metric,
+                n_norms=n,
+                conflict_range=conflicts or (0, max_conflicts(n, duplicate)),
+                trials_per_point=trials,
+                duplicate_directed_pairs=duplicate,
+                seed=seed,
+                algorithms=algorithms,
+            )
+            assert run_benchmark(cfg) == _ref_run_benchmark(cfg), (n, seed, duplicate)
 
 
 # -- reference: the norm-document parser, in isinstance checks only ---------

@@ -199,8 +199,8 @@ class TestSharedBehaviour:
         assert res.policy == "weak-order:net"
 
     def test_admission_leaves_a_shared_preparation_unchanged(self, triangle_plus_edge):
-        # the bench runs every algorithm on one _prepare result, in name order,
-        # so curtail-complete's completion runs before resolve reads the colours
+        # every algorithm in name order on one _prepare result, so
+        # curtail-complete's completion runs before resolve reads the colours
         g, policy = triangle_plus_edge
         prepared = resolution._prepare(g, policy)
         before = copy.deepcopy(prepared)

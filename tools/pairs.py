@@ -8,10 +8,11 @@ checkout, one run at a time; the parent goes first in even pairs and the
 change in odd ones, so that a drift in the machine's speed falls on both
 sides alike. The last line of a run's standard output is its JSON result.
 
-The script prints every run's end-to-end metrics, then per metric the
-median of each side, how many pairs the change won, the parent's
-quartiles, how much worse the change's median is than the parent's,
-against the metric's bound, and a verdict, the first that holds of:
+The script prints every run's operation count and end-to-end metrics,
+then per metric the median of each side, how many pairs the change won,
+the parent's quartiles, how much worse the change's median is than the
+parent's, against the metric's bound, and a verdict, the first that
+holds of:
 
 * ``gain``: the change wins at least nine tenths of the pairs, ties
   counting for neither, and its median is better than the parent's by
@@ -136,8 +137,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"{n}={result['metrics'][n]['value']:.6g}"
                 for n in names if n in result.get("metrics", {})
             )
+            # attempted is passes times operations per pass: peak RSS grows with passes
             print(f"pair {k} {side:6} correct={result.get('correct')}"
-                  f" failed={result.get('failed')} {shown}", flush=True)
+                  f" attempted={result.get('attempted')} failed={result.get('failed')} {shown}",
+                  flush=True)
         pairs.append((sides["parent"], sides["change"]))
 
     print(f"# {args.workload} seed={args.seed} pairs={args.pairs} seconds={args.seconds:g}")
