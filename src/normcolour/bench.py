@@ -17,29 +17,30 @@ ranking. A callable heuristic is therefore called once per colour class
 per instance, not once per algorithm.
 
 ``BenchConfig`` checks a run's input once. Each instance's conflicts are
-drawn by ``generate_random_conflicts``. The metrics read only a set size, a
-score sum, a curtailment total or an uncurtailed count, so under a
-built-in ``Policy`` an instance is run on Python-int neighbour bitmasks
-(the bitboard idiom of San Segundo, Rodríguez-Losada and Jiménez 2011),
-built straight from the drawn pairs, with no ``ConflictGraph`` or
-``Colouring``:
+drawn by ``generate_random_conflicts`` and read into each norm's neighbours
+by position, as a set and as a Python-int bitmask (the bitboard idiom of
+San Segundo, Rodríguez-Losada and Jiménez 2011). The metrics read only a
+set size, a score sum, a curtailment total or an uncurtailed count, so the
+bench runs the library's position-level cores on these:
 
-* a norm scores ``popcount(nb & lower) - popcount(nb & higher)``, where nb
-  is its neighbour mask and lower and higher are the masks of the norms
-  whose policy key is below and above its own, built once per run with the
-  keys' own ``<`` (gross scoring leaves higher empty);
-* admission and completion run the library's loop on masks
-  (``_uncurtailed``): each conflict curtails its later-admitted end, so
-  ``curtailment_total`` is the edge count.
+* under a built-in ``Policy`` a norm scores
+  ``popcount(nb & lower) - popcount(nb & higher)``, where nb is its
+  neighbour mask and lower and higher are the masks of the norms whose
+  policy key is below and above its own, built once per run with the keys'
+  own ``<`` (gross scoring leaves higher empty);
+* the algorithms admit through ``resolution._admission``; a norm is
+  uncurtailed when its mask meets no earlier-admitted norm, and each
+  conflict curtails its later-admitted end, so ``curtailment_total`` is
+  the edge count;
+* the baselines run ``oracle._max_admissible`` and ``oracle._random_drop``.
 
-A callable heuristic needs a graph and a ``Colouring``, and the baselines
-need a graph; the checked ``ConflictGraph`` constructor builds it for
-them, and the callable's ranking feeds the same mask admission. A
-score metric ranks norms by a weak order's own map, else by
-``default_weak_ordering``, and reads every norm's rank before the first
-instance, so UnknownNormId names the first norm left unranked. Each norm
-is scored once per instance, and a set scores the sum over its members.
-The norm set of each size is built once and cached.
+Only a callable heuristic needs a ``ConflictGraph`` and a ``Colouring``,
+and its ranking feeds the same admission. A score metric ranks norms by a
+weak order's own map, else by ``default_weak_ordering``, and reads every
+norm's rank before the first instance, so UnknownNormId names the first
+norm left unranked. Each norm is scored once per instance, and a set
+scores the sum over its members. The norm set of each size is built once
+and cached.
 """
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ from typing import Iterable, Sequence
 from .colouring import _by_position, _dsatur, dsatur
 from .errors import EmptyInput, SchemaError, TooManyConflicts
 from .graph import ConflictGraph, Norm, NormId, _require_count, _require_int, _shown
-from .oracle import max_cardinality_admissible, random_drop
+from .oracle import _max_admissible, _random_drop
 from .policies import (
     Policy,
     PolicyKind,
@@ -69,7 +70,7 @@ from .policies import (
     policy_label,
     rank_colours,
 )
-from .resolution import ALGORITHMS, _SWITCHES
+from .resolution import ALGORITHMS, _admission, _buckets
 
 # preferred is a maximum-cardinality stable extension (oracle.max_cardinality_admissible)
 BASELINES = ("random-drop", "preferred")
@@ -139,15 +140,18 @@ class BenchRow:
 
 
 def max_conflicts(n_norms: int, duplicate_directed_pairs: bool) -> int:
+    """The most conflicts that n_norms norms admit: ordered pairs with
+    duplicate_directed_pairs, else unordered ones."""
+    _require_count(n_norms, "n_norms")
+    if not isinstance(duplicate_directed_pairs, bool):
+        raise SchemaError("duplicate_directed_pairs: expected a bool")
     ordered = n_norms * (n_norms - 1)
     return ordered if duplicate_directed_pairs else ordered // 2
 
 
 def _require_drawable(n_norms: int, n_conflicts: int, directed: bool, where: str) -> None:
-    """Refuse a duplicate_directed_pairs that is not a bool, then more
-    conflicts than n_norms norms admit; where prefixes the latter error."""
-    if not isinstance(directed, bool):
-        raise SchemaError("duplicate_directed_pairs: expected a bool")
+    """Refuse what ``max_conflicts`` refuses, then more conflicts than n_norms
+    norms admit; where prefixes the latter error."""
     cap = max_conflicts(n_norms, directed)
     if n_conflicts > cap:
         raise TooManyConflicts(
@@ -258,14 +262,6 @@ def _scores(nb: list[int], lower: list[int], higher: list[int]) -> list[int]:
     return [(m & lo).bit_count() - (m & hi).bit_count() for m, lo, hi in zip(nb, lower, higher)]
 
 
-def _buckets(colour: list[int]) -> list[list[int]]:
-    """Each colour class's members, in insertion order."""
-    buckets: list[list[int]] = [[] for _ in range(max(colour, default=-1) + 1)]
-    for i, c in enumerate(colour):
-        buckets[c].append(i)
-    return buckets
-
-
 def _best_first(buckets: list[list[int]], scores: list[int] | None) -> list[int]:
     """The classes best first, ties to the lower colour id, as
     ``rank_colours`` orders them: a class scores the sum of its members'
@@ -278,61 +274,40 @@ def _best_first(buckets: list[list[int]], scores: list[int] | None) -> list[int]
     return sorted(range(len(buckets)), key=totals.__getitem__, reverse=True)
 
 
-def _uncurtailed(
-    algorithm: str, nb: list[int], buckets: list[list[int]], order: list[int]
-) -> list[int]:
-    """``resolution._admission`` on neighbour masks: the positions that the
-    algorithm admits with no earlier-admitted neighbour, in admission order,
-    given each class's members and the class ranking."""
-    complete, first_class_only = _SWITCHES[algorithm]
-    admitted = 0
-    unadmitted = range(len(nb))  # in insertion order; kept for completion only
-    free = []
-    for c in order[:1] if first_class_only else order:
-        # completion may have admitted some members with an earlier class
-        members = [i for i in buckets[c] if not admitted >> i & 1]
-        if complete:
-            blocked = 0
-            for i in members:
-                blocked |= nb[i]
-            members, rest = [], []
-            for i in unadmitted:
-                if blocked >> i & 1:
-                    rest.append(i)
-                else:
-                    blocked |= nb[i]
-                    members.append(i)
-            unadmitted = rest
-        # a class is independent, so its members never curtail each other
-        for i in members:
-            if not nb[i] & admitted:
-                free.append(i)
-            admitted |= 1 << i
-    return free
-
-
 def _measure(
     algorithm: str,
     cfg: BenchConfig,
     label: str,
     point_seed: int,
-    g: ConflictGraph | None,
+    adj: list[set[int]],
     nb: list[int],
     classes: tuple[list[list[int]], list[int]] | None,
     scores: list[int] | None,
 ) -> list[tuple[str, str, float]]:
     """Run one algorithm on one instance, given the run's policy label, the
-    instance's graph (None unless a baseline or a callable policy needs
-    one), neighbour masks, classes and their ranking (None if no colouring
-    algorithm runs) and, under a score metric, each norm's net score by
-    position; returns (policy, metric, value) rows."""
+    instance's neighbours as position sets and as masks, its classes and
+    their ranking (None if no colouring algorithm runs) and, under a score
+    metric, each norm's net score by position; returns (policy, metric,
+    value) rows."""
+    n = len(nb)
     if algorithm == "random-drop":
         rng = random.Random(derive_seed(point_seed, "random-drop"))
-        label, admitted = "none", list(map(g._position, random_drop(g, rng)))
+        # each conflict once, from its earlier norm: ConflictGraph.edges' order
+        edges = [(i, j) for i, m in enumerate(nb) for j in range(i + 1, n) if m >> j & 1]
+        label, admitted = "none", _random_drop(n, edges, rng)
     elif algorithm == "preferred":
-        label, admitted = "none", list(map(g._position, max_cardinality_admissible(g)))
+        # zero-padded ids sort in position order, so the oracle's tie-break holds
+        best = _max_admissible(nb)
+        label, admitted = "none", [i for i in range(n) if best >> i & 1]
     else:
-        admitted = _uncurtailed(algorithm, nb, *classes)
+        # the uncurtailed norms: those with no neighbour admitted before them;
+        # a class is independent, so its members never curtail each other
+        admitted, seen = [], 0
+        for members in _admission(algorithm, adj, *classes):
+            for i in members:
+                if not nb[i] & seen:
+                    admitted.append(i)
+                seen |= 1 << i
         if cfg.metric is Metric.ADMITTED_COUNT and algorithm.startswith("curtail"):
             # Curtailing algorithms admit everything, so a raw count says
             # nothing; report how much survived uncurtailed instead. Each
@@ -358,7 +333,6 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
     built_in = isinstance(policy, Policy)
     algorithms = sorted(cfg.algorithms)
     colours = any(a in ALGORITHMS for a in algorithms)
-    needs_graph = any(a in BASELINES for a in algorithms) or (colours and not built_in)
     metric_masks = class_masks = None
     if cfg.metric is not Metric.ADMITTED_COUNT:
         if built_in and policy.ranks is not None:
@@ -385,7 +359,6 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
                 n, num_conflicts, cfg.duplicate_directed_pairs, random.Random(point_seed)
             )
             adj, nb = _neighbours(pairs, index, bits)
-            g = ConflictGraph(norms, pairs) if needs_graph else None
             scores = None if metric_masks is None else _scores(nb, *metric_masks)
             classes = None
             if colours and built_in:
@@ -398,10 +371,11 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
                 buckets = _buckets(_dsatur(adj)[0])
                 classes = buckets, _best_first(buckets, class_scores)
             elif colours:
+                g = ConflictGraph(norms, pairs)
                 phi = dsatur(g)
                 classes = _buckets(_by_position(g, phi)), rank_colours(g, phi, policy)
             for algorithm in algorithms:
-                for row in _measure(algorithm, cfg, label, point_seed, g, nb, classes, scores):
+                for row in _measure(algorithm, cfg, label, point_seed, adj, nb, classes, scores):
                     rows.append(BenchRow(num_conflicts, trial, algorithm, *row, point_seed))
     return rows
 

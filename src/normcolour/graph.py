@@ -19,8 +19,7 @@ a norm must be a ``Norm`` (``norms[2]: expected a Norm``), which checked
 its own fields, and both arguments must be iterable. A pair of exact types
 passes on ``type`` tests; any other is checked with ``isinstance``, which
 accepts a ``str`` subclass id or a namedtuple pair. There is no other way
-to build a graph: the bench builds each instance through the constructor
-too.
+to build a graph.
 """
 from __future__ import annotations
 

@@ -14,13 +14,16 @@ the first unknown id in input order.
 
 The exhaustive searches (maximum admissible set, chromatic number) are
 budget-capped; they exist to verify the fast paths, not to replace them.
-This module also hosts the random-drop baseline used in benchmarks.
+This module also hosts the random-drop baseline used in benchmarks. Each
+baseline wraps a core on positions, as ``dsatur`` wraps ``_dsatur``, which
+the bench calls: ``_max_admissible`` on neighbour masks, ``_random_drop``
+on a list of conflicts.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .colouring import dsatur
 from .errors import TooLarge
@@ -98,13 +101,20 @@ def max_cardinality_admissible(g: ConflictGraph) -> frozenset[NormId]:
     search budget.
     """
     n = len(g)
-    if n > MAX_ADMISSIBLE_SEARCH:
-        raise TooLarge(f"exhaustive admissible-set search capped at {MAX_ADMISSIBLE_SEARCH} norms")
     # bit r stands for the norm whose id sorts r-th, at position order[r]
     order = sorted(range(n), key=g.ids.__getitem__)
     rank = sorted(range(n), key=order.__getitem__)  # the inverse of order
-    adj = [sum(1 << rank[j] for j in g._adj[i]) for i in order]
+    best = _max_admissible([sum(1 << rank[j] for j in g._adj[i]) for i in order])
+    return frozenset(g.ids[order[r]] for r in range(n) if (best >> r) & 1)
 
+
+def _max_admissible(nb: Sequence[int]) -> int:
+    """``max_cardinality_admissible`` on neighbour masks: bit j of nb[i] is
+    set when i and j conflict. Returns the mask of the maximum set whose
+    sorted positions are lexicographically smallest."""
+    n = len(nb)
+    if n > MAX_ADMISSIBLE_SEARCH:
+        raise TooLarge(f"exhaustive admissible-set search capped at {MAX_ADMISSIBLE_SEARCH} norms")
     best_mask = 0
     best_count = 0
 
@@ -118,11 +128,11 @@ def max_cardinality_admissible(g: ConflictGraph) -> frozenset[NormId]:
             best_mask, best_count = chosen, count
             return
         bit = free & -free  # the next free norm; blocked ones are skipped
-        explore(chosen | bit, count + 1, free & ~bit & ~adj[bit.bit_length() - 1])
+        explore(chosen | bit, count + 1, free & ~bit & ~nb[bit.bit_length() - 1])
         explore(chosen, count, free & ~bit)
 
     explore(0, 0, (1 << n) - 1)
-    return frozenset(g.ids[order[r]] for r in range(n) if (best_mask >> r) & 1)
+    return best_mask
 
 
 def chromatic_number(g: ConflictGraph) -> int:
@@ -170,10 +180,17 @@ def _colourable_with(earlier: list[list[int]], k: int) -> bool:
 def random_drop(g: ConflictGraph, rng: random.Random) -> frozenset[NormId]:
     """Baseline: drop a random endpoint of a random conflict until none
     remain, then keep the survivors. Always conflict-free."""
-    alive = set(g.ids)
-    live = list(g.edges)  # edges with both ends alive, in g.edges order
+    edges = [(i, j) for i, js in enumerate(g._adj) for j in js if j > i]  # g.edges' order
+    return frozenset(map(g.ids.__getitem__, _random_drop(len(g), edges, rng)))
+
+
+def _random_drop(n: int, edges: list[tuple[int, int]], rng: random.Random) -> list[int]:
+    """``random_drop`` on positions 0..n-1 and their conflicts ``edges``,
+    each once, in the order that fixes the draws; the survivors, in order."""
+    alive = [True] * n
+    live = edges  # edges with both ends alive, in the given order
     while live:
         dropped = live[rng.randrange(len(live))][rng.randrange(2)]
-        alive.discard(dropped)
+        alive[dropped] = False
         live = [e for e in live if dropped not in e]
-    return frozenset(alive)
+    return [i for i in range(n) if alive[i]]

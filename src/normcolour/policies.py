@@ -259,11 +259,14 @@ def score_admitted_set(
     scores under the rank map, summed. Over the full vertex set the two
     signs cancel edge by edge, so the total is 0. Only admitted norms and
     their neighbours need ranks: UnknownNormId otherwise, or for a norm
-    outside g, and SchemaError for a rank read that is not an integer or
-    for an ``admitted`` that is a str or not iterable.
+    outside g, and SchemaError for a rank read that is not an integer, a
+    ``ranks`` that is not a mapping or an ``admitted`` that is a str or not
+    iterable.
     """
     # a repeated member counts once, kept where it is first seen
     members = dict.fromkeys(map(g._position, _read_members(admitted, "admitted")))
+    if not isinstance(ranks, Mapping):
+        raise SchemaError(f"ranks: expected a mapping, not {type(ranks).__name__}")
     norms = g.norms
     # read in order, each member then its neighbours, to name the first unranked norm
     read = {j: norms[j] for i in members for j in (i, *g._adj[i])}

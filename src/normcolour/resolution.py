@@ -23,20 +23,20 @@ first. Two switches, ``complete`` and ``first_class_only``, tell them apart:
 
 So ``resolve`` is the first class of ``curtail``, and ``resolve-complete``
 the first class of ``curtail-complete``. The colouring and the ranking
-depend only on the graph and the policy, so ``_prepare`` makes them once,
-as ``dsatur``'s ``Colouring`` and ``rank_colours``' ranking, and
-``_admission`` runs the loop on them by algorithm name and norm position.
-Completion recolours a list of its own and leaves them unchanged.
-``_admit`` packs the loop's result into a ``Resolution``, its final
-colouring built by the checked ``Colouring`` constructor. The bench runs
-the same loop on neighbour bitmasks (``bench._uncurtailed``). Vertices are
-always swept in norm insertion order and recoloured one at a time;
-recolouring everything at once could put two conflicting vertices into the
-same class.
+depend only on the graph and the policy, so ``_prepare`` makes them once.
+``_admission`` is the loop, on norm positions: given each norm's
+neighbours, each class's members (``_buckets``) and the ranking, it
+returns the positions each admitted class takes; the bench calls it too.
+``_admit`` hands curtailments forward and recolours the norms completion
+moved in one pass, and packs a ``Resolution``. Completion sweeps in norm
+insertion order, and a vertex joins only if none that joined before it
+blocks it; letting all eligible vertices join at once could put two
+conflicting vertices into one class.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection, Sequence
 
 from .colouring import Colouring, _by_position, dsatur
 from .graph import ConflictGraph, NormId
@@ -99,26 +99,26 @@ _SWITCHES = {
 }
 
 
-def _admission(
-    algorithm: str, g: ConflictGraph, phi: Colouring, order: list[int]
-) -> tuple[list[tuple[int, tuple[NormId, ...]]], list[int]]:
-    """Admit phi's classes in ``order``, best first; see the module
-    docstring. Returns the admitted norms' positions in admission
-    order, each with the ids it is curtailed with respect to, and each
-    norm's final colour by position."""
-    complete, first_class_only = _SWITCHES[algorithm]
-    ids, adj = g.ids, g._adj
-    colour = _by_position(g, phi)
-    admitted = [False] * len(ids)
-    # each norm's admitted neighbours' ids, handed forward as each is admitted,
-    # so in admission order
-    wrt: list[list[NormId]] = [[] for _ in ids]
-    entries: list[tuple[int, tuple[NormId, ...]]] = []
-    # each class's members in insertion order, from one pass over the norms
-    buckets: list[list[int]] = [[] for _ in range(phi.num_colours)]
+def _buckets(colour: list[int]) -> list[list[int]]:
+    """Each colour class's members, by position in insertion order, given
+    each norm's colour by position."""
+    buckets: list[list[int]] = [[] for _ in range(max(colour, default=-1) + 1)]
     for i, c in enumerate(colour):
         buckets[c].append(i)
-    unadmitted = range(len(ids))  # in insertion order; kept for completion only
+    return buckets
+
+
+def _admission(
+    algorithm: str, adj: Sequence[Collection[int]], buckets: list[list[int]], order: list[int]
+) -> list[list[int]]:
+    """Admit the classes ``buckets`` in ``order``, best first; see the module
+    docstring. adj[i] holds the neighbours of position i, each once. Returns
+    the positions that each admitted class takes, in admission order, class
+    by class; completion draws some of them from later classes."""
+    complete, first_class_only = _SWITCHES[algorithm]
+    admitted = [False] * len(adj)
+    unadmitted = range(len(adj))  # in insertion order; kept for completion only
+    taken: list[list[int]] = []
     for c in order[:1] if first_class_only else order:
         # completion may have admitted some members with an earlier class
         members = [i for i in buckets[c] if not admitted[i]]
@@ -132,29 +132,34 @@ def _admission(
                 if i in blocked:
                     rest.append(i)
                 else:
-                    colour[i] = c
                     blocked.update(adj[i])
                     members.append(i)
             unadmitted = rest
-        # a class is independent, so its members never curtail each other
         for i in members:
-            entries.append((i, tuple(wrt[i])))
             admitted[i] = True
-            v = ids[i]
-            for j in adj[i]:
-                wrt[j].append(v)
-    return entries, colour
+        taken.append(members)
+    return taken
 
 
 def _admit(algorithm: str, g: ConflictGraph, policy: Heuristic) -> Resolution:
     """Run one algorithm on g: ``_admission`` on ``_prepare(g, policy)``,
     packed as a Resolution."""
     phi, order = _prepare(g, policy)
-    entries, final = _admission(algorithm, g, phi, order)
-    ids = g.ids
-    packed = tuple(CurtailedNorm(ids[i], wrt) for i, wrt in entries)
-    final_phi = Colouring(dict(zip(ids, final)), phi.num_colours)
-    return Resolution(algorithm, policy_label(policy), packed, final_phi, tuple(order))
+    ids, adj = g.ids, g._adj
+    colour = _by_position(g, phi)
+    # each norm's admitted neighbours' ids, handed forward as each is admitted,
+    # so in admission order
+    wrt: list[list[NormId]] = [[] for _ in ids]
+    entries = []
+    for c, members in zip(order, _admission(algorithm, adj, _buckets(colour), order)):
+        for i in members:
+            colour[i] = c  # completion may have drawn i from a later class
+            v = ids[i]
+            entries.append(CurtailedNorm(v, tuple(wrt[i])))
+            for j in adj[i]:
+                wrt[j].append(v)
+    final = Colouring(dict(zip(ids, colour)), phi.num_colours)
+    return Resolution(algorithm, policy_label(policy), tuple(entries), final, tuple(order))
 
 
 def colour_resolve(g: ConflictGraph, policy: Heuristic) -> Resolution:

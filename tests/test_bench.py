@@ -10,6 +10,7 @@ from normcolour import (
     NormColourError,
     Policy,
     SchemaError,
+    TooLarge,
     TooManyConflicts,
     UnknownNormId,
     build_graph,
@@ -44,10 +45,15 @@ class TestGenerateRandomConflicts:
             (lambda rng: generate_random_conflicts(4, 2, "no", rng), "duplicate_directed_pairs"),
             (lambda rng: generate_random_conflicts(4, 2, None, rng), "duplicate_directed_pairs"),
             (lambda rng: generate_random_conflicts(4, 2, 1, rng), "duplicate_directed_pairs"),
+            (lambda rng: max_conflicts(-3, True), "n_norms"),
+            (lambda rng: max_conflicts(2.5, True), "n_norms"),
+            (lambda rng: max_conflicts("ab", True), "n_norms"),
+            (lambda rng: max_conflicts(4, "yes"), "duplicate_directed_pairs"),
         ],
         ids=["negative-conflicts", "negative-norms", "str-norms", "float-conflicts",
              "benchmark_norms", "default_weak_ordering", "bool-norms",
-             "str-directed", "none-directed", "int-directed"],
+             "str-directed", "none-directed", "int-directed", "max_conflicts-negative",
+             "max_conflicts-float", "max_conflicts-str", "max_conflicts-str-directed"],
     )
     def test_a_bad_count_is_named(self, call, name):
         rng = random.Random(0)
@@ -378,8 +384,8 @@ class TestRunBenchmark:
         [
             # a built-in policy runs on neighbour masks: no graph, no colouring
             (None, ("curtail", "resolve"), {}),
-            # a baseline needs the graph, but the colouring stays on masks
-            (None, ("curtail", "preferred", "random-drop", "resolve"), {"ConflictGraph": 6}),
+            # the baselines run the oracle's cores on the same masks
+            (None, ("curtail", "preferred", "random-drop", "resolve"), {}),
             # a callable scores a Colouring of a graph: dsatur's, once per instance
             (class_size, ("curtail", "resolve"), {"ConflictGraph": 6, "Colouring": 6}),
         ],
@@ -391,6 +397,12 @@ class TestRunBenchmark:
                            algorithms=algorithms)
         run_benchmark(cfg if policy is None else replace(cfg, policy=policy))
         assert checked_calls == built
+
+    def test_preferred_keeps_the_oracle_search_budget(self):
+        cfg = small_config(policy=Policy.max_class(), algorithms=("preferred",))
+        run_benchmark(replace(cfg, n_norms=24))
+        with pytest.raises(TooLarge, match="^exhaustive admissible-set search capped at 24 norms$"):
+            run_benchmark(replace(cfg, n_norms=25))
 
     @pytest.mark.parametrize("metric", [Metric.SCORE_SUM, Metric.SCORE_AVG])
     @pytest.mark.parametrize("algorithms", [("resolve", "curtail"), ("random-drop", "preferred")])

@@ -343,6 +343,14 @@ class TestScoreAdmittedSet:
         with pytest.raises(SchemaError, match="^" + re.escape(message) + "$"):
             score_admitted_set(g, admitted, {"a": 1, "b": 0})
 
+    @pytest.mark.parametrize("ranks, shown", [(["x"], "list"), (None, "NoneType")])
+    def test_ranks_must_be_a_mapping(self, ranks, shown):
+        # Policy's message; before any rank is read, so even for an empty set
+        g = make_graph("ab", [("a", "b")])
+        for admitted in (["a"], []):
+            with pytest.raises(SchemaError, match=f"^ranks: expected a mapping, not {shown}$"):
+                score_admitted_set(g, admitted, ranks)
+
     def test_first_unranked_norm_is_named_member_then_neighbours(self):
         # a's neighbour d is read before the member b
         g = make_graph("abcd", [("a", "d")])

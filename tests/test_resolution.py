@@ -11,7 +11,7 @@ from normcolour import (
     colour_resolve_complete,
     is_valid_colouring,
 )
-from normcolour import resolution
+from normcolour import colouring, resolution
 from normcolour.oracle import is_admissible, is_complete_extension, is_conflict_free
 
 from .conftest import complete_graph, make_graph
@@ -199,18 +199,20 @@ class TestSharedBehaviour:
         assert res.policy == "weak-order:net"
 
     def test_admission_leaves_a_shared_preparation_unchanged(self, triangle_plus_edge):
-        # every algorithm in name order on one _prepare result, so
-        # curtail-complete's completion runs before resolve reads the colours
+        # every algorithm in name order on one set of classes and ranking, so
+        # curtail-complete's completion runs before resolve reads the classes
         g, policy = triangle_plus_edge
-        prepared = resolution._prepare(g, policy)
+        phi, order = resolution._prepare(g, policy)
+        prepared = (resolution._buckets(colouring._by_position(g, phi)), order)
         before = copy.deepcopy(prepared)
         for name in sorted(ALGORITHMS):
-            entries, _ = resolution._admission(name, g, *prepared)
+            taken = resolution._admission(name, g._adj, *prepared)
             assert prepared == before
-            expected = ALGORITHMS[name](g, policy).entries
-            assert [(g.ids[i], wrt) for i, wrt in entries] == [
-                (e.norm, e.curtailed_wrt) for e in expected
-            ]
+            res = ALGORITHMS[name](g, policy)
+            assert tuple(g.ids[i] for members in taken for i in members) == res.admitted
+            # class by class, in the ranking's order
+            for c, members in zip(order, taken):
+                assert all(res.colouring.assignment[g.ids[i]] == c for i in members)
 
     def test_custom_heuristic_accepted(self, triangle_plus_edge):
         g, _ = triangle_plus_edge
