@@ -34,7 +34,8 @@ bench runs the library's position-level cores on these:
   the edge count;
 * the baselines run ``oracle._max_admissible`` and ``oracle._random_drop``.
 
-Only a callable heuristic needs a ``ConflictGraph`` and a ``Colouring``,
+Only a callable heuristic needs a ``ConflictGraph`` and a ``Colouring``:
+the bench starts it from ``resolution._prepare``, as the algorithms do,
 and its ranking feeds the same admission. A score metric ranks norms by a
 weak order's own map, else by ``default_weak_ordering``, and reads every
 norm's rank before the first instance, so UnknownNormId names the first
@@ -55,7 +56,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .colouring import _by_position, _dsatur, dsatur
+from .colouring import _dsatur
 from .errors import EmptyInput, SchemaError, TooManyConflicts
 from .graph import ConflictGraph, Norm, NormId, _require_count, _require_int, _shown
 from .oracle import _max_admissible, _random_drop
@@ -64,13 +65,13 @@ from .policies import (
     PolicyKind,
     ScoreMode,
     WeakOrdering,
+    _best_first,
     _keys,
     _ranks,
     _require_heuristic,
     policy_label,
-    rank_colours,
 )
-from .resolution import ALGORITHMS, _admission, _buckets
+from .resolution import ALGORITHMS, _admission, _buckets, _prepare
 
 # preferred is a maximum-cardinality stable extension (oracle.max_cardinality_admissible)
 BASELINES = ("random-drop", "preferred")
@@ -262,16 +263,12 @@ def _scores(nb: list[int], lower: list[int], higher: list[int]) -> list[int]:
     return [(m & lo).bit_count() - (m & hi).bit_count() for m, lo, hi in zip(nb, lower, higher)]
 
 
-def _best_first(buckets: list[list[int]], scores: list[int] | None) -> list[int]:
-    """The classes best first, ties to the lower colour id, as
-    ``rank_colours`` orders them: a class scores the sum of its members'
-    scores, or its size when scores is None."""
+def _bucket_totals(buckets: list[list[int]], scores: list[int] | None) -> list[int]:
+    """Each class's total: the sum of its members' scores, or its size when
+    scores is None."""
     if scores is None:
-        totals = list(map(len, buckets))
-    else:
-        totals = [sum(map(scores.__getitem__, members)) for members in buckets]
-    # a stable sort, so reverse=True keeps equal totals in colour order
-    return sorted(range(len(buckets)), key=totals.__getitem__, reverse=True)
+        return list(map(len, buckets))
+    return [sum(map(scores.__getitem__, members)) for members in buckets]
 
 
 def _measure(
@@ -369,11 +366,10 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
                 else:
                     class_scores = _scores(nb, *class_masks)
                 buckets = _buckets(_dsatur(adj)[0])
-                classes = buckets, _best_first(buckets, class_scores)
+                classes = buckets, _best_first(_bucket_totals(buckets, class_scores))
             elif colours:
-                g = ConflictGraph(norms, pairs)
-                phi = dsatur(g)
-                classes = _buckets(_by_position(g, phi)), rank_colours(g, phi, policy)
+                colour, order = _prepare(ConflictGraph(norms, pairs), policy)
+                classes = _buckets(colour), order
             for algorithm in algorithms:
                 for row in _measure(algorithm, cfg, label, point_seed, adj, nb, classes, scores):
                     rows.append(BenchRow(num_conflicts, trial, algorithm, *row, point_seed))

@@ -77,6 +77,8 @@ def _read_text(path: str) -> str:
         raise NormColourError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise NormColourError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None
+    except MemoryError:  # an endless device, or a file larger than memory
+        raise NormColourError(f"cannot read {path}: too large to hold in memory") from None
 
 
 def _write_text(path: str | None, text: str) -> None:

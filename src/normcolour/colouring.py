@@ -16,7 +16,9 @@ vertex pushes a fresh entry for each uncoloured neighbour whose saturation
 it raises, and the older entry stays in the heap. An entry is stale once
 its vertex is coloured: since saturation only grows, a vertex's newest
 entry sorts before its older ones, so the first of its entries to be
-popped is always current. A saturation is an int bitmask of the colours
+popped is always current. The loop colours one vertex per pass, n passes
+in all, so it ends at the last vertex coloured and leaves the stale entries
+still in the heap unpopped. A saturation is an int bitmask of the colours
 held by coloured neighbours (the bitboard idiom of San Segundo,
 Rodríguez-Losada and Jiménez 2011): its lowest clear bit is the colour to
 take, its popcount the saturation degree. The loop is ``_dsatur``, which
@@ -96,10 +98,10 @@ def _dsatur(adj: Sequence[Collection[int]]) -> tuple[list[int], list[int]]:
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
 
-    while heap:
+    for _ in range(n):  # one norm per pass: ends at the last, leaving stale entries unpopped
         i = pop(heap) % n
-        if colour[i] >= 0:
-            continue  # stale entry
+        while colour[i] >= 0:  # stale; each uncoloured norm keeps an entry, so one follows
+            i = pop(heap) % n
         s = saturation[i]
         c = (~s & (s + 1)).bit_length() - 1  # the lowest colour not in s
         colour[i] = c

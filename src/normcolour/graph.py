@@ -53,7 +53,7 @@ def _shown(value: object) -> str:
         return "<too long to print>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Norm:
     """A norm plus the metadata the resolution policies consume.
 
@@ -64,6 +64,12 @@ class Norm:
     id must be a non-empty str, label a str, declared_at and authority_rank
     ints (not bools), and antecedents a list, tuple, set or frozenset of str;
     a bad field raises SchemaError whose message starts with its name.
+
+    ``__init__`` is written out with the fields' names, order and defaults:
+    it checks each field once, exact types first, and writes the fields
+    straight into the instance dict in field order, the order in which
+    ``vars(norm)`` gives them to the norm document writer. Equality,
+    hashing, repr, ``dataclasses.replace`` and pickling are the dataclass's.
     """
 
     id: NormId
@@ -72,23 +78,36 @@ class Norm:
     authority_rank: int = 0
     antecedents: frozenset[str] = frozenset()
 
-    def __post_init__(self) -> None:
-        id_, label, ants = self.id, self.label, self.antecedents
-        if type(id_) is not str and not isinstance(id_, str) or not id_:
+    def __init__(
+        self,
+        id: NormId,
+        label: str = "",
+        declared_at: int = 0,
+        authority_rank: int = 0,
+        antecedents: Iterable[str] = frozenset(),
+    ) -> None:
+        if type(id) is not str and not isinstance(id, str) or not id:
             raise SchemaError("id: expected a non-empty string")
         if type(label) is not str and not isinstance(label, str):
             raise SchemaError("label: expected a string")
-        if type(self.declared_at) is not int:
-            _require_int(self.declared_at, "declared_at")
-        if type(self.authority_rank) is not int:
-            _require_int(self.authority_rank, "authority_rank")
-        if type(ants) is not list and not isinstance(ants, (list, tuple, set, frozenset)):
+        if type(declared_at) is not int:
+            _require_int(declared_at, "declared_at")
+        if type(authority_rank) is not int:
+            _require_int(authority_rank, "authority_rank")
+        if type(antecedents) is not list and not isinstance(
+            antecedents, (list, tuple, set, frozenset)
+        ):
             raise SchemaError("antecedents: expected a list of strings")
-        for atom in ants:  # before frozenset(ants), which an unhashable atom would break
+        for atom in antecedents:  # before frozenset(), which an unhashable atom would break
             if type(atom) is not str and not isinstance(atom, str):
-                i = next(i for i, a in enumerate(ants) if a is atom)  # the first to fail
+                i = next(i for i, a in enumerate(antecedents) if a is atom)  # the first to fail
                 raise SchemaError(f"antecedents[{i}]: expected a string")
-        object.__setattr__(self, "antecedents", frozenset(ants))
+        fields = self.__dict__  # the frozen dataclass refuses setattr
+        fields["id"] = id
+        fields["label"] = label
+        fields["declared_at"] = declared_at
+        fields["authority_rank"] = authority_rank
+        fields["antecedents"] = frozenset(antecedents)
 
 
 def _read_all(items: Iterable, where: str, what: str) -> tuple:

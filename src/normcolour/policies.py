@@ -33,7 +33,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .colouring import Colouring, _by_position
-from .errors import InvalidScore, SchemaError, UnknownColour, UnknownNormId
+from .errors import IncompleteColouring, InvalidScore, SchemaError, UnknownColour, UnknownNormId
 from .graph import ConflictGraph, Norm, NormId, _read_members, _require_int, _shown
 
 WeakOrdering = Mapping[NormId, int]
@@ -170,6 +170,25 @@ def _norm_score(g: ConflictGraph, key: Sequence | Mapping[int, object], i: int, 
     return total
 
 
+def _class_totals(g: ConflictGraph, colour: Sequence[int], k: int, policy: Policy) -> list[int]:
+    """The total score of each of k classes under a built-in policy, given
+    each norm's colour by position: each norm is scored once. Raises
+    UnknownNormId for the first norm a weak order leaves unranked."""
+    key = _keys(policy, g.norms)
+    net = policy.mode is ScoreMode.NET
+    count = policy.kind is PolicyKind.MAX_CLASS  # its keys tie: each norm scores 1
+    totals = [0] * k
+    for i, c in enumerate(colour):
+        totals[c] += 1 if count else _norm_score(g, key, i, net)
+    return totals
+
+
+def _best_first(totals: Sequence[float]) -> list[int]:
+    """The classes 0..len(totals)-1, highest total first, ties to the lower
+    colour id: a stable sort, so reverse=True keeps equal totals in order."""
+    return sorted(range(len(totals)), key=totals.__getitem__, reverse=True)
+
+
 def _class_scores(
     g: ConflictGraph, phi: Colouring, policy: Heuristic, colours: Iterable[int]
 ) -> dict[int, float]:
@@ -180,12 +199,12 @@ def _class_scores(
     class a non-number, a number too large for a float or a NaN, which no
     ranking orders."""
     if isinstance(policy, Policy):
-        key = _keys(policy, g.norms)
-        net = policy.mode is ScoreMode.NET
-        count = policy.kind is PolicyKind.MAX_CLASS  # its keys tie: each norm scores 1
-        totals = [0] * phi.num_colours
-        for i, c in enumerate(_by_position(g, phi)):
-            totals[c] += 1 if count else _norm_score(g, key, i, net)
+        try:
+            colour = _by_position(g, phi)
+        except IncompleteColouring:
+            _keys(policy, g.norms)  # a norm left unranked is named first
+            raise
+        totals = _class_totals(g, colour, phi.num_colours, policy)
         return {c: float(totals[c]) for c in colours}
     _require_heuristic(policy)
     scores: dict[int, float] = {}
@@ -235,7 +254,7 @@ def rank_colours(g: ConflictGraph, phi: Colouring, policy: Heuristic) -> list[in
     policy neither a Policy nor callable, InvalidScore for a non-number or NaN.
     """
     scores = _class_scores(g, phi, policy, range(phi.num_colours))
-    return sorted(scores, key=lambda c: (-scores[c], c))
+    return _best_first(list(scores.values()))
 
 
 def ordering_from_metadata(

@@ -23,7 +23,11 @@ first. Two switches, ``complete`` and ``first_class_only``, tell them apart:
 
 So ``resolve`` is the first class of ``curtail``, and ``resolve-complete``
 the first class of ``curtail-complete``. The colouring and the ranking
-depend only on the graph and the policy, so ``_prepare`` makes them once.
+depend only on the graph and the policy, so ``_prepare`` makes them once,
+on positions: under a built-in policy it runs the DSATUR core and scores
+the classes from each norm's colour by position, so ``_admit`` builds one
+``Colouring``, the final one; only a callable heuristic is handed DSATUR's
+``Colouring``, which it scores class by class.
 ``_admission`` is the loop, on norm positions: given each norm's
 neighbours, each class's members (``_buckets``) and the ranking, it
 returns the positions each admitted class takes; the bench calls it too.
@@ -38,9 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Sequence
 
-from .colouring import Colouring, _by_position, dsatur
+from .colouring import Colouring, _by_position, _dsatur, dsatur
 from .graph import ConflictGraph, NormId
-from .policies import Heuristic, policy_label, rank_colours
+from .policies import Heuristic, Policy, _best_first, _class_totals, policy_label, rank_colours
 
 
 @dataclass(frozen=True)
@@ -83,11 +87,16 @@ class Resolution:
         return sum(len(e.curtailed_wrt) for e in self.entries)
 
 
-def _prepare(g: ConflictGraph, policy: Heuristic) -> tuple[Colouring, list[int]]:
+def _prepare(g: ConflictGraph, policy: Heuristic) -> tuple[list[int], list[int]]:
     """Colour g and rank its classes, best first: the start all four
-    algorithms share."""
+    algorithms share. Returns each norm's colour by position and the
+    ranking, which lists every colour id. A built-in policy scores the
+    classes on positions; a callable is handed DSATUR's ``Colouring``."""
+    if isinstance(policy, Policy):
+        colour = _dsatur(g._adj)[0]
+        return colour, _best_first(_class_totals(g, colour, max(colour, default=-1) + 1, policy))
     phi = dsatur(g)
-    return phi, rank_colours(g, phi, policy)
+    return _by_position(g, phi), rank_colours(g, phi, policy)
 
 
 # algorithm name -> the switches (complete, first_class_only) of _admission
@@ -144,9 +153,8 @@ def _admission(
 def _admit(algorithm: str, g: ConflictGraph, policy: Heuristic) -> Resolution:
     """Run one algorithm on g: ``_admission`` on ``_prepare(g, policy)``,
     packed as a Resolution."""
-    phi, order = _prepare(g, policy)
+    colour, order = _prepare(g, policy)
     ids, adj = g.ids, g._adj
-    colour = _by_position(g, phi)
     # each norm's admitted neighbours' ids, handed forward as each is admitted,
     # so in admission order
     wrt: list[list[NormId]] = [[] for _ in ids]
@@ -158,7 +166,7 @@ def _admit(algorithm: str, g: ConflictGraph, policy: Heuristic) -> Resolution:
             entries.append(CurtailedNorm(v, tuple(wrt[i])))
             for j in adj[i]:
                 wrt[j].append(v)
-    final = Colouring(dict(zip(ids, colour)), phi.num_colours)
+    final = Colouring(dict(zip(ids, colour)), len(order))
     return Resolution(algorithm, policy_label(policy), tuple(entries), final, tuple(order))
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import normcolour
-from normcolour import Policy
+from normcolour import Policy, cli
 from normcolour.cli import build_parser, main
 from normcolour.documents import parse_norm_document, write_resolution
 from normcolour.resolution import colour_curtail_complete
@@ -141,6 +142,17 @@ class TestResolveCommand:
         bad.write_text('{"norms": [{"id": "a", "declared_at": -' + "9" * 5000 + "}]}")
         assert main(["resolve", "--input", str(bad), "--policy", "lex-posterior"]) == 2
         assert "integer literal" in capsys.readouterr().err
+
+    def test_input_too_large_for_memory_is_input_error(self, k2_file, monkeypatch, capsys):
+        # the read fails as it would on /dev/zero, without allocating anything
+        class TooLarge(io.StringIO):
+            def read(self, *args):
+                raise MemoryError
+
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: TooLarge(), raising=False)
+        assert main(["resolve", "--input", k2_file, "--policy", "max-class"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read {k2_file}: too large to hold in memory\n"
 
     def test_deeply_nested_document_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "deep.json"

@@ -52,6 +52,7 @@ from normcolour import (
     score_admitted_set,
     score_colour,
 )
+from normcolour import policies
 from normcolour.bench import (
     BASELINES,
     BenchConfig,
@@ -364,6 +365,29 @@ def test_curtailment_matches_the_reference_on_larger_documents(seed, n, degree):
     for policy in _every_built_in_policy(g):
         for name in ("curtail", "curtail-complete"):
             assert ALGORITHMS[name](g, policy) == REFERENCE[name](g, policy)
+
+
+def _as_callable(policy: Policy):
+    """A callable heuristic that scores each class as the built-in policy does."""
+    def score(g: ConflictGraph, phi: Colouring, c: int) -> float:
+        return policies._class_scores(g, phi, policy, (c,))[c]
+    return score
+
+
+@pytest.mark.parametrize("seed, n, degree", [(2, 12, 3), (3, 40, 4), (4, 60, 12), (5, 24, 20)])
+def test_a_built_in_policy_resolves_as_its_callable_does(seed, n, degree):
+    # a built-in policy is ranked on positions, a callable through DSATUR's
+    # Colouring and rank_colours; metadata drawn from few values gives every
+    # policy tied classes (equal sizes under max-class, shared authority
+    # ranks under lex superior, a weak order with ties)
+    g = parse_norm_document(_seeded_document(seed, n, degree))
+    for policy in _every_built_in_policy(g):
+        for run in ALGORITHMS.values():
+            built_in, called = run(g, policy), run(g, _as_callable(policy))
+            assert built_in.entries == called.entries
+            assert built_in.colouring == called.colouring
+            assert list(built_in.colouring.assignment) == list(called.colouring.assignment)
+            assert built_in.colour_order == called.colour_order
 
 
 @settings(max_examples=200, deadline=None)

@@ -26,8 +26,9 @@ from normcolour import ALGORITHMS, ConflictGraph, Policy, PolicyKind, ScoreMode,
 from normcolour.bench import derive_seed, preset_config, rows_to_csv, run_benchmark
 from normcolour.documents import parse_norm_document, write_norm_document, write_resolution
 
-from .conftest import DATA_DIR
-
+# pytest is not imported, here or through conftest, so that tools/interpreters.py
+# can compute the digests under an interpreter without it
+DATA_DIR = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 PAIRWISE = (
     PolicyKind.LEX_POSTERIOR,

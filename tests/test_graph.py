@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import re
 from collections import namedtuple
 from types import SimpleNamespace
@@ -133,6 +135,29 @@ class TestNormSchema:
     def test_antecedent_collections_become_frozensets(self):
         for ants in (["p", "q"], ("q", "p"), {"p", "q"}, frozenset({"p", "q"})):
             assert Norm("a", antecedents=ants).antecedents == frozenset({"p", "q"})
+
+    def test_constructor_takes_the_fields_in_order_with_their_defaults(self):
+        fields = [(f.name, f.default) for f in dataclasses.fields(Norm)]
+        assert fields == [
+            ("id", dataclasses.MISSING),
+            ("label", ""),
+            ("declared_at", 0),
+            ("authority_rank", 0),
+            ("antecedents", frozenset()),
+        ]
+        params = inspect.signature(Norm).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            (name, inspect.Parameter.empty if default is dataclasses.MISSING else default)
+            for name, default in fields
+        ]
+        assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
+
+    @pytest.mark.parametrize("args", [("a",), ("a", "l", 3, 2, ["p"])])
+    def test_instance_holds_the_fields_in_field_order(self, args):
+        # the norm document writer reads vars(norm) in this order
+        norm = Norm(*args)
+        assert list(vars(norm)) == [f.name for f in dataclasses.fields(Norm)]
+        assert Norm(**vars(norm)) == norm
 
 
 class TestNeighbours:

@@ -4,14 +4,16 @@ import pytest
 
 from normcolour import (
     ALGORITHMS,
+    Colouring,
     Policy,
     colour_curtail,
     colour_curtail_complete,
     colour_resolve,
     colour_resolve_complete,
+    dsatur,
     is_valid_colouring,
 )
-from normcolour import colouring, resolution
+from normcolour import resolution
 from normcolour.oracle import is_admissible, is_complete_extension, is_conflict_free
 
 from .conftest import complete_graph, make_graph
@@ -202,8 +204,8 @@ class TestSharedBehaviour:
         # every algorithm in name order on one set of classes and ranking, so
         # curtail-complete's completion runs before resolve reads the classes
         g, policy = triangle_plus_edge
-        phi, order = resolution._prepare(g, policy)
-        prepared = (resolution._buckets(colouring._by_position(g, phi)), order)
+        colour, order = resolution._prepare(g, policy)
+        prepared = (resolution._buckets(colour), order)
         before = copy.deepcopy(prepared)
         for name in sorted(ALGORITHMS):
             taken = resolution._admission(name, g._adj, *prepared)
@@ -223,3 +225,28 @@ class TestSharedBehaviour:
         res = colour_resolve(g, prefer_highest_colour_id)
         assert res.colour_order[0] == res.colouring.num_colours - 1
         assert res.policy == "prefer_highest_colour_id"
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_only_a_callable_is_handed_dsaturs_colouring(self, name, triangle_plus_edge,
+                                                           monkeypatch):
+        g, policy = triangle_plus_edge
+        expected = list(dsatur(g).assignment.items())  # in colouring order
+        built, seen = [], []
+        check = Colouring.__post_init__
+
+        def counted(phi):
+            built.append(phi)
+            check(phi)
+
+        def heuristic(graph, phi, c):
+            seen.append(phi)
+            return float(c)
+
+        monkeypatch.setattr(Colouring, "__post_init__", counted)
+        res = ALGORITHMS[name](g, policy)
+        assert built == [res.colouring]  # a built-in policy builds only the final one
+        built.clear()
+        res = ALGORITHMS[name](g, heuristic)
+        assert len(built) == 2 and built[1] is res.colouring
+        assert seen and all(phi is built[0] for phi in seen)
+        assert list(built[0].assignment.items()) == expected
