@@ -26,11 +26,9 @@ from .policies import (
     Policy,
     PolicyKind,
     ScoreMode,
-    ordering_from_metadata,
     policy_label,
     rank_colours,
     score_admitted_set,
-    score_colour,
 )
 from .resolution import (
     ALGORITHMS,
@@ -72,9 +70,7 @@ __all__ = [
     "colour_resolve_complete",
     "dsatur",
     "is_valid_colouring",
-    "ordering_from_metadata",
     "policy_label",
     "rank_colours",
     "score_admitted_set",
-    "score_colour",
 ]

@@ -13,35 +13,32 @@ randomness, the random-drop baseline, draws from its own derived stream.
 Each instance is coloured once, by the DSATUR core ``colouring._dsatur``,
 and its classes ranked once; every colouring algorithm run on it shares
 both, since all four start from the same DSATUR colouring and policy
-ranking. A callable heuristic is therefore called once per colour class
-per instance, not once per algorithm.
+ranking.
 
-``BenchConfig`` checks a run's input once. Each instance's conflicts are
-drawn by ``generate_random_conflicts`` and read into each norm's neighbours
-by position, as a set and as a Python-int bitmask (the bitboard idiom of
-San Segundo, Rodríguez-Losada and Jiménez 2011). The metrics read only a
-set size, a score sum, a curtailment total or an uncurtailed count, so the
+``BenchConfig`` checks a run's input once, and takes a built-in ``Policy``
+only: a callable heuristic scores a ``Colouring`` of a ``ConflictGraph``,
+which the bench never builds. Each instance's conflicts are drawn by
+``generate_random_conflicts`` and read into each norm's neighbours by
+position, as a set and as a Python-int bitmask (the bitboard idiom of San
+Segundo, Rodríguez-Losada and Jiménez 2011). The metrics read only a set
+size, a score sum, a curtailment total or an uncurtailed count, so the
 bench runs the library's position-level cores on these:
 
-* under a built-in ``Policy`` a norm scores
-  ``popcount(nb & lower) - popcount(nb & higher)``, where nb is its
-  neighbour mask and lower and higher are the masks of the norms whose
-  policy key is below and above its own, built once per run with the keys'
-  own ``<`` (gross scoring leaves higher empty);
+* a norm scores ``popcount(nb & lower) - popcount(nb & higher)``, where nb
+  is its neighbour mask and lower and higher are the masks of the norms
+  whose policy key is below and above its own, built once per run with the
+  keys' own ``<`` (gross scoring leaves higher empty);
 * the algorithms admit through ``resolution._admission``; a norm is
   uncurtailed when its mask meets no earlier-admitted norm, and each
   conflict curtails its later-admitted end, so ``curtailment_total`` is
   the edge count;
 * the baselines run ``oracle._max_admissible`` and ``oracle._random_drop``.
 
-Only a callable heuristic needs a ``ConflictGraph`` and a ``Colouring``:
-the bench starts it from ``resolution._prepare``, as the algorithms do,
-and its ranking feeds the same admission. A score metric ranks norms by a
-weak order's own map, else by ``default_weak_ordering``, and reads every
-norm's rank before the first instance, so UnknownNormId names the first
-norm left unranked. Each norm is scored once per instance, and a set
-scores the sum over its members. The norm set of each size is built once
-and cached.
+A score metric ranks norms by a weak order's own map, else by
+``default_weak_ordering``, and reads every norm's rank before the first
+instance, so UnknownNormId names the first norm left unranked. Each norm
+is scored once per instance, and a set scores the sum over its members.
+The norm set of each size is built once and cached.
 """
 from __future__ import annotations
 
@@ -58,20 +55,18 @@ from typing import Iterable, Sequence
 
 from .colouring import _dsatur
 from .errors import EmptyInput, SchemaError, TooManyConflicts
-from .graph import ConflictGraph, Norm, NormId, _require_count, _require_int, _shown
+from .graph import Norm, NormId, _require_count, _require_int, _shown
 from .oracle import _max_admissible, _random_drop
 from .policies import (
     Policy,
     PolicyKind,
     ScoreMode,
-    WeakOrdering,
     _best_first,
     _keys,
     _ranks,
-    _require_heuristic,
     policy_label,
 )
-from .resolution import ALGORITHMS, _admission, _buckets, _prepare
+from .resolution import ALGORITHMS, _admission, _buckets
 
 # preferred is a maximum-cardinality stable extension (oracle.max_cardinality_admissible)
 BASELINES = ("random-drop", "preferred")
@@ -97,7 +92,8 @@ class BenchConfig:
     algorithms: tuple[str, ...] = ("resolve",)
 
     def __post_init__(self) -> None:
-        _require_heuristic(self.policy)
+        if not isinstance(self.policy, Policy):
+            raise SchemaError(f"policy must be a Policy, not {_shown(self.policy)}")
         if not isinstance(self.metric, Metric):
             raise SchemaError(f"metric must be a Metric, not {_shown(self.metric)}")
         if _require_int(self.n_norms, "n_norms") < 1:
@@ -199,7 +195,11 @@ def default_weak_ordering(n: int) -> dict[NormId, int]:
 
 def derive_seed(master: int, *parts: object) -> int:
     """Stable 64-bit seed for a sub-stream of the master seed."""
-    text = ":".join(map(repr, (master, *parts)))
+    try:
+        text = ":".join(map(repr, (master, *parts)))
+    except ValueError:  # an int over Python's limit of digits has no repr to hash
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError(f"derive_seed: an integer of over {limit} digits") from None
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
@@ -327,18 +327,14 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
     """Run the configured sweep; deterministic for a fixed config."""
     n, policy = cfg.n_norms, cfg.policy
     norms, index = _norm_set(n)
-    built_in = isinstance(policy, Policy)
     algorithms = sorted(cfg.algorithms)
     colours = any(a in ALGORITHMS for a in algorithms)
     metric_masks = class_masks = None
     if cfg.metric is not Metric.ADMITTED_COUNT:
-        if built_in and policy.ranks is not None:
-            ranks: WeakOrdering = policy.ranks
-        else:
-            ranks = default_weak_ordering(n)
+        ranks = default_weak_ordering(n) if policy.ranks is None else policy.ranks
         # UnknownNormId names the first norm left unranked, before any instance
         metric_masks = _order_masks(_ranks(ranks, norms))
-    if colours and built_in and policy.kind is not PolicyKind.MAX_CLASS:
+    if colours and policy.kind is not PolicyKind.MAX_CLASS:
         lower, higher = _order_masks(_keys(policy, norms))
         if policy.mode is ScoreMode.GROSS:
             higher = [0] * n  # gross scoring counts wins only
@@ -358,7 +354,7 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
             adj, nb = _neighbours(pairs, index, bits)
             scores = None if metric_masks is None else _scores(nb, *metric_masks)
             classes = None
-            if colours and built_in:
+            if colours:
                 if class_masks is None:  # max-class: a class scores its size
                     class_scores = None
                 elif class_masks is metric_masks:
@@ -367,9 +363,6 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
                     class_scores = _scores(nb, *class_masks)
                 buckets = _buckets(_dsatur(adj)[0])
                 classes = buckets, _best_first(_bucket_totals(buckets, class_scores))
-            elif colours:
-                colour, order = _prepare(ConflictGraph(norms, pairs), policy)
-                classes = _buckets(colour), order
             for algorithm in algorithms:
                 for row in _measure(algorithm, cfg, label, point_seed, adj, nb, classes, scores):
                     rows.append(BenchRow(num_conflicts, trial, algorithm, *row, point_seed))

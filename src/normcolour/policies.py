@@ -4,8 +4,7 @@ A policy scores each norm against its conflicting neighbours: +1 for each
 neighbour the norm is preferred to and, under NET scoring, -1 for each one
 preferred to it (GROSS counts wins only; ties count 0). A colour class
 scores the sum over its members. Every built-in policy keys each norm by
-one rule (``_keys``), and v is preferred to w exactly when key[w] < key[v],
-so ``Policy.prefers`` costs O(1):
+one rule (``_keys``), and v is preferred to w exactly when key[w] < key[v]:
 
 * lex posterior — earlier declaration ranks higher (``prefer_recent``
   flips this to the textbook reading, where the newer norm wins);
@@ -19,10 +18,10 @@ Max-class scores every norm 1, so a class scores its size. A ``Policy``
 takes a rank map with weak-order only (which requires one),
 ``prefer_recent=True`` with lex posterior only and GROSS with any kind but
 max-class; it raises SchemaError for any other combination. Any callable
-``(graph, colouring, colour) -> float`` can stand in for a policy wherever
-one is accepted and is called once per class, so bespoke heuristics (trust
-models, etc.) plug in without touching this module; anything else raises
-SchemaError.
+``(graph, colouring, colour) -> float`` can stand in for a policy in the
+four algorithms and ``rank_colours`` and is called once per class, so
+bespoke heuristics (trust models, etc.) plug in without touching this
+module; anything else raises SchemaError.
 """
 from __future__ import annotations
 
@@ -33,7 +32,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .colouring import Colouring, _by_position
-from .errors import IncompleteColouring, InvalidScore, SchemaError, UnknownColour, UnknownNormId
+from .errors import IncompleteColouring, InvalidScore, SchemaError, UnknownNormId
 from .graph import ConflictGraph, Norm, NormId, _read_members, _require_int, _shown
 
 WeakOrdering = Mapping[NormId, int]
@@ -110,21 +109,8 @@ class Policy:
     def max_class(cls) -> "Policy":
         return cls(PolicyKind.MAX_CLASS)
 
-    def prefers(self, g: ConflictGraph, a: NormId, b: NormId) -> bool:
-        """Strict preference of a over b, O(1): b's key is below a's.
-        Max-class prefers nothing. Raises UnknownNormId for an id outside g
-        or for a or b left unranked by a weak order."""
-        key_a, key_b = _keys(self, (g.norm(a), g.norm(b)))
-        return key_b < key_a
-
 
 Heuristic = Union[Policy, Callable[[ConflictGraph, Colouring, int], float]]
-
-
-def _require_heuristic(policy: object) -> None:
-    """Raise SchemaError unless policy is a Policy or a callable."""
-    if not isinstance(policy, Policy) and not callable(policy):
-        raise SchemaError(f"policy must be a Policy or a callable, not {_shown(policy)}")
 
 
 class _Specific(frozenset):
@@ -189,39 +175,6 @@ def _best_first(totals: Sequence[float]) -> list[int]:
     return sorted(range(len(totals)), key=totals.__getitem__, reverse=True)
 
 
-def _class_scores(
-    g: ConflictGraph, phi: Colouring, policy: Heuristic, colours: Iterable[int]
-) -> dict[int, float]:
-    """Scores of the given classes of phi: each norm is scored once and the
-    scores summed by class. Raises IncompleteColouring naming the first
-    uncoloured norm in insertion order, SchemaError for a policy that is
-    neither a Policy nor callable, InvalidScore when a callable gives a
-    class a non-number, a number too large for a float or a NaN, which no
-    ranking orders."""
-    if isinstance(policy, Policy):
-        try:
-            colour = _by_position(g, phi)
-        except IncompleteColouring:
-            _keys(policy, g.norms)  # a norm left unranked is named first
-            raise
-        totals = _class_totals(g, colour, phi.num_colours, policy)
-        return {c: float(totals[c]) for c in colours}
-    _require_heuristic(policy)
-    scores: dict[int, float] = {}
-    for c in colours:
-        score = policy(g, phi, c)
-        try:
-            scores[c] = float(score)
-        except (TypeError, ValueError):
-            raise InvalidScore(f"colour {c} scored {score!r}, not a number") from None
-        except OverflowError:  # the value is not shown: an int of over 4,300 digits has no repr
-            message = f"colour {c} scored a number too large for a float ({type(score).__name__})"
-            raise InvalidScore(message) from None
-        if math.isnan(scores[c]):
-            raise InvalidScore(f"colour {c} scored NaN")
-    return scores
-
-
 def policy_label(policy: Heuristic) -> str:
     """Short, stable name used in CLI output, documents, and benchmark rows."""
     if isinstance(policy, Policy):
@@ -232,43 +185,39 @@ def policy_label(policy: Heuristic) -> str:
     return name if isinstance(name, str) else "custom"
 
 
-def score_colour(g: ConflictGraph, phi: Colouring, c: int, policy: Heuristic) -> float:
-    """Evaluate colour class c of phi under the given policy.
-
-    A built-in policy scores every norm on each call, O(n + m); rank_colours
-    scores all classes at once. Raises SchemaError when c is not an integer
-    or policy is neither a Policy nor callable, UnknownColour when c is
-    outside phi's colour range, IncompleteColouring when phi leaves a norm
-    of g uncoloured, InvalidScore for a non-number or NaN.
-    """
-    if not 0 <= _require_int(c, "colour") < phi.num_colours:
-        raise UnknownColour(f"colour {_shown(c)} not in 0..{_shown(phi.num_colours - 1)}")
-    return _class_scores(g, phi, policy, (c,))[c]
-
-
 def rank_colours(g: ConflictGraph, phi: Colouring, policy: Heuristic) -> list[int]:
     """All colour ids, best score first; ties go to the lower colour id.
 
-    Raises UnknownNormId for a norm a weak order leaves unranked,
-    IncompleteColouring for a norm phi leaves uncoloured, SchemaError for a
-    policy neither a Policy nor callable, InvalidScore for a non-number or NaN.
+    A built-in policy scores each norm once and sums the scores by class; a
+    callable is called once per class. Raises UnknownNormId for a norm a
+    weak order leaves unranked (named before an uncoloured one),
+    IncompleteColouring naming the first norm in insertion order that phi
+    leaves uncoloured, SchemaError for a policy neither a Policy nor
+    callable, InvalidScore when a callable gives a class a non-number, a
+    number too large for a float or a NaN, which no ranking orders.
     """
-    scores = _class_scores(g, phi, policy, range(phi.num_colours))
-    return _best_first(list(scores.values()))
-
-
-def ordering_from_metadata(
-    g: ConflictGraph, kind: PolicyKind, *, prefer_recent: bool = False
-) -> dict[NormId, int]:
-    """Derive an explicit rank map from norm metadata.
-
-    Lex posterior ranks by negated declaration time (earlier declared =
-    higher rank, unless prefer_recent), lex superior by authority rank.
-    Raises SchemaError for any other kind and for prefer_recent with lex superior.
-    """
-    if kind is not PolicyKind.LEX_POSTERIOR and kind is not PolicyKind.LEX_SUPERIOR:
-        raise SchemaError(f"no metadata-derived ordering for {kind}")
-    return dict(zip(g.ids, _keys(Policy(kind, prefer_recent=prefer_recent), g.norms)))
+    if isinstance(policy, Policy):
+        try:
+            colour = _by_position(g, phi)
+        except IncompleteColouring:
+            _keys(policy, g.norms)  # a norm left unranked is named first
+            raise
+        return _best_first(_class_totals(g, colour, phi.num_colours, policy))
+    if not callable(policy):
+        raise SchemaError(f"policy must be a Policy or a callable, not {_shown(policy)}")
+    scores: list[float] = []
+    for c in range(phi.num_colours):
+        score = policy(g, phi, c)
+        try:
+            scores.append(float(score))
+        except (TypeError, ValueError):
+            raise InvalidScore(f"colour {c} scored {score!r}, not a number") from None
+        except OverflowError:  # the value is not shown: an int of over 4,300 digits has no repr
+            message = f"colour {c} scored a number too large for a float ({type(score).__name__})"
+            raise InvalidScore(message) from None
+        if math.isnan(scores[c]):
+            raise InvalidScore(f"colour {c} scored NaN")
+    return _best_first(scores)
 
 
 def score_admitted_set(

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from normcolour import ConflictGraph, Norm, build_graph
+from normcolour import Colouring, ConflictGraph, Norm, Policy, build_graph
+from normcolour.colouring import _by_position
+from normcolour.policies import _class_totals
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -35,6 +37,11 @@ def make_graph(
         for i in ids
     ]
     return build_graph(norms, edges)
+
+
+def class_totals(g: ConflictGraph, phi: Colouring, policy: Policy) -> list[int]:
+    """Each class of phi's score under a built-in policy, by colour id."""
+    return _class_totals(g, _by_position(g, phi), phi.num_colours, policy)
 
 
 def complete_graph(ids) -> ConflictGraph:

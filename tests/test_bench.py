@@ -71,9 +71,10 @@ class TestGenerateRandomConflicts:
                 policy=Policy.max_class(), metric=Metric.ADMITTED_COUNT, n_norms=10**5000,
                 conflict_range=(1, 1), trials_per_point=1,
             )), "n_norms"),
+            (lambda rng: derive_seed(10**5000), "derive_seed"),
         ],
         ids=["benchmark_norms", "default_weak_ordering", "generate_random_conflicts",
-             "run_benchmark"],
+             "run_benchmark", "derive_seed"],
     )
     def test_a_count_too_long_to_print_is_refused(self, call, name):
         # such a count passes every cap, so only str() can stop it building its ids
@@ -186,6 +187,8 @@ class TestConfig:
             {"seed": True},
             {"seed": "x"},
             {"seed": 1.0},
+            # the bench scores on masks, so a callable heuristic is refused
+            {"policy": lambda g, phi, c: 0.0},
         ],
     )
     def test_bad_config_is_a_package_error(self, overrides):
@@ -249,11 +252,6 @@ class TestConfig:
         assert not score.duplicate_directed_pairs
         with pytest.raises(ValueError):
             preset_config("mystery")
-
-
-def class_size(g, phi, c):
-    """A callable heuristic: the size of colour class c."""
-    return sum(1 for v in g.ids if phi.assignment[v] == c)
 
 
 def small_config(**overrides):
@@ -350,10 +348,8 @@ class TestRunBenchmark:
         monkeypatch.setattr(bench, "_dsatur", counting_core)
         return calls
 
-    @pytest.mark.parametrize("policy", [Policy.weak_order(default_weak_ordering(16)), class_size],
-                             ids=["built-in", "callable"])
-    def test_each_instance_is_coloured_once(self, dsatur_calls, policy):
-        cfg = small_config(policy=policy, conflict_range=(1, 3), trials_per_point=2,
+    def test_each_instance_is_coloured_once(self, dsatur_calls):
+        cfg = small_config(conflict_range=(1, 3), trials_per_point=2,
                            algorithms=("resolve", "resolve-complete", "curtail", "random-drop"))
         run_benchmark(cfg)
         assert len(dsatur_calls) == 6
@@ -380,23 +376,19 @@ class TestRunBenchmark:
         return calls
 
     @pytest.mark.parametrize(
-        "policy, algorithms, built",
+        "algorithms",
         [
-            # a built-in policy runs on neighbour masks: no graph, no colouring
-            (None, ("curtail", "resolve"), {}),
+            # the algorithms run on neighbour masks: no graph, no colouring
+            ("curtail", "resolve"),
             # the baselines run the oracle's cores on the same masks
-            (None, ("curtail", "preferred", "random-drop", "resolve"), {}),
-            # a callable scores a Colouring of a graph: dsatur's, once per instance
-            (class_size, ("curtail", "resolve"), {"ConflictGraph": 6, "Colouring": 6}),
+            ("curtail", "preferred", "random-drop", "resolve"),
         ],
-        ids=["built-in", "baselines", "callable"],
+        ids=["built-in", "baselines"],
     )
-    def test_each_instance_builds_only_what_it_needs(self, checked_calls, policy, algorithms,
-                                                     built):
-        cfg = small_config(metric=Metric.SCORE_SUM, conflict_range=(1, 3), trials_per_point=2,
-                           algorithms=algorithms)
-        run_benchmark(cfg if policy is None else replace(cfg, policy=policy))
-        assert checked_calls == built
+    def test_each_instance_builds_only_what_it_needs(self, checked_calls, algorithms):
+        run_benchmark(small_config(metric=Metric.SCORE_SUM, conflict_range=(1, 3),
+                                   trials_per_point=2, algorithms=algorithms))
+        assert checked_calls == {}
 
     def test_preferred_keeps_the_oracle_search_budget(self):
         cfg = small_config(policy=Policy.max_class(), algorithms=("preferred",))

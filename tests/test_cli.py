@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import io
 import json
 import os
@@ -9,11 +11,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import normcolour
 from normcolour import Policy, cli
+from normcolour.bench import CSV_HEADER
 from normcolour.cli import build_parser, main
-from normcolour.documents import parse_norm_document, write_resolution
+from normcolour.documents import parse_norm_document, read_resolution, write_resolution
 from normcolour.resolution import colour_curtail_complete
 
 from .conftest import DATA_DIR, data_text
@@ -286,3 +291,107 @@ def test_readme_commands_parse():
     assert {argv[0] for argv in commands} == {"resolve", "check", "bench"}
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+# -- argv drawn from the parser's own actions ---------------------------------
+# Every input is a file written here, a directory or a missing path, so no
+# drawn argv reads an endless device.
+
+
+def _subcommand_actions() -> dict[str, list[argparse.Action]]:
+    """Each subcommand's actions but help, which argparse answers itself by
+    raising SystemExit(0)."""
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        for name, parser in sub.choices.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    """Input paths, good and bad, and output paths, writable and not."""
+    root = tmp_path_factory.mktemp("fuzz")
+    texts = {
+        "norms.json": json.dumps({
+            "norms": [{"id": "a", "declared_at": 1, "authority_rank": 2, "antecedents": ["p"]},
+                      {"id": "b", "declared_at": 2, "antecedents": ["p", "q"]}, {"id": "c"}],
+            "conflicts": [["a", "b"], ["b", "c"]],
+        }),
+        "ranks.json": '{"a": 2, "b": 1, "c": 0}',
+        "empty.json": "",
+        "truncated.json": "{",
+        "nested.json": "[" * 5000 + "]" * 5000,
+        "long-int.json": '{"a": ' + "9" * 5000 + "}",
+    }
+    for name, text in texts.items():
+        (root / name).write_text(text, encoding="utf-8")
+    (root / "latin-1.json").write_bytes(b'{"norms": [{"id": "\xe9"}]}')
+    inputs = [str(root / name) for name in [*texts, "latin-1.json", "missing.json"]]
+    outputs = [str(root / "out"), str(root), str(root / "missing" / "out")]
+    return inputs + [str(root)], outputs
+
+
+# True nine times in ten: Hypothesis draws small integers far more often
+_USUALLY = st.sampled_from([True] * 9 + [False])
+
+
+def _value(action: argparse.Action, inputs: list[str], outputs: list[str]):
+    """A strategy for the argument of an action that takes one."""
+    if action.choices:
+        return st.sampled_from([*action.choices] * 3 + ["bogus"])
+    if action.type is int:  # --seed and --trials: at most one trial per point
+        return st.sampled_from(["1", "0", "-2", "x", "9" * 5000])
+    good = st.sampled_from(inputs[:2])  # the norm document and the rank map, half the time
+    by_dest = {
+        "input": st.one_of(good, st.sampled_from(inputs)),
+        "rank_file": st.one_of(good, st.sampled_from(inputs)),
+        "output": st.sampled_from(outputs),
+        "out": st.sampled_from(outputs),
+        "norm_set": st.sampled_from(["a", "a,c", "a,b,c", "zz", ""]),
+    }
+    return by_dest[action.dest]  # a new flag needs its values here
+
+
+@st.composite
+def _argv(draw, inputs: list[str], outputs: list[str]) -> list[str]:
+    actions = _subcommand_actions()
+    command = draw(st.sampled_from([*actions] * 3 + ["explode", None]))
+    argv = [] if command is None else [command]
+    pool = actions.get(command) or [a for group in actions.values() for a in group]
+    # the required flags first, each now and then left out, then any others
+    chosen = [a for a in pool if a.required and draw(_USUALLY)]
+    for action in chosen + draw(st.lists(st.sampled_from(pool), max_size=4)):
+        argv.append(draw(st.sampled_from(action.option_strings)))
+        if action.nargs != 0 and draw(_USUALLY):  # now and then, its value left out
+            argv.append(draw(_value(action, inputs, outputs)))
+    if not draw(_USUALLY):
+        argv.append(draw(st.sampled_from(["--frobnicate", "stray"])))
+    if command == "bench":  # the last --trials wins, so a preset runs one trial per point
+        argv += ["--trials", draw(st.sampled_from(["1", "1", "0", "x"]))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_drawn_argv_keeps_the_exit_code_contract(fuzz_paths, data):
+    inputs, outputs = fuzz_paths
+    argv = data.draw(_argv(inputs, outputs), label="argv")
+    if os.path.isfile(outputs[0]):
+        os.remove(outputs[0])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert err.startswith("usage error:") == (code == 1)
+    assert err.startswith("error:") == (code == 2)
+    if code == 0:
+        assert err == ""
+        args = build_parser().parse_args(argv)
+        path = getattr(args, "output", None) or getattr(args, "out", None)
+        text = out.getvalue() if path is None else Path(path).read_text(encoding="utf-8")
+        if args.command == "resolve":
+            read_resolution(text)
+        elif args.command == "bench":
+            assert text.startswith(",".join(CSV_HEADER) + "\n")

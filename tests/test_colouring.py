@@ -8,12 +8,10 @@ from normcolour import (
     ConflictGraph,
     IncompleteColouring,
     Norm,
-    Policy,
     SchemaError,
     UnknownColour,
     dsatur,
     is_valid_colouring,
-    score_colour,
 )
 from normcolour.oracle import chromatic_number
 
@@ -142,18 +140,6 @@ class TestValidity:
     def test_an_assignment_must_be_a_mapping(self, assignment):
         with pytest.raises(SchemaError, match="^assignment: expected a mapping"):
             Colouring(assignment, 1)
-
-    @pytest.mark.parametrize("colour", [0.5, True, "0"])
-    def test_scored_colour_must_be_an_integer(self, colour):
-        g = make_graph("ab", [("a", "b")])
-        with pytest.raises(SchemaError):
-            score_colour(g, dsatur(g), colour, Policy.max_class())
-
-    def test_a_scored_colour_too_long_to_print_is_not_shown(self):
-        g = make_graph("ab", [("a", "b")])
-        with pytest.raises(UnknownColour) as info:
-            score_colour(g, dsatur(g), 10**5000, Policy.max_class())
-        assert str(info.value) == "colour <too long to print> not in 0..1"
 
 
 class TestColourClasses:

@@ -50,7 +50,6 @@ from normcolour import (
     is_valid_colouring,
     policy_label,
     score_admitted_set,
-    score_colour,
 )
 from normcolour import policies
 from normcolour.bench import (
@@ -78,6 +77,7 @@ from normcolour.oracle import (
     random_drop,
 )
 
+from .conftest import class_totals
 from .test_properties import graphs, rank_maps
 
 # -- reference: colouring ---------------------------------------------------
@@ -370,7 +370,7 @@ def test_curtailment_matches_the_reference_on_larger_documents(seed, n, degree):
 def _as_callable(policy: Policy):
     """A callable heuristic that scores each class as the built-in policy does."""
     def score(g: ConflictGraph, phi: Colouring, c: int) -> float:
-        return policies._class_scores(g, phi, policy, (c,))[c]
+        return class_totals(g, phi, policy)[c]
     return score
 
 
@@ -424,17 +424,19 @@ def test_internal_colourings_pass_the_public_check(gp):
 def test_class_scores_match_the_reference(gp):
     g, policy = gp
     phi = dsatur(g)
-    for c in range(phi.num_colours):
-        assert score_colour(g, phi, c, policy) == _ref_score_colour(g, phi, c, policy)
+    totals = class_totals(g, phi, policy)
+    assert [_ref_score_colour(g, phi, c, policy) for c in range(phi.num_colours)] == totals
 
 
 @settings(max_examples=200, deadline=None)
 @given(graphs_with_every_policy(pairwise_only=True))
-def test_prefers_matches_the_reference(gp):
+def test_key_order_matches_the_reference_preference(gp):
+    # a is preferred to b exactly when b's key is below a's
     g, policy = gp
-    for a in g.ids:
-        for b in g.ids:
-            assert policy.prefers(g, a, b) == _ref_prefers(policy, g, a, b)
+    key = policies._keys(policy, g.norms)
+    for i, a in enumerate(g.ids):
+        for j, b in enumerate(g.ids):
+            assert (key[j] < key[i]) == _ref_prefers(policy, g, a, b)
 
 
 # -- reference: random-drop baseline ---------------------------------------
@@ -652,9 +654,8 @@ def _ref_measure(a: str, g: ConflictGraph, cfg: BenchConfig, ranks, seed: int) -
 
 def _ref_run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
     norms = benchmark_norms(cfg.n_norms)
-    if isinstance(cfg.policy, Policy) and cfg.policy.ranks is not None:
-        ranks = cfg.policy.ranks
-    else:
+    ranks = cfg.policy.ranks
+    if ranks is None:
         ranks = default_weak_ordering(cfg.n_norms)
     rows = []
     lo, hi = cfg.conflict_range
@@ -684,11 +685,6 @@ def test_conflict_sampler_matches_the_reference(n, duplicate, data):
     assert rng.random() == ref_rng.random()
 
 
-def weighted_by_colour(g: ConflictGraph, phi: Colouring, c: int) -> float:
-    """A callable heuristic: the class's size, weighted towards low colours."""
-    return sum(1 for v in g.ids if phi.assignment[v] == c) / (c + 1)
-
-
 def _bench_policies(n: int) -> list:
     """The policies the bench is checked under, with rank maps for n norms."""
     ids = [norm.id for norm in benchmark_norms(n)]
@@ -700,7 +696,6 @@ def _bench_policies(n: int) -> list:
         Policy.lex_specialis(),
         Policy.weak_order(default_weak_ordering(n)),
         Policy.weak_order({v: i % 3 for i, v in enumerate(ids)}, ScoreMode.GROSS),
-        weighted_by_colour,
     ]
 
 

@@ -228,10 +228,9 @@ def test_a_graph_is_unequal_to_a_non_graph():
         lambda g: g.degree(["a"]),
         lambda g: is_conflict_free(g, [["a"]]),
         lambda g: score_admitted_set(g, [["a"]], {"a": 0, "b": 0}),
-        lambda g: Policy.max_class().prefers(g, ["a"], "b"),
         lambda g: report(g, [["a"]]),
     ],
-    ids=["norm", "degree", "is_conflict_free", "score_admitted_set", "prefers", "report"],
+    ids=["norm", "degree", "is_conflict_free", "score_admitted_set", "report"],
 )
 def test_an_unhashable_id_is_an_unknown_norm(call):
     g = make_graph(["a", "b"], [("a", "b")])
@@ -253,11 +252,10 @@ _BIG = 10**5000  # repr refuses an int of over 4,300 digits
         (lambda g: is_admissible(g, [_BIG]), UnknownNormId),
         (lambda g: report(g, [_BIG]), UnknownNormId),
         (lambda g: score_admitted_set(g, [_BIG], {"a": 0, "b": 0}), UnknownNormId),
-        (lambda g: Policy.max_class().prefers(g, "a", _BIG), UnknownNormId),
         (lambda g: Policy.weak_order({_BIG: "x"}), SchemaError),
     ],
     ids=["norm", "degree", "neighbours", "is_conflict_free", "is_admissible", "report",
-         "score_admitted_set", "prefers", "weak_order"],
+         "score_admitted_set", "weak_order"],
 )
 def test_an_unprintable_int_is_named_by_a_stand_in(call, error):
     g = make_graph(["a", "b"], [("a", "b")])

@@ -1,0 +1,53 @@
+"""tools/mutants.py: its patching, its reading of pytest's summary, its
+catalogue against this checkout and a run on a small project written for
+the test."""
+import importlib.util
+from pathlib import Path
+
+_REPO = Path(__file__).resolve().parents[1]
+_PATH = _REPO / "tools" / "mutants.py"
+_SPEC = importlib.util.spec_from_file_location("mutants", _PATH)
+mutants = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(mutants)
+
+
+def test_an_edit_applies_only_to_text_found_exactly_once():
+    source = "a = 1\nb = 2\nc = 1\n"
+    assert mutants.apply(source, (("b = 2", "b = 3"), ("c", "d"))) == "a = 1\nb = 3\nd = 1\n"
+    assert mutants.apply(source, (("= 1", "= 0"),)) is None  # twice
+    assert mutants.apply(source, (("b = 2", "b = 3"), ("z", "y"))) is None  # absent
+
+
+def test_the_killer_is_the_first_test_the_summary_names():
+    output = "..F\n= short test summary info =\nFAILED t.py::test_a[x - y] - assert 1 == 2\n"
+    assert mutants.killer(output) == "t.py::test_a[x"
+    assert mutants.killer("ERROR t.py - ImportError\nFAILED t.py::b\n") == "t.py"
+    assert mutants.killer("3 passed\n") is None
+
+
+def test_every_catalogued_edit_applies_to_this_checkout():
+    names = [m.name for m in mutants.CATALOGUE]
+    assert len(set(names)) == len(names)
+    for mutant in mutants.CATALOGUE:
+        source = (_REPO / mutant.path).read_text(encoding="utf-8")
+        patched = mutants.apply(source, mutant.edits)
+        assert patched is not None, mutant.name
+        compile(patched, mutant.path, "exec")
+
+
+def test_a_run_reports_each_verdict_and_leaves_the_checkout_unchanged(tmp_path):
+    (tmp_path / "pkg.py").write_text("def f():\n    return 1\n", encoding="utf-8")
+    test = "from pkg import f\n\n\ndef test_f():\n    assert f() == 1\n"
+    (tmp_path / "test_pkg.py").write_text(test, encoding="utf-8")
+    catalogue = [
+        mutants.Mutant("wrong", "pkg.py", (("return 1", "return 2"),), "f returns 2"),
+        mutants.Mutant("same", "pkg.py", (("return 1", "return (1)"),), "f still returns 1"),
+        mutants.Mutant("gone", "pkg.py", (("return 3", "return 4"),), "no such text"),
+    ]
+    results = mutants.run(tmp_path, catalogue, [["test_pkg.py"]], timeout=120)
+    assert [(r["name"], r["status"], r["killer"]) for r in results] == [
+        ("wrong", "killed", "test_pkg.py::test_f"),
+        ("same", "survived", None),
+        ("gone", "stale", None),
+    ]
+    assert (tmp_path / "pkg.py").read_text(encoding="utf-8") == "def f():\n    return 1\n"

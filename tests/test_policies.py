@@ -16,20 +16,18 @@ from normcolour import (
     PolicyKind,
     SchemaError,
     ScoreMode,
-    UnknownColour,
     UnknownNormId,
     colour_resolve,
     dsatur,
-    ordering_from_metadata,
     policy_label,
     rank_colours,
     score_admitted_set,
-    score_colour,
 )
+from normcolour import policies
 from normcolour.bench import BenchConfig, Metric, preset_config
 from normcolour.colouring import Colouring
 
-from .conftest import complete_graph, make_graph
+from .conftest import class_totals, complete_graph, make_graph
 
 
 @pytest.fixture
@@ -42,31 +40,26 @@ def fork_graph():
     )
 
 
-class TestScoreColour:
+class TestClassScores:
     def test_lex_posterior_gross_on_fork(self, fork_graph):
         phi = dsatur(fork_graph)
         assert phi.assignment == {"v1": 0, "v2": 1, "v3": 1}
-        policy = Policy.lex_posterior(ScoreMode.GROSS)
-        assert score_colour(fork_graph, phi, 0, policy) == 2.0
-        assert score_colour(fork_graph, phi, 1, policy) == 0.0
+        assert class_totals(fork_graph, phi, Policy.lex_posterior(ScoreMode.GROSS)) == [2, 0]
 
     def test_lex_posterior_net_on_fork(self, fork_graph):
         phi = dsatur(fork_graph)
-        policy = Policy.lex_posterior(ScoreMode.NET)
-        assert score_colour(fork_graph, phi, 0, policy) == 2.0
-        assert score_colour(fork_graph, phi, 1, policy) == -2.0
+        assert class_totals(fork_graph, phi, Policy.lex_posterior(ScoreMode.NET)) == [2, -2]
 
     def test_prefer_recent_flips_direction(self, fork_graph):
         phi = dsatur(fork_graph)
         policy = Policy.lex_posterior(ScoreMode.GROSS, prefer_recent=True)
-        assert score_colour(fork_graph, phi, 0, policy) == 0.0
-        assert score_colour(fork_graph, phi, 1, policy) == 2.0
+        assert class_totals(fork_graph, phi, policy) == [0, 2]
 
     def test_edgeless_graph_scores_zero_everywhere(self):
         g = make_graph("abc", declared_at={"a": 1, "b": 2, "c": 3})
         phi = dsatur(g)
         for kind in (Policy.lex_posterior(), Policy.lex_superior(), Policy.lex_specialis()):
-            assert score_colour(g, phi, 0, kind) == 0.0
+            assert class_totals(g, phi, kind) == [0]
 
     def test_max_class_returns_cardinality(self):
         # C4 plus an isolated vertex: dsatur classes of sizes 3 and 2
@@ -74,30 +67,33 @@ class TestScoreColour:
         phi = dsatur(g)
         sizes = Counter(phi.assignment.values())
         assert sorted(sizes.values()) == [2, 3]
+        totals = class_totals(g, phi, Policy.max_class())
         for c, size in sizes.items():
-            assert score_colour(g, phi, c, Policy.max_class()) == float(size)
+            assert totals[c] == size
 
     def test_lex_superior_uses_authority(self):
         g = make_graph("ab", [("a", "b")], authority_rank={"a": 5, "b": 1})
         phi = dsatur(g)
-        policy = Policy.lex_superior(ScoreMode.NET)
-        assert score_colour(g, phi, phi.assignment["a"], policy) == 1.0
-        assert score_colour(g, phi, phi.assignment["b"], policy) == -1.0
+        totals = class_totals(g, phi, Policy.lex_superior(ScoreMode.NET))
+        assert totals[phi.assignment["a"]] == 1
+        assert totals[phi.assignment["b"]] == -1
+
+    def test_equal_authority_stays_tied(self):
+        g = make_graph("ab", [("a", "b")], authority_rank={"a": 3, "b": 3})
+        assert class_totals(g, dsatur(g), Policy.lex_superior(ScoreMode.NET)) == [0, 0]
 
     def test_lex_specialis_prefers_strict_subset(self):
         g = make_graph(
             "ab", [("a", "b")], antecedents={"a": {"p"}, "b": {"p", "q"}}
         )
         phi = dsatur(g)
-        policy = Policy.lex_specialis(ScoreMode.NET)
-        assert score_colour(g, phi, phi.assignment["a"], policy) == 1.0
-        assert score_colour(g, phi, phi.assignment["b"], policy) == -1.0
+        totals = class_totals(g, phi, Policy.lex_specialis(ScoreMode.NET))
+        assert totals[phi.assignment["a"]] == 1
+        assert totals[phi.assignment["b"]] == -1
 
     def test_lex_specialis_incomparable_sets_tie(self):
         g = make_graph("ab", [("a", "b")], antecedents={"a": {"p"}, "b": {"q"}})
-        phi = dsatur(g)
-        for c in range(2):
-            assert score_colour(g, phi, c, Policy.lex_specialis(ScoreMode.NET)) == 0.0
+        assert class_totals(g, dsatur(g), Policy.lex_specialis(ScoreMode.NET)) == [0, 0]
 
     def test_gross_at_least_net(self):
         g = make_graph(
@@ -106,19 +102,33 @@ class TestScoreColour:
             declared_at={"a": 4, "b": 1, "c": 3, "d": 2},
         )
         phi = dsatur(g)
-        for c in range(phi.num_colours):
-            gross = score_colour(g, phi, c, Policy.lex_posterior(ScoreMode.GROSS))
-            net = score_colour(g, phi, c, Policy.lex_posterior(ScoreMode.NET))
-            assert gross >= net
+        gross = class_totals(g, phi, Policy.lex_posterior(ScoreMode.GROSS))
+        net = class_totals(g, phi, Policy.lex_posterior(ScoreMode.NET))
+        assert all(x >= y for x, y in zip(gross, net))
 
-    def test_unknown_colour(self, fork_graph):
-        phi = dsatur(fork_graph)
-        with pytest.raises(UnknownColour):
-            score_colour(fork_graph, phi, phi.num_colours, Policy.max_class())
+    def test_derived_ranks_reproduce_metadata_policies(self):
+        g = make_graph(
+            "abcd",
+            [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")],
+            declared_at={"a": 3, "b": 1, "c": 4, "d": 2},
+            authority_rank={"a": 1, "b": 9, "c": 2, "d": 9},
+        )
+        phi = dsatur(g)
+        # the rank maps the two metadata policies read: earlier declared or
+        # stronger authority ranks higher
+        posterior = {norm.id: -norm.declared_at for norm in g.norms}
+        superior = {norm.id: norm.authority_rank for norm in g.norms}
+        for mode in ScoreMode:
+            assert class_totals(g, phi, Policy.weak_order(posterior, mode)) == class_totals(
+                g, phi, Policy.lex_posterior(mode)
+            )
+            assert class_totals(g, phi, Policy.weak_order(superior, mode)) == class_totals(
+                g, phi, Policy.lex_superior(mode)
+            )
 
     def test_callable_heuristic_plugs_in(self, fork_graph):
         phi = dsatur(fork_graph)
-        assert score_colour(fork_graph, phi, 1, lambda g, p, c: 2.5 * c) == 2.5
+        assert rank_colours(fork_graph, phi, lambda g, p, c: 2.5 * c) == [1, 0]
 
     def test_nan_class_score_is_rejected(self):
         g = make_graph("abc", [("a", "b"), ("b", "c")])
@@ -131,10 +141,7 @@ class TestScoreColour:
         with pytest.raises(InvalidScore, match="colour 0"):
             rank_colours(g, phi, heuristic)
         with pytest.raises(InvalidScore, match="colour 0"):
-            score_colour(g, phi, 0, heuristic)
-        with pytest.raises(InvalidScore, match="colour 0"):
             colour_resolve(g, heuristic)
-        assert score_colour(g, phi, 1, heuristic) == 1.0
 
     @pytest.mark.parametrize("bad", ["x", None])
     def test_non_numeric_class_score_is_rejected(self, bad):
@@ -146,9 +153,6 @@ class TestScoreColour:
 
         with pytest.raises(InvalidScore, match="colour 0"):
             rank_colours(g, phi, heuristic)
-        with pytest.raises(InvalidScore, match="colour 0"):
-            score_colour(g, phi, 0, heuristic)
-        assert score_colour(g, phi, 1, heuristic) == 1.0
 
     @pytest.mark.parametrize(
         "bad", [10**400, 10**5000, Fraction(10**400, 3)], ids=["int", "int-no-repr", "fraction"]
@@ -159,8 +163,6 @@ class TestScoreColour:
         message = rf"colour 0 .* too large for a float \({type(bad).__name__}\)"
         with pytest.raises(InvalidScore, match=message):
             rank_colours(g, phi, lambda graph, colouring, colour: bad)
-        with pytest.raises(InvalidScore, match="colour 1"):
-            score_colour(g, phi, 1, lambda graph, colouring, colour: bad)
 
     @pytest.mark.parametrize("policy", [None, "x", 3])
     @pytest.mark.parametrize("ids", ["abc", ""], ids=["path", "empty"])
@@ -173,21 +175,25 @@ class TestScoreColour:
                 algorithm(g, policy)
         with pytest.raises(SchemaError, match=message):
             rank_colours(g, phi, policy)
-        if ids:
-            with pytest.raises(SchemaError, match=message):
-                score_colour(g, phi, 0, policy)
-        with pytest.raises(SchemaError, match=message):
+        with pytest.raises(SchemaError, match="^policy must be a Policy, not"):
             BenchConfig(policy, Metric.ADMITTED_COUNT)
 
-    @pytest.mark.parametrize("policy", [Policy.max_class(), Policy.lex_posterior()])
-    def test_uncoloured_norm_is_rejected(self, policy):
+    @pytest.mark.parametrize(
+        "policy, error",
+        [
+            (Policy.max_class(), IncompleteColouring),
+            (Policy.lex_posterior(), IncompleteColouring),
+            # b is unranked as well as uncoloured: the unranked norm is named
+            (Policy.weak_order({"a": 0, "c": 0}), UnknownNormId),
+        ],
+        ids=["max-class", "lex-posterior", "weak-order"],
+    )
+    def test_uncoloured_norm_is_rejected(self, policy, error):
         # b and c have no colour; b comes first in insertion order
         g = make_graph("abc", [("a", "b")])
         phi = Colouring({"a": 0}, 1)
-        with pytest.raises(IncompleteColouring, match="'b'"):
+        with pytest.raises(error, match="'b'"):
             rank_colours(g, phi, policy)
-        with pytest.raises(IncompleteColouring, match="'b'"):
-            score_colour(g, phi, 0, policy)
 
 
 class TestRankColours:
@@ -223,67 +229,6 @@ class TestRankColours:
         assert rank_colours(g, phi, Policy.weak_order(ranks)) == rank_colours(
             g, phi, Policy.weak_order(stretched)
         )
-
-
-class TestOrderingFromMetadata:
-    def test_earlier_declaration_ranks_higher(self):
-        g = make_graph("ab", declared_at={"a": 1, "b": 2})
-        ranks = ordering_from_metadata(g, PolicyKind.LEX_POSTERIOR)
-        assert ranks["a"] > ranks["b"]
-
-    def test_prefer_recent_flips(self):
-        g = make_graph("ab", declared_at={"a": 1, "b": 2})
-        ranks = ordering_from_metadata(g, PolicyKind.LEX_POSTERIOR, prefer_recent=True)
-        assert ranks["b"] > ranks["a"]
-
-    def test_equal_authority_stays_tied(self):
-        g = make_graph("ab", authority_rank={"a": 3, "b": 3})
-        ranks = ordering_from_metadata(g, PolicyKind.LEX_SUPERIOR)
-        assert ranks["a"] == ranks["b"]
-
-    def test_stronger_authority_ranks_higher(self):
-        g = make_graph("ab", authority_rank={"a": 5, "b": 1})
-        ranks = ordering_from_metadata(g, PolicyKind.LEX_SUPERIOR)
-        assert ranks["a"] > ranks["b"]
-
-    def test_prefer_recent_is_refused_for_lex_superior(self):
-        with pytest.raises(SchemaError, match="prefer_recent: a lex-superior policy"):
-            ordering_from_metadata(make_graph("ab"), PolicyKind.LEX_SUPERIOR, prefer_recent=True)
-
-    def test_no_ordering_for_other_kinds(self):
-        g = make_graph("ab")
-        with pytest.raises(ValueError):
-            ordering_from_metadata(g, PolicyKind.MAX_CLASS)
-
-    @pytest.mark.parametrize(
-        "kind", [PolicyKind.MAX_CLASS, PolicyKind.LEX_SPECIALIS, PolicyKind.WEAK_ORDER]
-    )
-    def test_other_kinds_are_a_package_error(self, kind):
-        with pytest.raises(NormColourError, match="no metadata-derived ordering"):
-            ordering_from_metadata(make_graph("ab"), kind)
-
-    def test_derived_ranks_reproduce_metadata_policies(self):
-        g = make_graph(
-            "abcd",
-            [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")],
-            declared_at={"a": 3, "b": 1, "c": 4, "d": 2},
-            authority_rank={"a": 1, "b": 9, "c": 2, "d": 9},
-        )
-        phi = dsatur(g)
-        for mode in ScoreMode:
-            posterior_ranks = Policy.weak_order(
-                ordering_from_metadata(g, PolicyKind.LEX_POSTERIOR), mode
-            )
-            superior_ranks = Policy.weak_order(
-                ordering_from_metadata(g, PolicyKind.LEX_SUPERIOR), mode
-            )
-            for c in range(phi.num_colours):
-                assert score_colour(g, phi, c, posterior_ranks) == score_colour(
-                    g, phi, c, Policy.lex_posterior(mode)
-                )
-                assert score_colour(g, phi, c, superior_ranks) == score_colour(
-                    g, phi, c, Policy.lex_superior(mode)
-                )
 
 
 class TestScoreAdmittedSet:
@@ -369,13 +314,6 @@ class TestWeakOrderCoverage:
         g = make_graph("abcd", [("c", "d")])
         with pytest.raises(UnknownNormId, match="'b'"):
             rank_colours(g, dsatur(g), Policy.weak_order({"a": 1, "c": 2}))
-
-    def test_prefers_needs_ranks_for_its_two_norms_only(self):
-        g = make_graph("abx", [("a", "b")])
-        policy = Policy.weak_order({"a": 2, "b": 1})
-        assert policy.prefers(g, "a", "b") and not policy.prefers(g, "b", "a")
-        with pytest.raises(UnknownNormId, match="'x'"):
-            policy.prefers(g, "a", "x")
 
     def test_extra_ranks_are_ignored(self):
         g = make_graph("ab", [("a", "b")])
@@ -469,14 +407,6 @@ class TestPolicyValidation:
                 Policy(kind, mode, ranks, recent)
 
 
-    @pytest.mark.parametrize(
-        "policy", [Policy.lex_specialis(), Policy.weak_order({"v1": 1, "v2": 2, "v3": 3, "zz": 0})]
-    )
-    def test_prefers_rejects_a_norm_outside_the_graph(self, fork_graph, policy):
-        with pytest.raises(UnknownNormId, match="'zz'"):
-            policy.prefers(fork_graph, "v1", "zz")
-
-
 def test_max_class_prefers_nothing():
     g = make_graph(
         "abc",
@@ -484,8 +414,8 @@ def test_max_class_prefers_nothing():
         declared_at={"a": 1, "b": 2, "c": 3},
         authority_rank={"a": 3, "b": 2, "c": 1},
     )
-    policy = Policy.max_class()
-    assert not any(policy.prefers(g, a, b) for a in g.ids for b in g.ids)
+    # every key ties, so no norm is preferred to another
+    assert len(set(policies._keys(Policy.max_class(), g.norms))) == 1
 
 
 def test_policy_labels():

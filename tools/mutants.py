@@ -1,0 +1,256 @@
+"""Mutation testing: does the tier-1 suite catch each catalogued source edit?
+
+    python3 tools/mutants.py [--root CHECKOUT] [--out FILE] [NAME ...]
+
+Copies CHECKOUT (default: this one) into a temporary directory. Then, one
+mutant at a time (all of ``CATALOGUE``, or only those NAMEd), it applies
+the mutant's exact text patches to the copy, runs the suite there and
+restores the file. The suite runs in two steps, one process at a time,
+each stopping at its first failure (``pytest -x``): the golden digests
+first, then the rest of ``tests`` with acceptance criteria 5 and 6
+deselected, since they fail by design and would stop ``-x`` there, and
+without this tool's own tests.
+Hypothesis runs with a fixed seed and no example database, and Python
+writes no bytecode, so every run compiles the patched source afresh.
+
+Each mutant ends as one of:
+
+* ``killed``, with its killer, the first test that failed;
+* ``survived``: the suite passed;
+* ``timeout``: a step ran longer than ``TIMEOUT`` seconds;
+* ``stale``: a patch's text is not in the file exactly once, so the
+  catalogue no longer matches the source.
+
+The result goes to FILE (default ``MUTANTS.json`` in this checkout) as
+JSON. The exit code is 1 if a mutant survived or is stale, else 0.
+Standard library only. Background: DeMillo, Lipton and Sayward 1978
+("Hints on test data selection"); Jia and Harman 2011 (IEEE TSE 37(5)).
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+_REPO = Path(__file__).resolve().parents[1]
+TIMEOUT = 900.0  # seconds per step; the whole suite takes about 90
+_CRITERIA = "tests/test_acceptance.py::test_criterion_0"
+# the suite, goldens first; each step stops at its first failure.
+# tests/test_mutants.py is left out: it checks that every patch applies to
+# the source, which a patched copy fails whatever the mutant does.
+STEPS = [
+    ["tests/test_golden.py"],
+    [
+        "tests",
+        "--ignore=tests/test_golden.py",
+        "--ignore=tests/test_mutants.py",
+        f"--deselect={_CRITERIA}5_completion_leaves_score_curves_unchanged",
+        f"--deselect={_CRITERIA}6_admitted_count_curve_shape",
+    ],
+]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the checkout
+    edits: tuple[tuple[str, str], ...]  # (old, new); each old must occur once
+    what: str
+
+
+def _m(name: str, module: str, what: str, *edits: tuple[str, str]) -> Mutant:
+    return Mutant(name, f"src/normcolour/{module}", edits, what)
+
+
+CATALOGUE = [
+    _m("dsatur-tie-break-reversed", "colouring.py",
+       "DSATUR breaks its last tie by the highest position, not the lowest",
+       ("base = [(max_degree - d) * n + i for",
+        "base = [(max_degree - d) * n + (n - 1 - i) for")),
+    _m("bench-preparation-shared", "bench.py",
+       "the bench colours and ranks only a point's first trial; later trials reuse it",
+       ("            classes = None\n            if colours",
+        "            if trial == 0:\n                classes = None\n"
+        "            if trial == 0 and colours")),
+    _m("completion-skips-a-norm", "resolution.py",
+       "the completion sweep never considers the last unadmitted norm",
+       ("            for i in unadmitted:\n", "            for i in unadmitted[:-1]:\n")),
+    _m("completion-blocks-nothing", "resolution.py",
+       "a norm that joins by completion blocks none of its neighbours",
+       ("                    blocked.update(adj[i])\n", "")),
+    _m("admissible-without-conflict-freeness", "oracle.py",
+       "is_admissible drops its conflict-free test",
+       ("return all(s.isdisjoint(g._adj[i]) and _is_acceptable(g, i, s) for i in s)",
+        "return all(_is_acceptable(g, i, s) for i in s)")),
+    _m("norm-score-flipped", "policies.py",
+       "a norm scores +1 for each neighbour preferred to it",
+       ("        if kw < kv:\n            total += 1",
+        "        if kv < kw:\n            total += 1")),
+    _m("net-and-gross-swapped", "policies.py",
+       "class scoring reads GROSS as net and NET as gross",
+       ("net = policy.mode is ScoreMode.NET\n    count",
+        "net = policy.mode is ScoreMode.GROSS\n    count")),
+    _m("prefer-recent-sign", "policies.py",
+       "lex posterior's direction is flipped, with and without prefer_recent",
+       ("sign = 1 if policy.prefer_recent else -1", "sign = -1 if policy.prefer_recent else 1")),
+    _m("switches-swapped", "resolution.py",
+       "resolve and resolve-complete exchange their switches",
+       ('    "resolve": (False, True),\n    "resolve-complete": (True, True),',
+        '    "resolve": (True, True),\n    "resolve-complete": (False, True),')),
+    _m("random-drop-orientation", "oracle.py",
+       "random drop removes the other end of the drawn conflict",
+       ("[rng.randrange(2)]", "[1 - rng.randrange(2)]")),
+    _m("derive-seed-parts-reordered", "bench.py",
+       "derive_seed hashes the parts before the master seed",
+       ('":".join(map(repr, (master, *parts)))', '":".join(map(repr, (*parts, master)))')),
+    _m("cli-exit-codes-swapped", "cli.py",
+       "a usage error exits 2 and an input error 1",
+       ('        print(f"usage error: {exc}", file=sys.stderr)\n        return 1',
+        '        print(f"usage error: {exc}", file=sys.stderr)\n        return 2'),
+       ('        print(f"error: {exc}", file=sys.stderr)\n        return 2',
+        '        print(f"error: {exc}", file=sys.stderr)\n        return 1')),
+    _m("loads-lets-recursion-escape", "documents.py",
+       "_loads no longer maps a RecursionError to DocumentSyntaxError",
+       ('    except RecursionError:\n'
+        '        raise DocumentSyntaxError("JSON nested too deeply") from None\n', "")),
+    _m("norm-declared-at-isinstance", "graph.py",
+       "Norm's exact int test for declared_at widened to isinstance, which lets a bool in",
+       ("        if type(declared_at) is not int:\n",
+        "        if not isinstance(declared_at, int):\n")),
+    _m("collector-not-restored", "documents.py",
+       "parse_norm_document leaves the cyclic collector off",
+       ("            gc.enable()\n", "            pass\n")),
+    _m("curtailments-reversed", "resolution.py",
+       "each norm's curtailments are kept newest first",
+       ("                wrt[j].append(v)\n", "                wrt[j].insert(0, v)\n")),
+    _m("read-members-takes-a-string", "graph.py",
+       "a str set argument is read as its letters",
+       ("    if isinstance(members, str):\n", "    if False:\n")),
+    _m("admission-writes-back", "resolution.py",
+       "completion writes a class's joiners back into the shared buckets",
+       ("            unadmitted = rest\n",
+        "            unadmitted = rest\n            buckets[c][:] = members\n")),
+    _m("admit-keeps-old-colour", "resolution.py",
+       "a norm that completion moved keeps its old colour in the final colouring",
+       ("            colour[i] = c  # completion may have drawn i from a later class\n", "")),
+    _m("bench-seen-not-updated", "bench.py",
+       "the bench never records an admitted norm, so every norm reads as uncurtailed",
+       ("                seen |= 1 << i\n", "")),
+    _m("order-masks-swapped", "bench.py",
+       "the bench's lower and higher masks are swapped",
+       ("    return lower, higher\n", "    return higher, lower\n")),
+    _m("bench-uncurtailed-mask", "bench.py",
+       "the bench's uncurtailed test reads the norms not yet admitted",
+       ("if not nb[i] & seen:", "if not nb[i] & ~seen:")),
+    _m("max-admissible-unbounded", "oracle.py",
+       "the exhaustive search no longer refuses more than MAX_ADMISSIBLE_SEARCH norms",
+       ("    if n > MAX_ADMISSIBLE_SEARCH:\n", "    if False:\n")),
+    _m("bench-random-drop-edge-order", "bench.py",
+       "the bench hands random drop its edges in reverse ConflictGraph.edges order",
+       ("if m >> j & 1]", "if m >> j & 1][::-1]")),
+    _m("bench-degree-from-drawn-pairs", "bench.py",
+       "a conflict drawn in both directions counts twice in a norm's degree",
+       ("adj: list[set[int]] = [set() for _ in bits]", "adj: list[set[int]] = [[] for _ in bits]"),
+       ("        adj[i].add(j)\n        adj[j].add(i)\n",
+        "        adj[i].append(j)\n        adj[j].append(i)\n")),
+    _m("uncoloured-named-before-unranked", "policies.py",
+       "rank_colours names an uncoloured norm before one a weak order leaves unranked",
+       ("            _keys(policy, g.norms)  # a norm left unranked is named first\n",
+        "            pass\n")),
+]
+
+
+def apply(source: str, edits: tuple[tuple[str, str], ...]) -> str | None:
+    """source with each edit made, or None if an edit's old text is not in
+    it exactly once."""
+    for old, new in edits:
+        if source.count(old) != 1:
+            return None
+        source = source.replace(old, new)
+    return source
+
+
+def killer(output: str) -> str | None:
+    """The first failing test (or erroring file) that pytest's summary names."""
+    for line in output.splitlines():
+        for tag in ("FAILED ", "ERROR "):
+            if line.startswith(tag):
+                return line[len(tag):].split(" - ")[0].strip()
+    return None
+
+
+def run_suite(root: Path, steps: list[list[str]], timeout: float) -> tuple[str, str | None]:
+    """Run pytest in root, step by step: ("killed", killer) at the first
+    step that fails, ("timeout", None) or ("survived", None)."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    for step in steps:
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
+               "--hypothesis-seed=0", *step]
+        try:
+            proc = subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.PIPE,
+                                  stderr=subprocess.STDOUT, text=True, timeout=timeout)
+        except subprocess.TimeoutExpired:
+            return "timeout", None
+        finally:
+            shutil.rmtree(root / ".hypothesis", ignore_errors=True)
+        if proc.returncode != 0:
+            return "killed", killer(proc.stdout) or f"pytest exited {proc.returncode}"
+    return "survived", None
+
+
+def run(root: Path, mutants: list[Mutant], steps: list[list[str]], timeout: float) -> list[dict]:
+    """Each mutant's verdict, from a copy of root; root is not changed."""
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "checkout"
+        shutil.copytree(root, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
+        for mutant in mutants:
+            path = copy / mutant.path
+            original = path.read_text(encoding="utf-8")
+            patched = apply(original, mutant.edits)
+            start = time.perf_counter()
+            if patched is None:
+                status, by = "stale", None
+            else:
+                path.write_text(patched, encoding="utf-8")
+                try:
+                    status, by = run_suite(copy, steps, timeout)
+                finally:
+                    path.write_text(original, encoding="utf-8")
+            seconds = round(time.perf_counter() - start, 1)
+            print(f"{mutant.name:<40} {status:<9} {by or ''}", flush=True)
+            results.append({"name": mutant.name, "file": mutant.path, "what": mutant.what,
+                            "status": status, "killer": by, "seconds": seconds})
+    return results
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=_REPO, help="checkout to test")
+    parser.add_argument("--out", type=Path, default=_REPO / "MUTANTS.json")
+    parser.add_argument("names", nargs="*", help="run only these mutants")
+    args = parser.parse_args(argv)
+    known = {m.name for m in CATALOGUE}
+    unknown = [name for name in args.names if name not in known]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [m for m in CATALOGUE if not args.names or m.name in args.names]
+    results = run(args.root.resolve(), chosen, STEPS, TIMEOUT)
+    totals = {s: sum(r["status"] == s for r in results)
+              for s in ("killed", "survived", "timeout", "stale")}
+    args.out.write_text(json.dumps({"totals": totals, "mutants": results}, indent=2) + "\n",
+                        encoding="utf-8")
+    print(" ".join(f"{s}={n}" for s, n in totals.items()))
+    return 1 if totals["survived"] or totals["stale"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
