@@ -72,9 +72,10 @@ class TestGenerateRandomConflicts:
                 conflict_range=(1, 1), trials_per_point=1,
             )), "n_norms"),
             (lambda rng: derive_seed(10**5000), "derive_seed"),
+            (lambda rng: derive_seed(7, 1, 10**5000), "derive_seed"),
         ],
         ids=["benchmark_norms", "default_weak_ordering", "generate_random_conflicts",
-             "run_benchmark", "derive_seed"],
+             "run_benchmark", "derive_seed", "derive_seed-part"],
     )
     def test_a_count_too_long_to_print_is_refused(self, call, name):
         # such a count passes every cap, so only str() can stop it building its ids
@@ -348,8 +349,11 @@ class TestRunBenchmark:
         monkeypatch.setattr(bench, "_dsatur", counting_core)
         return calls
 
-    def test_each_instance_is_coloured_once(self, dsatur_calls):
-        cfg = small_config(conflict_range=(1, 3), trials_per_point=2,
+    # max-class builds no key masks, but its classes come from the same colouring
+    @pytest.mark.parametrize("policy", [Policy.weak_order(default_weak_ordering(16)),
+                                        Policy.max_class()], ids=["weak-order", "max-class"])
+    def test_each_instance_is_coloured_once(self, dsatur_calls, policy):
+        cfg = small_config(policy=policy, conflict_range=(1, 3), trials_per_point=2,
                            algorithms=("resolve", "resolve-complete", "curtail", "random-drop"))
         run_benchmark(cfg)
         assert len(dsatur_calls) == 6
@@ -382,8 +386,9 @@ class TestRunBenchmark:
             ("curtail", "resolve"),
             # the baselines run the oracle's cores on the same masks
             ("curtail", "preferred", "random-drop", "resolve"),
+            ("resolve-complete",),
         ],
-        ids=["built-in", "baselines"],
+        ids=["built-in", "baselines", "complete"],
     )
     def test_each_instance_builds_only_what_it_needs(self, checked_calls, algorithms):
         run_benchmark(small_config(metric=Metric.SCORE_SUM, conflict_range=(1, 3),

@@ -694,6 +694,7 @@ def _bench_policies(n: int) -> list:
         Policy.lex_posterior(ScoreMode.GROSS, prefer_recent=True),
         Policy.lex_superior(),
         Policy.lex_specialis(),
+        Policy.lex_specialis(ScoreMode.GROSS),
         Policy.weak_order(default_weak_ordering(n)),
         Policy.weak_order({v: i % 3 for i, v in enumerate(ids)}, ScoreMode.GROSS),
     ]

@@ -7,11 +7,13 @@ from types import SimpleNamespace
 import pytest
 
 from normcolour import (
+    Colouring,
     DuplicateNormId,
     Norm,
     Policy,
     SchemaError,
     SelfConflict,
+    UnknownColour,
     UnknownNormId,
     build_graph,
     score_admitted_set,
@@ -226,11 +228,14 @@ def test_a_graph_is_unequal_to_a_non_graph():
     [
         lambda g: g.norm(["a"]),
         lambda g: g.degree(["a"]),
+        lambda g: g.neighbours(["a"]),
         lambda g: is_conflict_free(g, [["a"]]),
+        lambda g: is_admissible(g, [["a"]]),
         lambda g: score_admitted_set(g, [["a"]], {"a": 0, "b": 0}),
         lambda g: report(g, [["a"]]),
     ],
-    ids=["norm", "degree", "is_conflict_free", "score_admitted_set", "report"],
+    ids=["norm", "degree", "neighbours", "is_conflict_free", "is_admissible",
+         "score_admitted_set", "report"],
 )
 def test_an_unhashable_id_is_an_unknown_norm(call):
     g = make_graph(["a", "b"], [("a", "b")])
@@ -253,9 +258,10 @@ _BIG = 10**5000  # repr refuses an int of over 4,300 digits
         (lambda g: report(g, [_BIG]), UnknownNormId),
         (lambda g: score_admitted_set(g, [_BIG], {"a": 0, "b": 0}), UnknownNormId),
         (lambda g: Policy.weak_order({_BIG: "x"}), SchemaError),
+        (lambda g: Colouring({_BIG: 1}, 1), UnknownColour),
     ],
     ids=["norm", "degree", "neighbours", "is_conflict_free", "is_admissible", "report",
-         "score_admitted_set", "weak_order"],
+         "score_admitted_set", "weak_order", "colouring"],
 )
 def test_an_unprintable_int_is_named_by_a_stand_in(call, error):
     g = make_graph(["a", "b"], [("a", "b")])

@@ -230,6 +230,51 @@ class TestRankColours:
             g, phi, Policy.weak_order(stretched)
         )
 
+    def test_an_empty_class_scores_zero(self):
+        # class 1 has no member: it ranks between class 2 (+1) and class 0 (-1)
+        g = make_graph("abc", [("a", "b")], declared_at={"a": 1, "b": 2, "c": 3})
+        phi = Colouring({"a": 2, "b": 0, "c": 2}, 3)
+        assert rank_colours(g, phi, Policy.lex_posterior()) == [2, 1, 0]
+        assert rank_colours(g, phi, Policy.max_class()) == [2, 0, 1]
+
+    def test_a_callable_is_called_once_per_class(self, fork_graph):
+        phi = dsatur(fork_graph)
+        calls = []
+
+        def heuristic(graph, colouring, colour):
+            calls.append(colour)
+            return 0.0
+
+        assert rank_colours(fork_graph, phi, heuristic) == [0, 1]
+        assert calls == [0, 1]
+
+
+class TestMetadataOrder:
+    """The class of the norm that a built-in policy prefers ranks first. In
+    each case but prefer_recent's that is b's class, which the tie-break to
+    the lower colour id would not put first."""
+
+    def test_earlier_declaration_ranks_higher(self):
+        g = make_graph("ab", [("a", "b")], declared_at={"a": 2, "b": 1})
+        phi = dsatur(g)
+        assert rank_colours(g, phi, Policy.lex_posterior())[0] == phi.assignment["b"]
+
+    def test_prefer_recent_flips(self):
+        g = make_graph("ab", [("a", "b")], declared_at={"a": 2, "b": 1})
+        phi = dsatur(g)
+        policy = Policy.lex_posterior(prefer_recent=True)
+        assert rank_colours(g, phi, policy)[0] == phi.assignment["a"]
+
+    def test_stronger_authority_ranks_higher(self):
+        g = make_graph("ab", [("a", "b")], authority_rank={"a": 1, "b": 5})
+        phi = dsatur(g)
+        assert rank_colours(g, phi, Policy.lex_superior())[0] == phi.assignment["b"]
+
+    def test_more_specific_antecedents_rank_higher(self):
+        g = make_graph("ab", [("a", "b")], antecedents={"a": {"p", "q"}, "b": {"p"}})
+        phi = dsatur(g)
+        assert rank_colours(g, phi, Policy.lex_specialis())[0] == phi.assignment["b"]
+
 
 class TestScoreAdmittedSet:
     def test_top_norm_of_complete_graph_scores_all_wins(self):
@@ -295,6 +340,14 @@ class TestScoreAdmittedSet:
         for admitted in (["a"], []):
             with pytest.raises(SchemaError, match=f"^ranks: expected a mapping, not {shown}$"):
                 score_admitted_set(g, admitted, ranks)
+
+    def test_needs_ranks_for_members_and_their_neighbours_only(self):
+        g = make_graph("abx", [("a", "b")])
+        ranks = {"a": 2, "b": 1}
+        assert score_admitted_set(g, {"a"}, ranks) == 1
+        assert score_admitted_set(g, {"b"}, ranks) == -1
+        with pytest.raises(UnknownNormId, match="'x'"):
+            score_admitted_set(g, {"a", "x"}, ranks)
 
     def test_first_unranked_norm_is_named_member_then_neighbours(self):
         # a's neighbour d is read before the member b
