@@ -10,35 +10,20 @@ the master seed alone, so every algorithm in a run sees the same instance
 and curves can be compared point by point. The only other consumer of
 randomness, the random-drop baseline, draws from its own derived stream.
 
-Each instance is coloured once, by the DSATUR core ``colouring._dsatur``,
-and its classes ranked once; every colouring algorithm run on it shares
-both, since all four start from the same DSATUR colouring and policy
-ranking.
-
-``BenchConfig`` checks a run's input once, and takes a built-in ``Policy``
-only: a callable heuristic scores a ``Colouring`` of a ``ConflictGraph``,
-which the bench never builds. Each instance's conflicts are drawn by
-``generate_random_conflicts`` and read into each norm's neighbours by
-position, as a set and as a Python-int bitmask (the bitboard idiom of San
-Segundo, Rodríguez-Losada and Jiménez 2011). The metrics read only a set
-size, a score sum, a curtailment total or an uncurtailed count, so the
-bench runs the library's position-level cores on these:
-
-* a norm scores ``popcount(nb & lower) - popcount(nb & higher)``, where nb
-  is its neighbour mask and lower and higher are the masks of the norms
-  whose policy key is below and above its own, built once per run with the
-  keys' own ``<`` (gross scoring leaves higher empty);
-* the algorithms admit through ``resolution._admission``; a norm is
-  uncurtailed when its mask meets no earlier-admitted norm, and each
-  conflict curtails its later-admitted end, so ``curtailment_total`` is
-  the edge count;
-* the baselines run ``oracle._max_admissible`` and ``oracle._random_drop``.
+Each instance is drawn as norm positions, by the core that
+``generate_random_conflicts`` wraps, and read into neighbour lists and
+Python-int bitmasks (the bitboard idiom of San Segundo, Rodríguez-Losada
+and Jiménez 2011). The metrics read only a set size, a score sum, a
+curtailment total or an uncurtailed count, so the bench runs the
+library's position-level cores on these and builds no ``ConflictGraph``.
+``BenchConfig`` therefore takes a built-in ``Policy`` only: a callable
+heuristic scores a ``Colouring``. All four colouring algorithms start
+from the same DSATUR colouring and class ranking, so each instance is
+coloured and ranked once.
 
 A score metric ranks norms by a weak order's own map, else by
 ``default_weak_ordering``, and reads every norm's rank before the first
-instance, so UnknownNormId names the first norm left unranked. Each norm
-is scored once per instance, and a set scores the sum over its members.
-The norm set of each size is built once and cached.
+instance, so UnknownNormId names the first norm left unranked.
 """
 from __future__ import annotations
 
@@ -172,20 +157,19 @@ def _benchmark_ids(n: int, where: str) -> list[NormId]:
 
 
 @lru_cache(maxsize=4)  # bounded, since each set holds n norms
-def _norm_set(n: int) -> tuple[tuple[Norm, ...], dict[NormId, int]]:
-    """The n benchmark norms and each id's position. Callers check n first,
-    since True would share 1's entry; the map is never handed out."""
-    norms = tuple(
+def _norm_set(n: int) -> tuple[Norm, ...]:
+    """The n benchmark norms. Callers check n first, since True would share
+    1's entry."""
+    return tuple(
         Norm(id=v, declared_at=i, authority_rank=n - 1 - i)
         for i, v in enumerate(_benchmark_ids(n, "n"))
     )
-    return norms, {norm.id: i for i, norm in enumerate(norms)}
 
 
 def benchmark_norms(n: int) -> list[Norm]:
     """The standard norm set: n0..n(n-1), zero-padded, declared in index
     order, with authority falling as the index rises."""
-    return list(_norm_set(_require_count(n, "n"))[0])
+    return list(_norm_set(_require_count(n, "n")))
 
 
 def default_weak_ordering(n: int) -> dict[NormId, int]:
@@ -219,17 +203,20 @@ def generate_random_conflicts(
     _require_count(n_norms, "n_norms")
     _require_count(n_conflicts, "n_conflicts")
     _require_drawable(n_norms, n_conflicts, duplicate_directed_pairs, "")
-    return rng.sample(_candidate_pairs(n_norms, duplicate_directed_pairs), n_conflicts)
+    ids = _benchmark_ids(n_norms, "n_norms")  # refuses an n_norms too long to print, before _draw
+    return [(ids[i], ids[j]) for i, j in _draw(n_norms, n_conflicts, duplicate_directed_pairs, rng)]
+
+
+def _draw(n: int, k: int, directed: bool, rng: random.Random) -> list[tuple[int, int]]:
+    """``generate_random_conflicts`` on norm positions, for checked arguments."""
+    return rng.sample(_candidate_pairs(n, directed), k)
 
 
 @lru_cache(maxsize=4)  # bounded, since n norms give about n² pairs
-def _candidate_pairs(
-    n_norms: int, duplicate_directed_pairs: bool
-) -> tuple[tuple[NormId, NormId], ...]:
-    """Every candidate conflict between the ids of n benchmark norms, in
-    itertools order, which fixes the pairs that a seeded sample draws."""
-    pairs = permutations if duplicate_directed_pairs else combinations
-    return tuple(pairs(_benchmark_ids(n_norms, "n_norms"), 2))
+def _candidate_pairs(n: int, directed: bool) -> tuple[tuple[int, int], ...]:
+    """Every candidate conflict between n positions, in itertools order: a
+    seeded sample picks by the population's length and order alone."""
+    return tuple((permutations if directed else combinations)(range(n), 2))
 
 
 def _order_masks(key: Sequence) -> tuple[list[int], list[int]]:
@@ -241,19 +228,17 @@ def _order_masks(key: Sequence) -> tuple[list[int], list[int]]:
     return lower, higher
 
 
-def _neighbours(
-    pairs: list[tuple[NormId, NormId]], index: dict[NormId, int], bits: list[int]
-) -> tuple[list[set[int]], list[int]]:
-    """Each norm's neighbours, as a set of positions and as a mask, once each
-    however often a pair was drawn."""
-    adj: list[set[int]] = [set() for _ in bits]
+def _neighbours(pairs: list[tuple[int, int]], bits: list[int]) -> tuple[list[list[int]], list[int]]:
+    """Each norm's neighbours, as a list of positions and as a mask, once each
+    however often a pair was drawn: the mask tells a repeat."""
+    adj: list[list[int]] = [[] for _ in bits]
     nb = [0] * len(bits)
-    for a, b in pairs:
-        i, j = index[a], index[b]
-        adj[i].add(j)
-        adj[j].add(i)
-        nb[i] |= bits[j]
-        nb[j] |= bits[i]
+    for i, j in pairs:
+        if not nb[i] & bits[j]:
+            adj[i].append(j)
+            adj[j].append(i)
+            nb[i] |= bits[j]
+            nb[j] |= bits[i]
     return adj, nb
 
 
@@ -276,13 +261,13 @@ def _measure(
     cfg: BenchConfig,
     label: str,
     point_seed: int,
-    adj: list[set[int]],
+    adj: list[list[int]],
     nb: list[int],
     classes: tuple[list[list[int]], list[int]] | None,
     scores: list[int] | None,
 ) -> list[tuple[str, str, float]]:
     """Run one algorithm on one instance, given the run's policy label, the
-    instance's neighbours as position sets and as masks, its classes and
+    instance's neighbours as position lists and as masks, its classes and
     their ranking (None if no colouring algorithm runs) and, under a score
     metric, each norm's net score by position; returns (policy, metric,
     value) rows."""
@@ -326,7 +311,7 @@ def _measure(
 def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
     """Run the configured sweep; deterministic for a fixed config."""
     n, policy = cfg.n_norms, cfg.policy
-    norms, index = _norm_set(n)
+    norms = _norm_set(n)
     algorithms = sorted(cfg.algorithms)
     colours = any(a in ALGORITHMS for a in algorithms)
     metric_masks = class_masks = None
@@ -348,10 +333,8 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
     for num_conflicts in range(lo, hi + 1):
         for trial in range(cfg.trials_per_point):
             point_seed = derive_seed(cfg.seed, num_conflicts, trial)
-            pairs = generate_random_conflicts(
-                n, num_conflicts, cfg.duplicate_directed_pairs, random.Random(point_seed)
-            )
-            adj, nb = _neighbours(pairs, index, bits)
+            pairs = _draw(n, num_conflicts, cfg.duplicate_directed_pairs, random.Random(point_seed))
+            adj, nb = _neighbours(pairs, bits)
             scores = None if metric_masks is None else _scores(nb, *metric_masks)
             classes = None
             if colours:

@@ -145,6 +145,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command is None:
             raise UsageError("a subcommand is required (resolve, check, or bench)")
         return _COMMANDS[args.command](args)
+    except SystemExit:  # argparse exits only once it has printed -h's help, as error() raises
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -143,6 +143,27 @@ class TestGenerateRandomConflicts:
         first.append(("x", "y"))
         assert generate_random_conflicts(12, 30, directed, random.Random(9)) == expected
 
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("n", [0, 1, 2, 16, 70])
+    def test_the_draw_is_the_position_draw_named_by_id(self, n, directed):
+        # the bench draws positions with bench._draw; the ids must name the same pairs
+        ids = [norm.id for norm in benchmark_norms(n)]
+        cap = max_conflicts(n, directed)
+        for seed in (0, 3, 11):
+            for k in sorted({0, min(1, cap), cap // 3, cap}):
+                rng, at = random.Random(seed), random.Random(seed)
+                drawn = bench._draw(n, k, directed, at)
+                assert generate_random_conflicts(n, k, directed, rng) == [
+                    (ids[i], ids[j]) for i, j in drawn
+                ]
+                assert rng.random() == at.random()  # the same number of draws
+
+    def test_a_conflict_drawn_both_ways_is_one_neighbour(self):
+        bits = [1 << i for i in range(4)]
+        adj, nb = bench._neighbours([(0, 2), (3, 1), (2, 0), (1, 3), (0, 1)], bits)
+        assert adj == [[2, 1], [3, 0], [0], [1]]
+        assert nb == [0b0110, 0b1001, 0b0001, 0b0010]
+
 
 class TestConfig:
     def test_range_validation(self):

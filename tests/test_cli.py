@@ -281,6 +281,23 @@ class TestUsageErrors:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [[], ["resolve"], ["check"], ["bench"]])
+def test_help_returns_zero_with_the_help_on_stdout(command, flag, capsys):
+    assert main([*command, flag]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(" ".join(["usage: normcolour", *command, "[-h]"]))
+    assert err == ""
+
+
+def test_entry_exits_zero_after_help(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["normcolour", "bench", "-h"])
+    with pytest.raises(SystemExit) as info:
+        cli.entry()
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: normcolour bench")
+
+
 def test_readme_commands_parse():
     # every `normcolour ...` line of the README's console blocks, with its
     # backslash continuations joined, must be accepted by the CLI's parser
@@ -299,8 +316,8 @@ def test_readme_commands_parse():
 
 
 def _subcommand_actions() -> dict[str, list[argparse.Action]]:
-    """Each subcommand's actions but help, which argparse answers itself by
-    raising SystemExit(0)."""
+    """Each subcommand's actions but help, which stops parsing at once
+    (``test_help_returns_zero_with_the_help_on_stdout``)."""
     (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return {
         name: [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]

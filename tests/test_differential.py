@@ -44,7 +44,6 @@ from normcolour import (
     ScoreMode,
     SelfConflict,
     TooLarge,
-    UnknownColour,
     UnknownNormId,
     dsatur,
     is_valid_colouring,
@@ -141,11 +140,6 @@ def _ref_prefers(policy: Policy, g: ConflictGraph, a: NormId, b: NormId) -> bool
 
 
 def _ref_score_colour(g: ConflictGraph, phi: Colouring, c: int, policy: Policy) -> float:
-    if not 0 <= c < phi.num_colours:
-        raise UnknownColour(f"colour {c} not in 0..{phi.num_colours - 1}")
-    if not isinstance(policy, Policy):
-        return float(policy(g, phi, c))
-
     members = [v for v in g.ids if phi.assignment[v] == c]
     if policy.kind is PolicyKind.MAX_CLASS:
         return float(len(members))

@@ -46,6 +46,7 @@ SMOKE = [
     (["resolve", "--input", _SIX, "--policy", "max-class", "--mode", "gross"], 1),
     (["resolve", "--input", str(DATA), "--policy", "max-class"], 2),
     (["resolve", "--input", str(ROOT / "pyproject.toml"), "--policy", "max-class"], 2),
+    (["resolve", "-h"], 0),
 ]
 
 

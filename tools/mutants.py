@@ -156,9 +156,11 @@ CATALOGUE = [
        ("if m >> j & 1]", "if m >> j & 1][::-1]")),
     _m("bench-degree-from-drawn-pairs", "bench.py",
        "a conflict drawn in both directions counts twice in a norm's degree",
-       ("adj: list[set[int]] = [set() for _ in bits]", "adj: list[set[int]] = [[] for _ in bits]"),
-       ("        adj[i].add(j)\n        adj[j].add(i)\n",
-        "        adj[i].append(j)\n        adj[j].append(i)\n")),
+       ("        if not nb[i] & bits[j]:\n", "        if True:\n")),
+    _m("bench-candidate-pairs-reordered", "bench.py",
+       "the candidate conflicts are listed in reverse itertools order, so a seeded sample "
+       "draws other pairs",
+       ("combinations)(range(n), 2))\n", "combinations)(range(n), 2))[::-1]\n")),
     _m("uncoloured-named-before-unranked", "policies.py",
        "rank_colours names an uncoloured norm before one a weak order leaves unranked",
        ("            _keys(policy, g.norms)  # a norm left unranked is named first\n",
