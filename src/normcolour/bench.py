@@ -10,20 +10,16 @@ the master seed alone, so every algorithm in a run sees the same instance
 and curves can be compared point by point. The only other consumer of
 randomness, the random-drop baseline, draws from its own derived stream.
 
-Each instance is drawn as norm positions, by the core that
-``generate_random_conflicts`` wraps, and read into neighbour lists and
+Each instance is drawn as norm positions and read into neighbour lists and
 Python-int bitmasks (the bitboard idiom of San Segundo, Rodríguez-Losada
-and Jiménez 2011). The metrics read only a set size, a score sum, a
-curtailment total or an uncurtailed count, so the bench runs the
-library's position-level cores on these and builds no ``ConflictGraph``.
-``BenchConfig`` therefore takes a built-in ``Policy`` only: a callable
-heuristic scores a ``Colouring``. All four colouring algorithms start
-from the same DSATUR colouring and class ranking, so each instance is
-coloured and ranked once.
+and Jiménez 2011), on which the bench runs the library's position-level
+cores and builds no ``ConflictGraph``. So ``BenchConfig`` takes a built-in
+``Policy`` only, whose scores ``policies._score_masks`` gives as masks.
+All four colouring algorithms start from the same classes and ranking, so
+each instance is coloured and ranked once.
 
-A score metric ranks norms by a weak order's own map, else by
-``default_weak_ordering``, and reads every norm's rank before the first
-instance, so UnknownNormId names the first norm left unranked.
+A score metric scores norms as a weak order does, by the policy's own rank
+map, else by ``default_weak_ordering``.
 """
 from __future__ import annotations
 
@@ -38,20 +34,11 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .colouring import _dsatur
 from .errors import EmptyInput, SchemaError, TooManyConflicts
 from .graph import Norm, NormId, _require_count, _require_int, _shown
 from .oracle import _max_admissible, _random_drop
-from .policies import (
-    Policy,
-    PolicyKind,
-    ScoreMode,
-    _best_first,
-    _keys,
-    _ranks,
-    policy_label,
-)
-from .resolution import ALGORITHMS, _admission, _buckets
+from .policies import Policy, _score_masks, policy_label
+from .resolution import ALGORITHMS, _admission, _classes
 
 # preferred is a maximum-cardinality stable extension (oracle.max_cardinality_admissible)
 BASELINES = ("random-drop", "preferred")
@@ -219,15 +206,6 @@ def _candidate_pairs(n: int, directed: bool) -> tuple[tuple[int, int], ...]:
     return tuple((permutations if directed else combinations)(range(n), 2))
 
 
-def _order_masks(key: Sequence) -> tuple[list[int], list[int]]:
-    """For each norm, the mask of the norms whose key is below its own and
-    the mask of those whose key is above it, under the keys' own ``<``, so
-    that a partial order (lex specialis) leaves incomparable norms in neither."""
-    lower = [sum(1 << j for j, kw in enumerate(key) if kw < kv) for kv in key]
-    higher = [sum(1 << j for j, kw in enumerate(key) if kv < kw) for kv in key]
-    return lower, higher
-
-
 def _neighbours(pairs: list[tuple[int, int]], bits: list[int]) -> tuple[list[list[int]], list[int]]:
     """Each norm's neighbours, as a list of positions and as a mask, once each
     however often a pair was drawn: the mask tells a repeat."""
@@ -242,18 +220,10 @@ def _neighbours(pairs: list[tuple[int, int]], bits: list[int]) -> tuple[list[lis
     return adj, nb
 
 
-def _scores(nb: list[int], lower: list[int], higher: list[int]) -> list[int]:
-    """Each norm's score against its neighbours nb: +1 per neighbour in its
-    lower mask, -1 per neighbour in its higher mask."""
-    return [(m & lo).bit_count() - (m & hi).bit_count() for m, lo, hi in zip(nb, lower, higher)]
-
-
-def _bucket_totals(buckets: list[list[int]], scores: list[int] | None) -> list[int]:
-    """Each class's total: the sum of its members' scores, or its size when
-    scores is None."""
-    if scores is None:
-        return list(map(len, buckets))
-    return [sum(map(scores.__getitem__, members)) for members in buckets]
+def _scores(nb: list[int], beats: list[int], loses: list[int]) -> list[int]:
+    """Each norm's score against its neighbours nb, given the masks of
+    ``policies._score_masks``."""
+    return [(m & b).bit_count() - (m & lo).bit_count() for m, b, lo in zip(nb, beats, loses)]
 
 
 def _measure(
@@ -274,9 +244,7 @@ def _measure(
     n = len(nb)
     if algorithm == "random-drop":
         rng = random.Random(derive_seed(point_seed, "random-drop"))
-        # each conflict once, from its earlier norm: ConflictGraph.edges' order
-        edges = [(i, j) for i, m in enumerate(nb) for j in range(i + 1, n) if m >> j & 1]
-        label, admitted = "none", _random_drop(n, edges, rng)
+        label, admitted = "none", _random_drop(adj, rng)
     elif algorithm == "preferred":
         # zero-padded ids sort in position order, so the oracle's tie-break holds
         best = _max_admissible(nb)
@@ -318,12 +286,9 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
     if cfg.metric is not Metric.ADMITTED_COUNT:
         ranks = default_weak_ordering(n) if policy.ranks is None else policy.ranks
         # UnknownNormId names the first norm left unranked, before any instance
-        metric_masks = _order_masks(_ranks(ranks, norms))
-    if colours and policy.kind is not PolicyKind.MAX_CLASS:
-        lower, higher = _order_masks(_keys(policy, norms))
-        if policy.mode is ScoreMode.GROSS:
-            higher = [0] * n  # gross scoring counts wins only
-        class_masks = (lower, higher)
+        metric_masks = _score_masks(Policy.weak_order(ranks), norms)
+    if colours:
+        class_masks = _score_masks(policy, norms)
         if class_masks == metric_masks:
             class_masks = metric_masks  # so each norm is scored once
     label = policy_label(policy)
@@ -338,14 +303,11 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
             scores = None if metric_masks is None else _scores(nb, *metric_masks)
             classes = None
             if colours:
-                if class_masks is None:  # max-class: a class scores its size
-                    class_scores = None
-                elif class_masks is metric_masks:
+                if class_masks is metric_masks:
                     class_scores = scores
-                else:
-                    class_scores = _scores(nb, *class_masks)
-                buckets = _buckets(_dsatur(adj)[0])
-                classes = buckets, _best_first(_bucket_totals(buckets, class_scores))
+                else:  # max-class has no masks: its classes score their size
+                    class_scores = None if class_masks is None else _scores(nb, *class_masks)
+                classes = _classes(adj, class_scores)[1:]
             for algorithm in algorithms:
                 for row in _measure(algorithm, cfg, label, point_seed, adj, nb, classes, scores):
                     rows.append(BenchRow(num_conflicts, trial, algorithm, *row, point_seed))

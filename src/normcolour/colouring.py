@@ -23,9 +23,10 @@ held by coloured neighbours (the bitboard idiom of San Segundo,
 Rodríguez-Losada and Jiménez 2011): its lowest clear bit is the colour to
 take, its popcount the saturation degree. The loop is ``_dsatur``, which
 reads neighbour positions and gives colours by position; ``dsatur`` runs it
-on a graph and maps the result back to norm ids, and the bench runs it on
-the adjacency of its drawn pairs. ``_by_position`` is the one way back from
-a colouring to positions.
+on a graph and maps the result back to norm ids, and
+``resolution._classes`` runs it for the algorithms and the bench.
+``_by_position`` is the one way back from a colouring to positions, and
+``_buckets`` lists each class's members from there.
 
 The ``Colouring`` constructor checks that it is given a mapping, a count
 that is not negative and every colour in it. It is the only way to build a
@@ -116,6 +117,15 @@ def _dsatur(adj: Sequence[Collection[int]]) -> tuple[list[int], list[int]]:
                     push(heap, base[j] - s.bit_count() * stride)
 
     return colour, order
+
+
+def _buckets(colour: Sequence[int], k: int) -> list[list[int]]:
+    """The members of each of k colour classes, by position in insertion
+    order, given each norm's colour by position."""
+    buckets: list[list[int]] = [[] for _ in range(k)]
+    for i, c in enumerate(colour):
+        buckets[c].append(i)
+    return buckets
 
 
 def _by_position(g: ConflictGraph, phi: Colouring) -> list[int]:

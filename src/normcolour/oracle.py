@@ -15,15 +15,14 @@ the first unknown id in input order.
 The exhaustive searches (maximum admissible set, chromatic number) are
 budget-capped; they exist to verify the fast paths, not to replace them.
 This module also hosts the random-drop baseline used in benchmarks. Each
-baseline wraps a core on positions, as ``dsatur`` wraps ``_dsatur``, which
-the bench calls: ``_max_admissible`` on neighbour masks, ``_random_drop``
-on a list of conflicts.
+baseline wraps a core on positions, which the bench calls:
+``_max_admissible`` on neighbour masks, ``_random_drop`` on neighbour lists.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .colouring import dsatur
 from .errors import TooLarge
@@ -180,17 +179,17 @@ def _colourable_with(earlier: list[list[int]], k: int) -> bool:
 def random_drop(g: ConflictGraph, rng: random.Random) -> frozenset[NormId]:
     """Baseline: drop a random endpoint of a random conflict until none
     remain, then keep the survivors. Always conflict-free."""
-    edges = [(i, j) for i, js in enumerate(g._adj) for j in js if j > i]  # g.edges' order
-    return frozenset(map(g.ids.__getitem__, _random_drop(len(g), edges, rng)))
+    return frozenset(map(g.ids.__getitem__, _random_drop(g._adj, rng)))
 
 
-def _random_drop(n: int, edges: list[tuple[int, int]], rng: random.Random) -> list[int]:
-    """``random_drop`` on positions 0..n-1 and their conflicts ``edges``,
-    each once, in the order that fixes the draws; the survivors, in order."""
-    alive = [True] * n
-    live = edges  # edges with both ends alive, in the given order
-    while live:
+def _random_drop(adj: Sequence[Collection[int]], rng: random.Random) -> list[int]:
+    """``random_drop`` on positions: adj[i] holds the neighbours of position
+    i, each once. Returns the survivors, in order."""
+    # the conflicts in ConflictGraph.edges' order, which fixes the draws
+    live = [(i, j) for i, js in enumerate(adj) for j in sorted(js) if j > i]
+    alive = [True] * len(adj)
+    while live:  # live: the conflicts with both ends alive, in that order
         dropped = live[rng.randrange(len(live))][rng.randrange(2)]
         alive[dropped] = False
         live = [e for e in live if dropped not in e]
-    return [i for i in range(n) if alive[i]]
+    return [i for i, a in enumerate(alive) if a]

@@ -12,16 +12,16 @@ one rule (``_keys``), and v is preferred to w exactly when key[w] < key[v]:
 * lex specialis — a norm's own antecedent set, ordered in reverse, so a
   strict subset (the more specific norm) wins and incomparable sets tie;
 * weak-order — an explicit rank map that must rank every norm;
-* max-class — equal keys, so it prefers nothing.
+* max-class — equal keys, so it prefers nothing, and a class scores its size.
 
-Max-class scores every norm 1, so a class scores its size. A ``Policy``
-takes a rank map with weak-order only (which requires one),
-``prefer_recent=True`` with lex posterior only and GROSS with any kind but
-max-class; it raises SchemaError for any other combination. Any callable
-``(graph, colouring, colour) -> float`` can stand in for a policy in the
-four algorithms and ``rank_colours`` and is called once per class, so
-bespoke heuristics (trust models, etc.) plug in without touching this
-module; anything else raises SchemaError.
+This module owns that rule: ``_norm_scores`` scores a graph's norms,
+``_score_masks`` gives the same scores to a caller that holds neighbour
+masks (the bench), and ``_class_totals`` sums them by class. A ``Policy``
+refuses with SchemaError a rank map on any kind but weak-order (which
+requires one), ``prefer_recent=True`` on any kind but lex posterior and
+GROSS under max-class. A callable ``(graph, colouring, colour) -> float``
+can stand in for a policy in the four algorithms and ``rank_colours``,
+which call it once per class.
 """
 from __future__ import annotations
 
@@ -31,8 +31,8 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .colouring import Colouring, _by_position
-from .errors import IncompleteColouring, InvalidScore, SchemaError, UnknownNormId
+from .colouring import Colouring, _buckets, _by_position
+from .errors import InvalidScore, SchemaError, UnknownNormId
 from .graph import ConflictGraph, Norm, NormId, _read_members, _require_int, _shown
 
 WeakOrdering = Mapping[NormId, int]
@@ -156,17 +156,38 @@ def _norm_score(g: ConflictGraph, key: Sequence | Mapping[int, object], i: int, 
     return total
 
 
-def _class_totals(g: ConflictGraph, colour: Sequence[int], k: int, policy: Policy) -> list[int]:
-    """The total score of each of k classes under a built-in policy, given
-    each norm's colour by position: each norm is scored once. Raises
-    UnknownNormId for the first norm a weak order leaves unranked."""
+def _norm_scores(g: ConflictGraph, policy: Policy) -> list[int] | None:
+    """Each norm's score by position under a built-in policy, or None under
+    max-class. Raises UnknownNormId for the first norm a weak order leaves
+    unranked."""
+    if policy.kind is PolicyKind.MAX_CLASS:
+        return None
     key = _keys(policy, g.norms)
     net = policy.mode is ScoreMode.NET
-    count = policy.kind is PolicyKind.MAX_CLASS  # its keys tie: each norm scores 1
-    totals = [0] * k
-    for i, c in enumerate(colour):
-        totals[c] += 1 if count else _norm_score(g, key, i, net)
-    return totals
+    return [_norm_score(g, key, i, net) for i in range(len(key))]
+
+
+def _score_masks(policy: Policy, norms: Sequence[Norm]) -> tuple[list[int], list[int]] | None:
+    """``_norm_scores`` for a caller holding each norm's neighbours as a mask
+    of positions: per norm, the mask of the norms it beats and the mask of
+    those it loses to, so that it scores the neighbours in the first less
+    those in the second. None under max-class."""
+    if policy.kind is PolicyKind.MAX_CLASS:
+        return None
+    key = _keys(policy, norms)
+    beats = [sum(1 << j for j, kw in enumerate(key) if kw < kv) for kv in key]
+    loses = [0] * len(key)  # gross scoring counts wins only
+    if policy.mode is ScoreMode.NET:
+        loses = [sum(1 << j for j, kw in enumerate(key) if kv < kw) for kv in key]
+    return beats, loses
+
+
+def _class_totals(buckets: list[list[int]], scores: Sequence[int] | None) -> list[int]:
+    """Each class's total: the sum of its members' scores, or its size when
+    scores is None (max-class)."""
+    if scores is None:
+        return list(map(len, buckets))
+    return [sum(map(scores.__getitem__, members)) for members in buckets]
 
 
 def _best_first(totals: Sequence[float]) -> list[int]:
@@ -197,12 +218,9 @@ def rank_colours(g: ConflictGraph, phi: Colouring, policy: Heuristic) -> list[in
     number too large for a float or a NaN, which no ranking orders.
     """
     if isinstance(policy, Policy):
-        try:
-            colour = _by_position(g, phi)
-        except IncompleteColouring:
-            _keys(policy, g.norms)  # a norm left unranked is named first
-            raise
-        return _best_first(_class_totals(g, colour, phi.num_colours, policy))
+        scores = _norm_scores(g, policy)  # so a norm left unranked is named first
+        buckets = _buckets(_by_position(g, phi), phi.num_colours)
+        return _best_first(_class_totals(buckets, scores))
     if not callable(policy):
         raise SchemaError(f"policy must be a Policy or a callable, not {_shown(policy)}")
     scores: list[float] = []

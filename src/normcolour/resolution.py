@@ -24,27 +24,30 @@ first. Two switches, ``complete`` and ``first_class_only``, tell them apart:
 So ``resolve`` is the first class of ``curtail``, and ``resolve-complete``
 the first class of ``curtail-complete``. The colouring and the ranking
 depend only on the graph and the policy, so ``_prepare`` makes them once,
-on positions: under a built-in policy it runs the DSATUR core and scores
-the classes from each norm's colour by position, so ``_admit`` builds one
-``Colouring``, the final one; only a callable heuristic is handed DSATUR's
-``Colouring``, which it scores class by class.
-``_admission`` is the loop, on norm positions: given each norm's
-neighbours, each class's members (``_buckets``) and the ranking, it
-returns the positions each admitted class takes; the bench calls it too.
-``_admit`` hands curtailments forward and recolours the norms completion
-moved in one pass, and packs a ``Resolution``. Completion sweeps in norm
-insertion order, and a vertex joins only if none that joined before it
-blocks it; letting all eligible vertices join at once could put two
-conflicting vertices into one class.
+on positions: under a built-in policy with ``_classes``, the one core that
+colours, buckets and ranks, which the bench calls too; a callable heuristic
+is handed DSATUR's ``Colouring``. ``_admission`` is the one admission loop,
+which the bench also calls, and ``_admit`` packs its result as a
+``Resolution``. Completion sweeps in norm insertion order, and a vertex
+joins only if none that joined before it blocks it; letting all eligible
+vertices join at once could put two conflicting vertices into one class.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Collection, Sequence
 
-from .colouring import Colouring, _by_position, _dsatur, dsatur
+from .colouring import Colouring, _buckets, _by_position, _dsatur, dsatur
 from .graph import ConflictGraph, NormId
-from .policies import Heuristic, Policy, _best_first, _class_totals, policy_label, rank_colours
+from .policies import (
+    Heuristic,
+    Policy,
+    _best_first,
+    _class_totals,
+    _norm_scores,
+    policy_label,
+    rank_colours,
+)
 
 
 @dataclass(frozen=True)
@@ -87,16 +90,26 @@ class Resolution:
         return sum(len(e.curtailed_wrt) for e in self.entries)
 
 
-def _prepare(g: ConflictGraph, policy: Heuristic) -> tuple[list[int], list[int]]:
-    """Colour g and rank its classes, best first: the start all four
-    algorithms share. Returns each norm's colour by position and the
-    ranking, which lists every colour id. A built-in policy scores the
-    classes on positions; a callable is handed DSATUR's ``Colouring``."""
+def _classes(
+    adj: Sequence[Collection[int]], scores: Sequence[int] | None
+) -> tuple[list[int], list[list[int]], list[int]]:
+    """Colour adj with DSATUR and rank its classes, best first, given each
+    norm's score by position (None: a class scores its size). Returns each
+    norm's colour, each class's members and the ranking."""
+    colour = _dsatur(adj)[0]
+    buckets = _buckets(colour, max(colour, default=-1) + 1)
+    return colour, buckets, _best_first(_class_totals(buckets, scores))
+
+
+def _prepare(g: ConflictGraph, policy: Heuristic) -> tuple[list[int], list[list[int]], list[int]]:
+    """``_classes`` for g under policy: the start all four algorithms share.
+    A callable is handed DSATUR's ``Colouring`` instead, and ranks every
+    colour id."""
     if isinstance(policy, Policy):
-        colour = _dsatur(g._adj)[0]
-        return colour, _best_first(_class_totals(g, colour, max(colour, default=-1) + 1, policy))
+        return _classes(g._adj, _norm_scores(g, policy))
     phi = dsatur(g)
-    return _by_position(g, phi), rank_colours(g, phi, policy)
+    colour = _by_position(g, phi)
+    return colour, _buckets(colour, phi.num_colours), rank_colours(g, phi, policy)
 
 
 # algorithm name -> the switches (complete, first_class_only) of _admission
@@ -106,15 +119,6 @@ _SWITCHES = {
     "curtail": (False, False),
     "curtail-complete": (True, False),
 }
-
-
-def _buckets(colour: list[int]) -> list[list[int]]:
-    """Each colour class's members, by position in insertion order, given
-    each norm's colour by position."""
-    buckets: list[list[int]] = [[] for _ in range(max(colour, default=-1) + 1)]
-    for i, c in enumerate(colour):
-        buckets[c].append(i)
-    return buckets
 
 
 def _admission(
@@ -153,13 +157,13 @@ def _admission(
 def _admit(algorithm: str, g: ConflictGraph, policy: Heuristic) -> Resolution:
     """Run one algorithm on g: ``_admission`` on ``_prepare(g, policy)``,
     packed as a Resolution."""
-    colour, order = _prepare(g, policy)
+    colour, buckets, order = _prepare(g, policy)
     ids, adj = g.ids, g._adj
     # each norm's admitted neighbours' ids, handed forward as each is admitted,
     # so in admission order
     wrt: list[list[NormId]] = [[] for _ in ids]
     entries = []
-    for c, members in zip(order, _admission(algorithm, adj, _buckets(colour), order)):
+    for c, members in zip(order, _admission(algorithm, adj, buckets, order)):
         for i in members:
             colour[i] = c  # completion may have drawn i from a later class
             v = ids[i]

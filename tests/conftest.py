@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from normcolour import Colouring, ConflictGraph, Norm, Policy, build_graph
-from normcolour.colouring import _by_position
-from normcolour.policies import _class_totals
+from normcolour.colouring import _buckets, _by_position
+from normcolour.policies import _class_totals, _norm_scores
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -41,7 +41,8 @@ def make_graph(
 
 def class_totals(g: ConflictGraph, phi: Colouring, policy: Policy) -> list[int]:
     """Each class of phi's score under a built-in policy, by colour id."""
-    return _class_totals(g, _by_position(g, phi), phi.num_colours, policy)
+    buckets = _buckets(_by_position(g, phi), phi.num_colours)
+    return _class_totals(buckets, _norm_scores(g, policy))
 
 
 def complete_graph(ids) -> ConflictGraph:

@@ -15,7 +15,7 @@ from normcolour import (
     UnknownNormId,
     build_graph,
 )
-from normcolour import bench, colouring, graph
+from normcolour import bench, colouring, graph, resolution
 from normcolour.bench import (
     BenchConfig,
     Metric,
@@ -356,33 +356,33 @@ class TestRunBenchmark:
             assert values["resolve"] <= values["resolve-complete"] <= values["preferred"]
 
     @pytest.fixture
-    def dsatur_calls(self, monkeypatch):
-        """The adjacency of each call of the DSATUR core, whether the bench
-        calls it directly or through ``dsatur``."""
+    def core_calls(self, monkeypatch):
+        """The adjacency of each call of the one core that colours and ranks,
+        whether the bench calls it directly or through an algorithm."""
         calls = []
-        core = colouring._dsatur
+        core = resolution._classes
 
-        def counting_core(adj):
+        def counting_core(adj, scores):
             calls.append(adj)
-            return core(adj)
+            return core(adj, scores)
 
-        monkeypatch.setattr(colouring, "_dsatur", counting_core)
-        monkeypatch.setattr(bench, "_dsatur", counting_core)
+        monkeypatch.setattr(resolution, "_classes", counting_core)
+        monkeypatch.setattr(bench, "_classes", counting_core)
         return calls
 
     # max-class builds no key masks, but its classes come from the same colouring
     @pytest.mark.parametrize("policy", [Policy.weak_order(default_weak_ordering(16)),
                                         Policy.max_class()], ids=["weak-order", "max-class"])
-    def test_each_instance_is_coloured_once(self, dsatur_calls, policy):
+    def test_each_instance_is_coloured_once(self, core_calls, policy):
         cfg = small_config(policy=policy, conflict_range=(1, 3), trials_per_point=2,
                            algorithms=("resolve", "resolve-complete", "curtail", "random-drop"))
         run_benchmark(cfg)
-        assert len(dsatur_calls) == 6
-        assert len({id(adj) for adj in dsatur_calls}) == 6
+        assert len(core_calls) == 6
+        assert len({id(adj) for adj in core_calls}) == 6
 
-    def test_baselines_alone_colour_nothing(self, dsatur_calls):
+    def test_baselines_alone_colour_nothing(self, core_calls):
         run_benchmark(small_config(conflict_range=(1, 3), algorithms=("random-drop", "preferred")))
-        assert dsatur_calls == []
+        assert core_calls == []
 
     @pytest.fixture
     def checked_calls(self, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import pickle
+import random
 import re
 from collections import Counter
 from collections.abc import Mapping
@@ -23,7 +24,7 @@ from normcolour import (
     rank_colours,
     score_admitted_set,
 )
-from normcolour import policies
+from normcolour import bench, policies
 from normcolour.bench import BenchConfig, Metric, preset_config
 from normcolour.colouring import Colouring
 
@@ -194,6 +195,46 @@ class TestClassScores:
         phi = Colouring({"a": 0}, 1)
         with pytest.raises(error, match="'b'"):
             rank_colours(g, phi, policy)
+
+
+def _policies_for(g, rng):
+    """Every built-in policy in both modes, lex posterior in both directions
+    and a weak order whose small ranks tie, for g."""
+    tied = {v: rng.randint(-2, 2) for v in g.ids}
+    return [Policy.max_class()] + [
+        policy
+        for mode in ScoreMode
+        for policy in (
+            Policy.lex_posterior(mode),
+            Policy.lex_posterior(mode, prefer_recent=True),
+            Policy.lex_superior(mode),
+            Policy.lex_specialis(mode),
+            Policy.weak_order(tied, mode),
+        )
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_mask_kernel_scores_each_norm_as_the_graph_kernel(seed):
+    # the bench scores on neighbour masks, the algorithms on the graph: per
+    # norm, for 0-20 norms whose small metadata ties and whose antecedent
+    # sets are often incomparable
+    rng = random.Random(seed)
+    for n in range(21):
+        ids = [f"v{i}" for i in range(n)]
+        pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:] if rng.random() < 0.3]
+        antecedents = {v: rng.sample("pqr", rng.randint(0, 2)) for v in ids}
+        g = make_graph(ids, pairs, declared_at={v: rng.randint(0, 3) for v in ids},
+                       authority_rank={v: rng.randint(0, 3) for v in ids},
+                       antecedents=antecedents)
+        nb = [sum(1 << j for j in g._adj[i]) for i in range(n)]
+        for policy in _policies_for(g, rng):
+            masks = policies._score_masks(policy, g.norms)
+            expected = policies._norm_scores(g, policy)
+            if policy.kind is PolicyKind.MAX_CLASS:
+                assert masks is None and expected is None
+            else:
+                assert bench._scores(nb, *masks) == expected, policy
 
 
 class TestRankColours:

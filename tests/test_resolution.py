@@ -204,8 +204,8 @@ class TestSharedBehaviour:
         # every algorithm in name order on one set of classes and ranking, so
         # curtail-complete's completion runs before resolve reads the classes
         g, policy = triangle_plus_edge
-        colour, order = resolution._prepare(g, policy)
-        prepared = (resolution._buckets(colour), order)
+        colour, buckets, order = resolution._prepare(g, policy)
+        prepared = (buckets, order)
         before = copy.deepcopy(prepared)
         for name in sorted(ALGORITHMS):
             taken = resolution._admission(name, g._adj, *prepared)

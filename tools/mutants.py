@@ -94,8 +94,8 @@ CATALOGUE = [
         "        if kv < kw:\n            total += 1")),
     _m("net-and-gross-swapped", "policies.py",
        "class scoring reads GROSS as net and NET as gross",
-       ("net = policy.mode is ScoreMode.NET\n    count",
-        "net = policy.mode is ScoreMode.GROSS\n    count")),
+       ("net = policy.mode is ScoreMode.NET\n    return",
+        "net = policy.mode is ScoreMode.GROSS\n    return")),
     _m("prefer-recent-sign", "policies.py",
        "lex posterior's direction is flipped, with and without prefer_recent",
        ("sign = 1 if policy.prefer_recent else -1", "sign = -1 if policy.prefer_recent else 1")),
@@ -142,18 +142,23 @@ CATALOGUE = [
     _m("bench-seen-not-updated", "bench.py",
        "the bench never records an admitted norm, so every norm reads as uncurtailed",
        ("                seen |= 1 << i\n", "")),
-    _m("order-masks-swapped", "bench.py",
-       "the bench's lower and higher masks are swapped",
-       ("    return lower, higher\n", "    return higher, lower\n")),
+    _m("order-masks-swapped", "policies.py",
+       "the score masks give each norm the norms it loses to as those it beats, and back",
+       ("    return beats, loses\n", "    return loses, beats\n")),
+    _m("gross-masks-count-losses", "policies.py",
+       "the score masks keep each norm's losses under GROSS, which counts wins only",
+       ("    if policy.mode is ScoreMode.NET:\n        loses",
+        "    if True:\n        loses")),
     _m("bench-uncurtailed-mask", "bench.py",
        "the bench's uncurtailed test reads the norms not yet admitted",
        ("if not nb[i] & seen:", "if not nb[i] & ~seen:")),
     _m("max-admissible-unbounded", "oracle.py",
        "the exhaustive search no longer refuses more than MAX_ADMISSIBLE_SEARCH norms",
        ("    if n > MAX_ADMISSIBLE_SEARCH:\n", "    if False:\n")),
-    _m("bench-random-drop-edge-order", "bench.py",
-       "the bench hands random drop its edges in reverse ConflictGraph.edges order",
-       ("if m >> j & 1]", "if m >> j & 1][::-1]")),
+    _m("bench-random-drop-edge-order", "oracle.py",
+       "random drop lists each norm's later neighbours in descending order, "
+       "not in ConflictGraph.edges order",
+       ("for j in sorted(js) if j > i]", "for j in sorted(js, reverse=True) if j > i]")),
     _m("bench-degree-from-drawn-pairs", "bench.py",
        "a conflict drawn in both directions counts twice in a norm's degree",
        ("        if not nb[i] & bits[j]:\n", "        if True:\n")),
@@ -163,8 +168,10 @@ CATALOGUE = [
        ("combinations)(range(n), 2))\n", "combinations)(range(n), 2))[::-1]\n")),
     _m("uncoloured-named-before-unranked", "policies.py",
        "rank_colours names an uncoloured norm before one a weak order leaves unranked",
-       ("            _keys(policy, g.norms)  # a norm left unranked is named first\n",
-        "            pass\n")),
+       ("        scores = _norm_scores(g, policy)  # so a norm left unranked is named first\n"
+        "        buckets = _buckets(_by_position(g, phi), phi.num_colours)\n",
+        "        buckets = _buckets(_by_position(g, phi), phi.num_colours)\n"
+        "        scores = _norm_scores(g, policy)\n")),
 ]
 
 
