@@ -16,10 +16,13 @@ and Jiménez 2011), on which the bench runs the library's position-level
 cores and builds no ``ConflictGraph``. So ``BenchConfig`` takes a built-in
 ``Policy`` only, whose scores ``policies._score_masks`` gives as masks.
 All four colouring algorithms start from the same classes and ranking, so
-each instance is coloured and ranked once.
+each instance is coloured and ranked once. ``_admitted`` gives the
+positions each algorithm admits on an instance, and ``run_benchmark``
+turns them into rows.
 
 A score metric scores norms as a weak order does, by the policy's own rank
-map, else by ``default_weak_ordering``.
+map, else by ``default_weak_ordering``. When the ranking's masks equal the
+metric's, each norm is scored once per instance.
 """
 from __future__ import annotations
 
@@ -220,78 +223,58 @@ def _neighbours(pairs: list[tuple[int, int]], bits: list[int]) -> tuple[list[lis
     return adj, nb
 
 
-def _scores(nb: list[int], beats: list[int], loses: list[int]) -> list[int]:
-    """Each norm's score against its neighbours nb, given the masks of
-    ``policies._score_masks``."""
+def _scores(nb: list[int], masks: tuple[list[int], list[int]] | None) -> list[int] | None:
+    """Each norm's score against its neighbours nb, given the mask pair of
+    ``policies._score_masks``; None for no masks (max-class)."""
+    if masks is None:
+        return None
+    beats, loses = masks
     return [(m & b).bit_count() - (m & lo).bit_count() for m, b, lo in zip(nb, beats, loses)]
 
 
-def _measure(
+def _admitted(
     algorithm: str,
-    cfg: BenchConfig,
-    label: str,
     point_seed: int,
     adj: list[list[int]],
     nb: list[int],
     classes: tuple[list[list[int]], list[int]] | None,
-    scores: list[int] | None,
-) -> list[tuple[str, str, float]]:
-    """Run one algorithm on one instance, given the run's policy label, the
-    instance's neighbours as position lists and as masks, its classes and
-    their ranking (None if no colouring algorithm runs) and, under a score
-    metric, each norm's net score by position; returns (policy, metric,
-    value) rows."""
-    n = len(nb)
+) -> list[int]:
+    """The positions that algorithm admits on one instance, given its
+    neighbours as position lists and as masks and its classes and their
+    ranking (None if no colouring algorithm runs). A colouring algorithm
+    admits its uncurtailed norms: those with no neighbour admitted before
+    them; a class is independent, so its members never curtail each other."""
     if algorithm == "random-drop":
-        rng = random.Random(derive_seed(point_seed, "random-drop"))
-        label, admitted = "none", _random_drop(adj, rng)
-    elif algorithm == "preferred":
+        return _random_drop(adj, random.Random(derive_seed(point_seed, "random-drop")))
+    if algorithm == "preferred":
         # zero-padded ids sort in position order, so the oracle's tie-break holds
         best = _max_admissible(nb)
-        label, admitted = "none", [i for i in range(n) if best >> i & 1]
-    else:
-        # the uncurtailed norms: those with no neighbour admitted before them;
-        # a class is independent, so its members never curtail each other
-        admitted, seen = [], 0
-        for members in _admission(algorithm, adj, *classes):
-            for i in members:
-                if not nb[i] & seen:
-                    admitted.append(i)
-                seen |= 1 << i
-        if cfg.metric is Metric.ADMITTED_COUNT and algorithm.startswith("curtail"):
-            # Curtailing algorithms admit everything, so a raw count says
-            # nothing; report how much survived uncurtailed instead. Each
-            # conflict curtails its later-admitted end once.
-            edges = sum(m.bit_count() for m in nb) // 2
-            return [
-                (label, "curtailment_total", float(edges)),
-                (label, "uncurtailed_count", float(len(admitted))),
-            ]
-
-    if cfg.metric is Metric.ADMITTED_COUNT:
-        return [(label, "admitted_count", float(len(admitted)))]
-    value = float(sum(map(scores.__getitem__, admitted)))
-    if cfg.metric is Metric.SCORE_AVG:
-        value = value / len(admitted) if admitted else 0.0
-    return [(label, cfg.metric.value.replace("-", "_"), value)]
+        return [i for i in range(len(nb)) if best >> i & 1]
+    admitted, seen = [], 0
+    for members in _admission(algorithm, adj, *classes):
+        for i in members:
+            if not nb[i] & seen:
+                admitted.append(i)
+            seen |= 1 << i
+    return admitted
 
 
 def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
     """Run the configured sweep; deterministic for a fixed config."""
-    n, policy = cfg.n_norms, cfg.policy
+    n, policy, metric = cfg.n_norms, cfg.policy, cfg.metric
     norms = _norm_set(n)
     algorithms = sorted(cfg.algorithms)
     colours = any(a in ALGORITHMS for a in algorithms)
     metric_masks = class_masks = None
-    if cfg.metric is not Metric.ADMITTED_COUNT:
+    if metric is not Metric.ADMITTED_COUNT:
         ranks = default_weak_ordering(n) if policy.ranks is None else policy.ranks
         # UnknownNormId names the first norm left unranked, before any instance
         metric_masks = _score_masks(Policy.weak_order(ranks), norms)
     if colours:
         class_masks = _score_masks(policy, norms)
-        if class_masks == metric_masks:
-            class_masks = metric_masks  # so each norm is scored once
-    label = policy_label(policy)
+    shared = class_masks == metric_masks  # then each norm is scored once per instance
+    label, column = policy_label(policy), metric.value.replace("-", "_")
+    runs = [(a, "none" if a in BASELINES else label) for a in algorithms]
     bits = [1 << i for i in range(n)]
     rows: list[BenchRow] = []
     lo, hi = cfg.conflict_range
@@ -300,17 +283,28 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
             point_seed = derive_seed(cfg.seed, num_conflicts, trial)
             pairs = _draw(n, num_conflicts, cfg.duplicate_directed_pairs, random.Random(point_seed))
             adj, nb = _neighbours(pairs, bits)
-            scores = None if metric_masks is None else _scores(nb, *metric_masks)
+            scores = _scores(nb, metric_masks)
             classes = None
             if colours:
-                if class_masks is metric_masks:
-                    class_scores = scores
-                else:  # max-class has no masks: its classes score their size
-                    class_scores = None if class_masks is None else _scores(nb, *class_masks)
-                classes = _classes(adj, class_scores)[1:]
-            for algorithm in algorithms:
-                for row in _measure(algorithm, cfg, label, point_seed, adj, nb, classes, scores):
-                    rows.append(BenchRow(num_conflicts, trial, algorithm, *row, point_seed))
+                classes = _classes(adj, scores if shared else _scores(nb, class_masks))[1:]
+            for algorithm, name in runs:
+                admitted = _admitted(algorithm, point_seed, adj, nb, classes)
+                if metric is not Metric.ADMITTED_COUNT:
+                    value = sum(map(scores.__getitem__, admitted))
+                    if metric is Metric.SCORE_AVG:
+                        value = value / len(admitted) if admitted else 0
+                    values = [(column, value)]
+                elif algorithm.startswith("curtail"):
+                    # Curtailing algorithms admit everything, so a raw count
+                    # says nothing; report how much survived uncurtailed
+                    # instead. Each conflict curtails its later-admitted end once.
+                    values = [("curtailment_total", sum(map(len, adj)) // 2),
+                              ("uncurtailed_count", len(admitted))]
+                else:
+                    values = [("admitted_count", len(admitted))]
+                for m, v in values:
+                    rows.append(
+                        BenchRow(num_conflicts, trial, algorithm, name, m, float(v), point_seed))
     return rows
 
 

@@ -3,7 +3,7 @@
 A policy scores each norm against its conflicting neighbours: +1 for each
 neighbour the norm is preferred to and, under NET scoring, -1 for each one
 preferred to it (GROSS counts wins only; ties count 0). A colour class
-scores the sum over its members. Every built-in policy keys each norm by
+scores the sum over its members. Every pairwise policy keys each norm by
 one rule (``_keys``), and v is preferred to w exactly when key[w] < key[v]:
 
 * lex posterior — earlier declaration ranks higher (``prefer_recent``
@@ -11,8 +11,9 @@ one rule (``_keys``), and v is preferred to w exactly when key[w] < key[v]:
 * lex superior — the stronger authority ranks higher;
 * lex specialis — a norm's own antecedent set, ordered in reverse, so a
   strict subset (the more specific norm) wins and incomparable sets tie;
-* weak-order — an explicit rank map that must rank every norm;
-* max-class — equal keys, so it prefers nothing, and a class scores its size.
+* weak-order — an explicit rank map that must rank every norm.
+
+Max-class keys nothing: it prefers no norm, and a class scores its size.
 
 This module owns that rule: ``_norm_scores`` scores a graph's norms,
 ``_score_masks`` gives the same scores to a caller that holds neighbour
@@ -126,9 +127,9 @@ def _ranks(ranks: WeakOrdering, norms: Iterable[Norm]) -> list[int]:
 
 
 def _keys(policy: Policy, norms: Sequence[Norm]) -> list:
-    """Each norm's key under a built-in policy, in order (see the module
-    docstring). Raises UnknownNormId for the first norm a weak order leaves
-    unranked."""
+    """Each norm's key, in order, under one of the four pairwise kinds (see
+    the module docstring); callers turn max-class away first. Raises
+    UnknownNormId for the first norm a weak order leaves unranked."""
     kind = policy.kind
     if kind is PolicyKind.LEX_POSTERIOR:
         sign = 1 if policy.prefer_recent else -1
@@ -137,9 +138,7 @@ def _keys(policy: Policy, norms: Sequence[Norm]) -> list:
         return [norm.authority_rank for norm in norms]
     if kind is PolicyKind.LEX_SPECIALIS:
         return [_Specific(norm.antecedents) for norm in norms]
-    if kind is PolicyKind.WEAK_ORDER:
-        return _ranks(policy.ranks, norms)
-    return [0] * len(norms)  # max-class: every pair ties
+    return _ranks(policy.ranks, norms)  # weak order
 
 
 def _norm_score(g: ConflictGraph, key: Sequence | Mapping[int, object], i: int, net: bool) -> int:

@@ -10,6 +10,7 @@ from normcolour import (
     NormColourError,
     Policy,
     SchemaError,
+    ScoreMode,
     TooLarge,
     TooManyConflicts,
     UnknownNormId,
@@ -383,6 +384,36 @@ class TestRunBenchmark:
     def test_baselines_alone_colour_nothing(self, core_calls):
         run_benchmark(small_config(conflict_range=(1, 3), algorithms=("random-drop", "preferred")))
         assert core_calls == []
+
+    @pytest.fixture
+    def scoring_passes(self, monkeypatch):
+        """The neighbour masks of each pass of the bench's mask scoring."""
+        passes = []
+        scores = bench._scores
+
+        def counting(nb, masks):
+            if masks is not None:  # None scores nothing: a class scores its size
+                passes.append(nb)
+            return scores(nb, masks)
+
+        monkeypatch.setattr(bench, "_scores", counting)
+        return passes
+
+    @pytest.mark.parametrize(
+        "cfg, per_instance",
+        [
+            (preset_config("score-sum"), 1),
+            # equal masks, not equal policies: lex superior ranks the
+            # benchmark norms as default_weak_ordering does
+            (small_config(policy=Policy.lex_superior(), metric=Metric.SCORE_SUM), 1),
+            (small_config(policy=Policy.lex_posterior(ScoreMode.GROSS), metric=Metric.SCORE_SUM), 2),
+            (preset_config("oren-count"), 0),
+        ],
+        ids=["score-sum", "lex-superior", "lex-posterior-gross", "oren-count"],
+    )
+    def test_each_norm_is_scored_once_per_reading(self, scoring_passes, cfg, per_instance):
+        run_benchmark(replace(cfg, conflict_range=(1, 3), trials_per_point=2))
+        assert len(scoring_passes) == 6 * per_instance  # six instances
 
     @pytest.fixture
     def checked_calls(self, monkeypatch):

@@ -1,7 +1,8 @@
 """tools/mutants.py: its patching, its reading of pytest's summary, its
-catalogue against this checkout and a run on a small project written for
-the test."""
+catalogue against this checkout, a run on a small project written for
+the test and how a run of named mutants updates the results file."""
 import importlib.util
+import json
 from pathlib import Path
 
 _REPO = Path(__file__).resolve().parents[1]
@@ -51,3 +52,31 @@ def test_a_run_reports_each_verdict_and_leaves_the_checkout_unchanged(tmp_path):
         ("gone", "stale", None),
     ]
     assert (tmp_path / "pkg.py").read_text(encoding="utf-8") == "def f():\n    return 1\n"
+
+
+def test_named_mutants_merge_into_the_results_file(tmp_path, monkeypatch):
+    catalogue = [mutants.Mutant(name, "pkg.py", (), name) for name in "abc"]
+    monkeypatch.setattr(mutants, "CATALOGUE", catalogue)
+    # no suite runs: each chosen mutant gets the verdict its name maps to
+    verdicts = {"a": "killed", "b": "killed", "c": "survived"}
+    monkeypatch.setattr(mutants, "run", lambda root, chosen, steps, timeout: [
+        {"name": m.name, "status": verdicts[m.name]} for m in chosen])
+    out = tmp_path / "MUTANTS.json"
+
+    def written():
+        data = json.loads(out.read_text(encoding="utf-8"))
+        return [(r["name"], r["status"]) for r in data["mutants"]], data["totals"]
+
+    assert mutants.main(["--out", str(out), "c"]) == 1  # no file yet: only c
+    assert written() == ([("c", "survived")],
+                         {"killed": 0, "survived": 1, "timeout": 0, "stale": 0})
+    verdicts["c"] = "killed"
+    assert mutants.main(["--out", str(out), "a", "c"]) == 0
+    assert written() == ([("c", "killed"), ("a", "killed")],
+                         {"killed": 2, "survived": 0, "timeout": 0, "stale": 0})
+    verdicts["a"] = "stale"
+    assert mutants.main(["--out", str(out), "a"]) == 1  # c is kept, in its place
+    assert written() == ([("c", "killed"), ("a", "stale")],
+                         {"killed": 1, "survived": 0, "timeout": 0, "stale": 1})
+    assert mutants.main(["--out", str(out)]) == 1  # no names: the whole catalogue, afresh
+    assert written()[0] == [("a", "stale"), ("b", "killed"), ("c", "killed")]

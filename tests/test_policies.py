@@ -230,11 +230,9 @@ def test_the_mask_kernel_scores_each_norm_as_the_graph_kernel(seed):
         nb = [sum(1 << j for j in g._adj[i]) for i in range(n)]
         for policy in _policies_for(g, rng):
             masks = policies._score_masks(policy, g.norms)
-            expected = policies._norm_scores(g, policy)
-            if policy.kind is PolicyKind.MAX_CLASS:
-                assert masks is None and expected is None
-            else:
-                assert bench._scores(nb, *masks) == expected, policy
+            assert (masks is None) is (policy.kind is PolicyKind.MAX_CLASS)
+            # max-class: neither kernel scores, so a class scores its size
+            assert bench._scores(nb, masks) == policies._norm_scores(g, policy), policy
 
 
 class TestRankColours:
@@ -508,8 +506,14 @@ def test_max_class_prefers_nothing():
         declared_at={"a": 1, "b": 2, "c": 3},
         authority_rank={"a": 3, "b": 2, "c": 1},
     )
-    # every key ties, so no norm is preferred to another
-    assert len(set(policies._keys(Policy.max_class(), g.norms))) == 1
+    policy = Policy.max_class()
+    # the scoring cores key nothing: no norm scores, so none is preferred to another
+    assert policies._norm_scores(g, policy) is None
+    assert policies._score_masks(policy, g.norms) is None
+    # so each class totals its size: {b} and {a, c} on this path
+    phi = dsatur(g)
+    sizes = [list(phi.assignment.values()).count(c) for c in range(phi.num_colours)]
+    assert class_totals(g, phi, policy) == sizes and sorted(sizes) == [1, 2]
 
 
 def test_policy_labels():

@@ -22,7 +22,9 @@ Each mutant ends as one of:
   catalogue no longer matches the source.
 
 The result goes to FILE (default ``MUTANTS.json`` in this checkout) as
-JSON. The exit code is 1 if a mutant survived or is stale, else 0.
+JSON. When NAMEs are given, their results replace those of the same names
+in FILE, the others are kept, and the totals count the merged list. The
+exit code is 1 if a mutant survived or is stale, else 0.
 Standard library only. Background: DeMillo, Lipton and Sayward 1978
 ("Hints on test data selection"); Jia and Harman 2011 (IEEE TSE 37(5)).
 """
@@ -141,7 +143,7 @@ CATALOGUE = [
        ("            colour[i] = c  # completion may have drawn i from a later class\n", "")),
     _m("bench-seen-not-updated", "bench.py",
        "the bench never records an admitted norm, so every norm reads as uncurtailed",
-       ("                seen |= 1 << i\n", "")),
+       ("            seen |= 1 << i\n", "")),
     _m("order-masks-swapped", "policies.py",
        "the score masks give each norm the norms it loses to as those it beats, and back",
        ("    return beats, loses\n", "    return loses, beats\n")),
@@ -172,6 +174,9 @@ CATALOGUE = [
         "        buckets = _buckets(_by_position(g, phi), phi.num_colours)\n",
         "        buckets = _buckets(_by_position(g, phi), phi.num_colours)\n"
         "        scores = _norm_scores(g, policy)\n")),
+    _m("bench-scores-shared-when-masks-differ", "bench.py",
+       "the bench ranks classes by the metric's scores even when the policy's masks differ",
+       ("    shared = class_masks == metric_masks", "    shared = True")),
 ]
 
 
@@ -253,6 +258,9 @@ def main(argv: list[str]) -> int:
         parser.error(f"unknown mutants: {', '.join(unknown)}")
     chosen = [m for m in CATALOGUE if not args.names or m.name in args.names]
     results = run(args.root.resolve(), chosen, STEPS, TIMEOUT)
+    if args.names and args.out.exists():  # keep the results of the mutants not rerun
+        kept = json.loads(args.out.read_text(encoding="utf-8"))["mutants"]
+        results = list({r["name"]: r for r in kept + results}.values())
     totals = {s: sum(r["status"] == s for r in results)
               for s in ("killed", "survived", "timeout", "stale")}
     args.out.write_text(json.dumps({"totals": totals, "mutants": results}, indent=2) + "\n",
