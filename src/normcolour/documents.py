@@ -188,7 +188,7 @@ def _refusal(r: Resolution, items: tuple | None, wrts: list[tuple]) -> SchemaErr
         if hasattr(e, "norm") else None
         for i, e in enumerate(items[:len(wrts) + 1])
     ]
-    count = r.colouring.num_colours
+    count = getattr(r.colouring, "num_colours", None)  # null without a colouring
     _resolution_document(
         dict(algorithm=r.algorithm, policy=r.policy, colours_used=count, entries=entries)
     )

@@ -4,14 +4,14 @@ A policy scores each norm against its conflicting neighbours: +1 for each
 neighbour the norm is preferred to and, under NET scoring, -1 for each one
 preferred to it (GROSS counts wins only; ties count 0). A colour class
 scores the sum over its members. Every pairwise policy keys each norm by
-one rule (``_keys``), and v is preferred to w exactly when key[w] < key[v]:
+one rule (``_keys``): v is preferred to w exactly when key[v] < key[w]:
 
-* lex posterior — earlier declaration ranks higher (``prefer_recent``
-  flips this to the textbook reading, where the newer norm wins);
-* lex superior — the stronger authority ranks higher;
-* lex specialis — a norm's own antecedent set, ordered in reverse, so a
-  strict subset (the more specific norm) wins and incomparable sets tie;
-* weak-order — an explicit rank map that must rank every norm.
+* lex posterior — the declaration tick, so the earlier norm wins
+  (``prefer_recent`` negates it: the textbook reading, the newer wins);
+* lex superior — the negated authority rank, so the stronger wins;
+* lex specialis — the norm's own antecedent set, whose ``<`` is strict
+  inclusion, so the more specific norm wins and incomparable sets tie;
+* weak-order — the negated rank from a map that must rank every norm.
 
 Max-class keys nothing: it prefers no norm, and a class scores its size.
 
@@ -114,10 +114,6 @@ class Policy:
 Heuristic = Union[Policy, Callable[[ConflictGraph, Colouring, int], float]]
 
 
-class _Specific(frozenset):
-    __lt__ = frozenset.__gt__  # reverse strict inclusion: the subset ranks higher
-
-
 def _ranks(ranks: WeakOrdering, norms: Iterable[Norm]) -> list[int]:
     """Each norm's rank, in order; UnknownNormId names the first norm left unranked."""
     try:
@@ -127,30 +123,30 @@ def _ranks(ranks: WeakOrdering, norms: Iterable[Norm]) -> list[int]:
 
 
 def _keys(policy: Policy, norms: Sequence[Norm]) -> list:
-    """Each norm's key, in order, under one of the four pairwise kinds (see
-    the module docstring); callers turn max-class away first. Raises
-    UnknownNormId for the first norm a weak order leaves unranked."""
+    """Each norm's key, in order, under one of the four pairwise kinds (the
+    lower key wins; see the module docstring); callers turn max-class away
+    first. Raises UnknownNormId for the first norm a weak order leaves unranked."""
     kind = policy.kind
     if kind is PolicyKind.LEX_POSTERIOR:
-        sign = 1 if policy.prefer_recent else -1
+        sign = -1 if policy.prefer_recent else 1
         return [sign * norm.declared_at for norm in norms]
     if kind is PolicyKind.LEX_SUPERIOR:
-        return [norm.authority_rank for norm in norms]
+        return [-norm.authority_rank for norm in norms]
     if kind is PolicyKind.LEX_SPECIALIS:
-        return [_Specific(norm.antecedents) for norm in norms]
-    return _ranks(policy.ranks, norms)  # weak order
+        return [norm.antecedents for norm in norms]
+    return [-r for r in _ranks(policy.ranks, norms)]  # weak order
 
 
 def _norm_score(g: ConflictGraph, key: Sequence | Mapping[int, object], i: int, net: bool) -> int:
-    """+1 for every neighbour the norm at position i is preferred to and,
-    when net, -1 for every one preferred to it; ties and incomparables add 0."""
+    """+1 for each neighbour keyed above the norm at position i and, when
+    net, -1 for each one keyed below it; equal and incomparable keys add 0."""
     kv = key[i]
     total = 0
     for j in g._adj[i]:
         kw = key[j]
-        if kw < kv:
+        if kv < kw:
             total += 1
-        elif net and kv < kw:
+        elif net and kw < kv:
             total -= 1
     return total
 
@@ -168,16 +164,16 @@ def _norm_scores(g: ConflictGraph, policy: Policy) -> list[int] | None:
 
 def _score_masks(policy: Policy, norms: Sequence[Norm]) -> tuple[list[int], list[int]] | None:
     """``_norm_scores`` for a caller holding each norm's neighbours as a mask
-    of positions: per norm, the mask of the norms it beats and the mask of
-    those it loses to, so that it scores the neighbours in the first less
-    those in the second. None under max-class."""
+    of positions: per norm, the mask of the norms keyed above it (it beats
+    them) and of those keyed below (it loses to them), so that it scores
+    the neighbours in the first less those in the second. None under max-class."""
     if policy.kind is PolicyKind.MAX_CLASS:
         return None
     key = _keys(policy, norms)
-    beats = [sum(1 << j for j, kw in enumerate(key) if kw < kv) for kv in key]
+    beats = [sum(1 << j for j, kw in enumerate(key) if kv < kw) for kv in key]
     loses = [0] * len(key)  # gross scoring counts wins only
     if policy.mode is ScoreMode.NET:
-        loses = [sum(1 << j for j, kw in enumerate(key) if kv < kw) for kv in key]
+        loses = [sum(1 << j for j, kw in enumerate(key) if kw < kv) for kv in key]
     return beats, loses
 
 
@@ -255,7 +251,7 @@ def score_admitted_set(
     norms = g.norms
     # read in order, each member then its neighbours, to name the first unranked norm
     read = {j: norms[j] for i in members for j in (i, *g._adj[i])}
-    key = dict(zip(read, _ranks(ranks, read.values())))
-    for j, r in key.items():
-        _require_int(r, f"rank of {g.ids[j]!r}")
+    ranked = zip(read, _ranks(ranks, read.values()))
+    # each rank negated once it is checked, so that the higher rank wins
+    key = {j: -_require_int(r, f"rank of {g.ids[j]!r}") for j, r in ranked}
     return sum(_norm_score(g, key, i, True) for i in members)

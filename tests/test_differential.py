@@ -425,12 +425,53 @@ def test_class_scores_match_the_reference(gp):
 @settings(max_examples=200, deadline=None)
 @given(graphs_with_every_policy(pairwise_only=True))
 def test_key_order_matches_the_reference_preference(gp):
-    # a is preferred to b exactly when b's key is below a's
+    # a is preferred to b exactly when a's key is below b's
     g, policy = gp
     key = policies._keys(policy, g.norms)
     for i, a in enumerate(g.ids):
         for j, b in enumerate(g.ids):
-            assert (key[j] < key[i]) == _ref_prefers(policy, g, a, b)
+            assert (key[i] < key[j]) == _ref_prefers(policy, g, a, b)
+
+
+def _specific_graph(seed: int, n: int, atoms: int) -> ConflictGraph:
+    """n norms whose antecedents come from `atoms` atoms, mostly distinct: half
+    draw a fresh set, the other half drop or add one atom of an earlier norm's
+    set and conflict with it, so many conflicts join a strict subset to its
+    superset; random conflicts join the rest."""
+    rng = random.Random(seed)
+    sets, pairs = [], []
+    for i in range(n):
+        if i < 2 or rng.random() < 0.5:
+            sets.append(frozenset(f"x{a}" for a in rng.sample(range(atoms), rng.randint(2, 5))))
+            continue
+        k = rng.randrange(i)
+        base = sets[k]
+        if len(base) > 1 and rng.random() < 0.5:
+            sets.append(base - {rng.choice(sorted(base))})
+        else:
+            sets.append(base | {f"x{rng.randrange(atoms)}"})
+        pairs.append((f"n{k}", f"n{i}"))
+    pairs += [tuple(f"n{i}" for i in rng.sample(range(n), 2)) for _ in range(2 * n)]
+    return build_graph([Norm(f"n{i}", antecedents=s) for i, s in enumerate(sets)], pairs)
+
+
+@pytest.mark.parametrize("mode", list(ScoreMode))
+def test_lex_specialis_keys_on_many_atoms_match_the_reference(mode):
+    # the keys are the norms' own antecedent sets, not copies or complements
+    g = _specific_graph(seed=3, n=300, atoms=400)
+    assert len(set(norm.antecedents for norm in g.norms)) > 0.9 * len(g)
+    policy = Policy.lex_specialis(mode)
+    assert all(k is norm.antecedents for k, norm in zip(policies._keys(policy, g.norms), g.norms))
+    net = mode is ScoreMode.NET
+    ref = [
+        sum(
+            1 if _ref_prefers(policy, g, v, w) else -1 if net and _ref_prefers(policy, g, w, v) else 0
+            for w in g.neighbours(v)
+        )
+        for v in g.ids
+    ]
+    assert any(ref)
+    assert policies._norm_scores(g, policy) == ref
 
 
 # -- reference: random-drop baseline ---------------------------------------

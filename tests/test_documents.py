@@ -348,10 +348,12 @@ class TestWriterIdentity:
             # the first bad value, even before an entry with no JSON form
             ((CurtailedNorm(5), "b"), 1, "entries[0].norm: expected a string"),
             pytest.param((), 10**5000, "colours_used: an integer of over", id="5000-digits"),
+            pytest.param((), None, "colours_used: expected an integer", id="no-colouring"),
         ],
     )
     def test_a_resolution_with_no_json_form_is_refused(self, entries, colours, message):
-        r = Resolution("resolve", "max-class", entries, SimpleNamespace(num_colours=colours), ())
+        colouring = None if colours is None else SimpleNamespace(num_colours=colours)
+        r = Resolution("resolve", "max-class", entries, colouring, ())
         with pytest.raises(SchemaError, match="^" + re.escape(message)):
             write_resolution(r)
 

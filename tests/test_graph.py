@@ -223,6 +223,12 @@ def test_a_graph_is_unequal_to_a_non_graph():
     assert g == make_graph("ab", [("b", "a")])
 
 
+def test_repr_counts_norms_and_distinct_conflicts():
+    g = make_graph("abc", [("a", "b"), ("b", "a"), ("b", "c")])
+    assert repr(g) == "ConflictGraph(3 norms, 2 conflicts)"
+    assert repr(make_graph("a")) == "ConflictGraph(1 norms, 0 conflicts)"
+
+
 @pytest.mark.parametrize(
     "call",
     [

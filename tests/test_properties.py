@@ -149,13 +149,13 @@ class TestPolicyProperties:
         )
         key = policies._keys(policy, g.norms)
         for c in range(phi.num_colours):
-            # the neighbours preferred to each member: a key above its own
+            # the neighbours preferred to each member: a key below its own
             losses = sum(
                 1
                 for i, v in enumerate(g.ids)
                 if phi.assignment[v] == c
                 for j in g._adj[i]
-                if key[i] < key[j]
+                if key[j] < key[i]
             )
             assert gross[c] >= net[c]
             assert gross[c] - net[c] == losses

@@ -92,15 +92,24 @@ CATALOGUE = [
         "return all(_is_acceptable(g, i, s) for i in s)")),
     _m("norm-score-flipped", "policies.py",
        "a norm scores +1 for each neighbour preferred to it",
-       ("        if kw < kv:\n            total += 1",
-        "        if kv < kw:\n            total += 1")),
+       ("        if kv < kw:\n            total += 1",
+        "        if kw < kv:\n            total += 1")),
     _m("net-and-gross-swapped", "policies.py",
        "class scoring reads GROSS as net and NET as gross",
        ("net = policy.mode is ScoreMode.NET\n    return",
         "net = policy.mode is ScoreMode.GROSS\n    return")),
     _m("prefer-recent-sign", "policies.py",
        "lex posterior's direction is flipped, with and without prefer_recent",
-       ("sign = 1 if policy.prefer_recent else -1", "sign = -1 if policy.prefer_recent else 1")),
+       ("sign = -1 if policy.prefer_recent else 1", "sign = 1 if policy.prefer_recent else -1")),
+    _m("superior-sign-dropped", "policies.py",
+       "lex superior keys each norm by its authority rank, so the weaker authority wins",
+       ("return [-norm.authority_rank for", "return [norm.authority_rank for")),
+    _m("weak-order-sign-dropped", "policies.py",
+       "a weak-order policy keys each norm by its rank, so the lower rank wins",
+       ("return [-r for r in _ranks(policy.ranks, norms)]", "return _ranks(policy.ranks, norms)")),
+    _m("admitted-set-ranks-unnegated", "policies.py",
+       "score_admitted_set keys each norm by its rank, so the lower rank wins",
+       ("{j: -_require_int(", "{j: _require_int(")),
     _m("switches-swapped", "resolution.py",
        "resolve and resolve-complete exchange their switches",
        ('    "resolve": (False, True),\n    "resolve-complete": (True, True),',
