@@ -223,11 +223,11 @@ def _neighbours(pairs: list[tuple[int, int]], bits: list[int]) -> tuple[list[lis
     return adj, nb
 
 
-def _scores(nb: list[int], masks: tuple[list[int], list[int]] | None) -> list[int] | None:
+def _scores(nb: list[int], masks: tuple[list[int], list[int]] | None) -> list[int]:
     """Each norm's score against its neighbours nb, given the mask pair of
-    ``policies._score_masks``; None for no masks (max-class)."""
+    ``policies._score_masks``; 1 for every norm given no masks (max-class)."""
     if masks is None:
-        return None
+        return [1] * len(nb)
     beats, loses = masks
     return [(m & b).bit_count() - (m & lo).bit_count() for m, b, lo in zip(nb, beats, loses)]
 

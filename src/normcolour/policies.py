@@ -13,7 +13,7 @@ one rule (``_keys``): v is preferred to w exactly when key[v] < key[w]:
   inclusion, so the more specific norm wins and incomparable sets tie;
 * weak-order — the negated rank from a map that must rank every norm.
 
-Max-class keys nothing: it prefers no norm, and a class scores its size.
+Max-class keys nothing: it scores every norm 1, so a class scores its size.
 
 This module owns that rule: ``_norm_scores`` scores a graph's norms,
 ``_score_masks`` gives the same scores to a caller that holds neighbour
@@ -151,12 +151,12 @@ def _norm_score(g: ConflictGraph, key: Sequence | Mapping[int, object], i: int, 
     return total
 
 
-def _norm_scores(g: ConflictGraph, policy: Policy) -> list[int] | None:
-    """Each norm's score by position under a built-in policy, or None under
-    max-class. Raises UnknownNormId for the first norm a weak order leaves
-    unranked."""
+def _norm_scores(g: ConflictGraph, policy: Policy) -> list[int]:
+    """Each norm's score by position under a built-in policy: 1 for every
+    norm under max-class. Raises UnknownNormId for the first norm a weak
+    order leaves unranked."""
     if policy.kind is PolicyKind.MAX_CLASS:
-        return None
+        return [1] * len(g.norms)
     key = _keys(policy, g.norms)
     net = policy.mode is ScoreMode.NET
     return [_norm_score(g, key, i, net) for i in range(len(key))]
@@ -177,11 +177,9 @@ def _score_masks(policy: Policy, norms: Sequence[Norm]) -> tuple[list[int], list
     return beats, loses
 
 
-def _class_totals(buckets: list[list[int]], scores: Sequence[int] | None) -> list[int]:
-    """Each class's total: the sum of its members' scores, or its size when
-    scores is None (max-class)."""
-    if scores is None:
-        return list(map(len, buckets))
+def _class_totals(buckets: list[list[int]], scores: Sequence[int]) -> list[int]:
+    """Each class's total: the sum of its members' scores (its size under
+    max-class, which scores every norm 1)."""
     return [sum(map(scores.__getitem__, members)) for members in buckets]
 
 

@@ -91,11 +91,11 @@ class Resolution:
 
 
 def _classes(
-    adj: Sequence[Collection[int]], scores: Sequence[int] | None
+    adj: Sequence[Collection[int]], scores: Sequence[int]
 ) -> tuple[list[int], list[list[int]], list[int]]:
-    """Colour adj with DSATUR and rank its classes, best first, given each
-    norm's score by position (None: a class scores its size). Returns each
-    norm's colour, each class's members and the ranking."""
+    """Colour adj with DSATUR and rank its classes, best first, by the sum
+    of their members' scores, given each norm's score by position. Returns
+    each norm's colour, each class's members and the ranking."""
     colour = _dsatur(adj)[0]
     buckets = _buckets(colour, max(colour, default=-1) + 1)
     return colour, buckets, _best_first(_class_totals(buckets, scores))

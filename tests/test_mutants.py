@@ -1,6 +1,7 @@
 """tools/mutants.py: its patching, its reading of pytest's summary, its
-catalogue against this checkout, a run on a small project written for
-the test and how a run of named mutants updates the results file."""
+catalogue against this checkout and ``MUTANTS.json``, a run on a small
+project written for the test and how a run of named mutants updates the
+results file."""
 import importlib.util
 import json
 from pathlib import Path
@@ -80,3 +81,16 @@ def test_named_mutants_merge_into_the_results_file(tmp_path, monkeypatch):
                          {"killed": 1, "survived": 0, "timeout": 0, "stale": 1})
     assert mutants.main(["--out", str(out)]) == 1  # no names: the whole catalogue, afresh
     assert written()[0] == [("a", "stale"), ("b", "killed"), ("c", "killed")]
+    # c leaves the catalogue: its old verdict is dropped, not kept or counted
+    monkeypatch.setattr(mutants, "CATALOGUE", catalogue[:2])
+    assert mutants.main(["--out", str(out), "b"]) == 1
+    assert written() == ([("a", "stale"), ("b", "killed")],
+                         {"killed": 1, "survived": 0, "timeout": 0, "stale": 1})
+
+
+def test_the_results_file_holds_exactly_the_catalogued_mutants():
+    data = json.loads((_REPO / "MUTANTS.json").read_text(encoding="utf-8"))
+    names = [r["name"] for r in data["mutants"]]
+    assert len(set(names)) == len(names)
+    assert set(names) == {m.name for m in mutants.CATALOGUE}
+    assert sum(data["totals"].values()) == len(names)

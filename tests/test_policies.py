@@ -231,7 +231,7 @@ def test_the_mask_kernel_scores_each_norm_as_the_graph_kernel(seed):
         for policy in _policies_for(g, rng):
             masks = policies._score_masks(policy, g.norms)
             assert (masks is None) is (policy.kind is PolicyKind.MAX_CLASS)
-            # max-class: neither kernel scores, so a class scores its size
+            # max-class: no masks, and both kernels score every norm 1
             assert bench._scores(nb, masks) == policies._norm_scores(g, policy), policy
 
 
@@ -507,9 +507,10 @@ def test_max_class_prefers_nothing():
         authority_rank={"a": 3, "b": 2, "c": 1},
     )
     policy = Policy.max_class()
-    # the scoring cores key nothing: no norm scores, so none is preferred to another
-    assert policies._norm_scores(g, policy) is None
+    # the scoring cores key nothing: every norm scores 1, so none is preferred to another
+    assert policies._norm_scores(g, policy) == [1, 1, 1]
     assert policies._score_masks(policy, g.norms) is None
+    assert bench._scores([0b010, 0b101, 0b010], None) == [1, 1, 1]
     # so each class totals its size: {b} and {a, c} on this path
     phi = dsatur(g)
     sizes = [list(phi.assignment.values()).count(c) for c in range(phi.num_colours)]

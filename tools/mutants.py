@@ -23,7 +23,8 @@ Each mutant ends as one of:
 
 The result goes to FILE (default ``MUTANTS.json`` in this checkout) as
 JSON. When NAMEs are given, their results replace those of the same names
-in FILE, the others are kept, and the totals count the merged list. The
+in FILE, the others still in ``CATALOGUE`` are kept (a result whose mutant
+has left it is dropped), and the totals count the merged list. The
 exit code is 1 if a mutant survived or is stale, else 0.
 Standard library only. Background: DeMillo, Lipton and Sayward 1978
 ("Hints on test data selection"); Jia and Harman 2011 (IEEE TSE 37(5)).
@@ -186,6 +187,12 @@ CATALOGUE = [
     _m("bench-scores-shared-when-masks-differ", "bench.py",
        "the bench ranks classes by the metric's scores even when the policy's masks differ",
        ("    shared = class_masks == metric_masks", "    shared = True")),
+    _m("max-class-norms-score-zero", "policies.py",
+       "max-class scores every norm 0, so every class ties and the lowest colour id ranks first",
+       ("        return [1] * len(g.norms)\n", "        return [0] * len(g.norms)\n")),
+    _m("bench-max-class-scores-zero", "bench.py",
+       "the bench scores every norm 0 given no masks, so its max-class classes all tie",
+       ("        return [1] * len(nb)\n", "        return [0] * len(nb)\n")),
 ]
 
 
@@ -267,9 +274,10 @@ def main(argv: list[str]) -> int:
         parser.error(f"unknown mutants: {', '.join(unknown)}")
     chosen = [m for m in CATALOGUE if not args.names or m.name in args.names]
     results = run(args.root.resolve(), chosen, STEPS, TIMEOUT)
-    if args.names and args.out.exists():  # keep the results of the mutants not rerun
+    if args.names and args.out.exists():  # keep the results of the catalogued mutants not rerun
         kept = json.loads(args.out.read_text(encoding="utf-8"))["mutants"]
-        results = list({r["name"]: r for r in kept + results}.values())
+        merged = {r["name"]: r for r in kept + results}
+        results = [r for name, r in merged.items() if name in known]
     totals = {s: sum(r["status"] == s for r in results)
               for s in ("killed", "survived", "timeout", "stale")}
     args.out.write_text(json.dumps({"totals": totals, "mutants": results}, indent=2) + "\n",
