@@ -10,16 +10,22 @@ public ``Colouring`` constructor.
 The reference below colours with DSATUR's O(n²) selection scan, keeps the
 four algorithms as four separate loops and scores every pairwise policy
 through a per-kind ``prefers`` dispatch, as the package did before all
-three were rewritten; its bench runs each algorithm from scratch on every
-instance, through the checked ``build_graph`` and ``score_admitted_set``;
-its parser checks every norm and pair, and errors must match it in type
-and full message. Outputs must stay equal, so any refactor behind the
-public names can prove that it changed nothing.
+three were rewritten. As in the paper, ``reference`` colours and ranks
+once per graph and policy, and the four loops start from that one
+colouring and class order. Its bench builds each instance once, through
+the checked ``build_graph``, runs each public algorithm and baseline on
+it once and reads the rows of all three metrics from that run, through
+``score_admitted_set``. Its parser checks every norm and pair, and errors
+must match it in type and full message. The reference calls only public
+names of the package, none of the private code under test. Outputs must
+stay equal, so any refactor behind the public names can prove that it
+changed nothing.
 """
 from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from itertools import combinations, permutations
 from typing import Mapping
 
@@ -77,7 +83,7 @@ from normcolour.oracle import (
 )
 
 from .conftest import class_totals
-from .test_properties import graphs, rank_maps
+from .test_properties import graphs, graphs_with_policies
 
 # -- reference: colouring ---------------------------------------------------
 
@@ -186,30 +192,30 @@ def _class_members(g: ConflictGraph, assignment: Mapping[NormId, int], c: int) -
     return [v for v in g.ids if assignment[v] == c]
 
 
-def _ref_resolve(g: ConflictGraph, policy: Policy) -> Resolution:
-    phi, order = _prepare(g, policy)
+# Each algorithm gives its entries and final colouring from the prepared
+# colouring phi and class order.
+
+
+def _ref_resolve(g: ConflictGraph, phi: Colouring, order: list[int]):
     entries: tuple[CurtailedNorm, ...] = ()
     if order:
         best = order[0]
         entries = tuple(CurtailedNorm(v) for v in _class_members(g, phi.assignment, best))
-    return Resolution("resolve", policy_label(policy), entries, phi, tuple(order))
+    return entries, phi
 
 
-def _ref_resolve_complete(g: ConflictGraph, policy: Policy) -> Resolution:
-    phi, order = _prepare(g, policy)
+def _ref_resolve_complete(g: ConflictGraph, phi: Colouring, order: list[int]):
     if not order:
-        return Resolution("resolve-complete", policy_label(policy), (), phi, ())
+        return (), phi
     best = order[0]
     assignment = dict(phi.assignment)
     members = set(_class_members(g, assignment, best))
     _complete_into(g, assignment, best, members, skip=set())
     entries = tuple(CurtailedNorm(v) for v in _class_members(g, assignment, best))
-    final = Colouring(assignment, phi.num_colours)
-    return Resolution("resolve-complete", policy_label(policy), entries, final, tuple(order))
+    return entries, Colouring(assignment, phi.num_colours)
 
 
-def _ref_curtail(g: ConflictGraph, policy: Policy) -> Resolution:
-    phi, order = _prepare(g, policy)
+def _ref_curtail(g: ConflictGraph, phi: Colouring, order: list[int]):
     entries: list[CurtailedNorm] = []
     admitted_order: list[NormId] = []
     for c in order:
@@ -219,11 +225,10 @@ def _ref_curtail(g: ConflictGraph, policy: Policy) -> Resolution:
             wrt = tuple(w for w in admitted_order if w in nbrs)
             entries.append(CurtailedNorm(v, wrt))
         admitted_order.extend(members)
-    return Resolution("curtail", policy_label(policy), tuple(entries), phi, tuple(order))
+    return tuple(entries), phi
 
 
-def _ref_curtail_complete(g: ConflictGraph, policy: Policy) -> Resolution:
-    phi, order = _prepare(g, policy)
+def _ref_curtail_complete(g: ConflictGraph, phi: Colouring, order: list[int]):
     assignment = dict(phi.assignment)
     entries: list[CurtailedNorm] = []
     admitted_order: list[NormId] = []
@@ -238,13 +243,10 @@ def _ref_curtail_complete(g: ConflictGraph, policy: Policy) -> Resolution:
             entries.append(CurtailedNorm(v, wrt))
         admitted_order.extend(members)
         admitted.update(members)
-    final = Colouring(assignment, phi.num_colours)
-    return Resolution(
-        "curtail-complete", policy_label(policy), tuple(entries), final, tuple(order)
-    )
+    return tuple(entries), Colouring(assignment, phi.num_colours)
 
 
-REFERENCE = {
+_REFERENCE = {
     "resolve": _ref_resolve,
     "resolve-complete": _ref_resolve_complete,
     "curtail": _ref_curtail,
@@ -252,22 +254,19 @@ REFERENCE = {
 }
 
 
-@st.composite
-def graphs_with_every_policy(draw, pairwise_only=False):
-    """Graphs of up to 16 norms under any of the five policies (or only the
-    four pairwise ones), either scoring mode and, for lex posterior, either
-    direction."""
-    g = draw(graphs(max_n=16, with_metadata=True))
-    mode = draw(st.sampled_from(list(ScoreMode)))
-    policies = [
-        st.booleans().map(lambda recent: Policy.lex_posterior(mode, prefer_recent=recent)),
-        st.just(Policy.lex_superior(mode)),
-        st.just(Policy.lex_specialis(mode)),
-        rank_maps(g).map(lambda ranks: Policy.weak_order(ranks, mode)),
-    ]
-    if not pairwise_only:
-        policies.insert(0, st.just(Policy.max_class()))
-    return g, draw(st.one_of(policies))
+def reference(g: ConflictGraph, policy: Policy) -> dict[str, Resolution]:
+    """Each algorithm's resolution by name, all four from one colouring and
+    one class order, as in the paper."""
+    phi, order = _prepare(g, policy)
+    label = policy_label(policy)
+    return {
+        name: Resolution(name, label, *algorithm(g, phi, order), tuple(order))
+        for name, algorithm in _REFERENCE.items()
+    }
+
+
+def _results(g: ConflictGraph, policy: Policy) -> dict[str, Resolution]:
+    return {name: algorithm(g, policy) for name, algorithm in ALGORITHMS.items()}
 
 
 def _assert_dsatur_matches_the_reference(g: ConflictGraph) -> None:
@@ -311,11 +310,9 @@ def test_dsatur_matches_the_reference_on_larger_graphs(shape):
 
 
 @settings(max_examples=200, deadline=None)
-@given(graphs_with_every_policy())
+@given(graphs_with_policies(max_n=16))
 def test_algorithms_match_the_reference(gp):
-    g, policy = gp
-    for name, reference in REFERENCE.items():
-        assert ALGORITHMS[name](g, policy) == reference(g, policy)
+    assert _results(*gp) == reference(*gp)
 
 
 def _seeded_document(seed: int, n: int, degree: int) -> str:
@@ -352,13 +349,13 @@ def _every_built_in_policy(g: ConflictGraph) -> list[Policy]:
 
 
 @pytest.mark.parametrize("seed, n, degree", [(0, 300, 6), (1, 320, 24)])
-def test_curtailment_matches_the_reference_on_larger_documents(seed, n, degree):
-    # every norm is admitted with the curtailments handed forward to it, so
-    # each list's order is compared on graphs far beyond the 16-norm examples
+def test_algorithms_match_the_reference_on_larger_documents(seed, n, degree):
+    # the curtailing algorithms admit every norm with the curtailments handed
+    # forward to it, so each list's order is compared on graphs far beyond
+    # the 16-norm examples
     g = parse_norm_document(_seeded_document(seed, n, degree))
     for policy in _every_built_in_policy(g):
-        for name in ("curtail", "curtail-complete"):
-            assert ALGORITHMS[name](g, policy) == REFERENCE[name](g, policy)
+        assert _results(g, policy) == reference(g, policy), policy_label(policy)
 
 
 def _as_callable(policy: Policy):
@@ -385,10 +382,10 @@ def test_a_built_in_policy_resolves_as_its_callable_does(seed, n, degree):
 
 
 @settings(max_examples=200, deadline=None)
-@given(graphs_with_every_policy())
+@given(graphs_with_policies(max_n=16))
 def test_algorithm_outputs_meet_the_oracle(gp):
     g, policy = gp
-    results = {name: algorithm(g, policy) for name, algorithm in ALGORITHMS.items()}
+    results = _results(g, policy)
     for res in results.values():
         assert is_valid_colouring(g, res.colouring)
     resolved = results["resolve"].admitted
@@ -405,7 +402,7 @@ def test_algorithm_outputs_meet_the_oracle(gp):
 
 
 @settings(max_examples=200, deadline=None)
-@given(graphs_with_every_policy())
+@given(graphs_with_policies(max_n=16))
 def test_internal_colourings_pass_the_public_check(gp):
     g, policy = gp
     colourings = [dsatur(g), *(algorithm(g, policy).colouring for algorithm in ALGORITHMS.values())]
@@ -414,7 +411,7 @@ def test_internal_colourings_pass_the_public_check(gp):
 
 
 @settings(max_examples=200, deadline=None)
-@given(graphs_with_every_policy())
+@given(graphs_with_policies(max_n=16))
 def test_class_scores_match_the_reference(gp):
     g, policy = gp
     phi = dsatur(g)
@@ -423,7 +420,7 @@ def test_class_scores_match_the_reference(gp):
 
 
 @settings(max_examples=200, deadline=None)
-@given(graphs_with_every_policy(pairwise_only=True))
+@given(graphs_with_policies(max_n=16, pairwise_only=True))
 def test_key_order_matches_the_reference_preference(gp):
     # a is preferred to b exactly when a's key is below b's
     g, policy = gp
@@ -651,8 +648,9 @@ def test_oracle_matches_the_reference(gm):
 
 
 # -- reference: the bench loop and its conflict sampler ----------------------
-# Each algorithm runs from scratch on every instance, and the candidate
-# pairs are rebuilt on every draw.
+# Each instance is built once and each algorithm or baseline runs on it
+# once, through the public names; every metric's rows are read from that
+# run. The candidate pairs are rebuilt on every draw.
 
 
 def _ref_generate_random_conflicts(
@@ -664,35 +662,36 @@ def _ref_generate_random_conflicts(
     return [(ids[i], ids[j]) for i, j in chosen]
 
 
-def _ref_measure(a: str, g: ConflictGraph, cfg: BenchConfig, ranks, seed: int) -> list[tuple]:
+def _ref_readings(a: str, g: ConflictGraph, policy: Policy, ranks, seed: int):
+    """Algorithm or baseline a's rows on g under each metric, as
+    (policy label, measure, value), from one run of a."""
     if a == "random-drop":
         label, admitted = "none", random_drop(g, random.Random(derive_seed(seed, "random-drop")))
     elif a == "preferred":
         label, admitted = "none", max_cardinality_admissible(g)
     else:
-        res = ALGORITHMS[a](g, cfg.policy)
+        res = ALGORITHMS[a](g, policy)
         label, admitted = res.policy, res.admitted
-        if a.startswith("curtail"):
-            if cfg.metric is Metric.ADMITTED_COUNT:
-                return [
-                    (label, "curtailment_total", float(res.total_curtailments)),
-                    (label, "uncurtailed_count", float(len(res.admitted_unconditionally))),
-                ]
-            admitted = res.admitted_unconditionally
-    if cfg.metric is Metric.ADMITTED_COUNT:
-        return [(label, "admitted_count", float(len(admitted)))]
-    value = float(score_admitted_set(g, admitted, ranks))
-    if cfg.metric is Metric.SCORE_AVG:
-        value = value / len(admitted) if admitted else 0.0
-    return [(label, cfg.metric.value.replace("-", "_"), value)]
+    counts = [("admitted_count", len(admitted))]
+    if a.startswith("curtail"):
+        admitted = res.admitted_unconditionally
+        counts = [("curtailment_total", res.total_curtailments),
+                  ("uncurtailed_count", len(admitted))]
+    total = float(score_admitted_set(g, admitted, ranks))
+    return {
+        Metric.ADMITTED_COUNT: [(label, measure, float(v)) for measure, v in counts],
+        Metric.SCORE_SUM: [(label, "score_sum", total)],
+        Metric.SCORE_AVG: [(label, "score_avg", total / len(admitted) if admitted else 0.0)],
+    }
 
 
-def _ref_run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
+def _ref_run_benchmark(cfg: BenchConfig) -> dict[Metric, list[BenchRow]]:
+    """The rows of cfg's sweep under each metric; cfg.metric is not read."""
     norms = benchmark_norms(cfg.n_norms)
     ranks = cfg.policy.ranks
     if ranks is None:
         ranks = default_weak_ordering(cfg.n_norms)
-    rows = []
+    rows: dict[Metric, list[BenchRow]] = {metric: [] for metric in Metric}
     lo, hi = cfg.conflict_range
     for k in range(lo, hi + 1):
         for trial in range(cfg.trials_per_point):
@@ -702,8 +701,8 @@ def _ref_run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
             )
             g = build_graph(norms, pairs)
             for a in sorted(cfg.algorithms):
-                for label, metric, value in _ref_measure(a, g, cfg, ranks, seed):
-                    rows.append(BenchRow(k, trial, a, label, metric, value, seed))
+                for metric, readings in _ref_readings(a, g, cfg.policy, ranks, seed).items():
+                    rows[metric] += [BenchRow(k, trial, a, *reading, seed) for reading in readings]
     return rows
 
 
@@ -738,32 +737,35 @@ def _bench_policies(n: int) -> list:
 _BENCH_POLICIES = {policy_label(p): k for k, p in enumerate(_bench_policies(1))}
 
 
-# (n_norms, conflict range or None for all, trials, algorithms)
-_BENCH_SIZES = [
-    (9, (0, 36), 2, (*ALGORITHMS, *BASELINES)),
+# n_norms: (conflict range or None for all, trials, algorithms)
+_BENCH_SIZES = {
+    9: ((0, 36), 2, (*ALGORITHMS, *BASELINES)),
     # the paper's size over its whole range; a directed draw repeats edges
-    (16, None, 1, (*ALGORITHMS, *BASELINES)),
+    16: (None, 1, (*ALGORITHMS, *BASELINES)),
     # masks of more than one machine word; the exact search stops at 24 norms
-    (70, (150, 165), 1, (*ALGORITHMS, "random-drop")),
-]
+    70: ((150, 165), 1, (*ALGORITHMS, "random-drop")),
+}
 
 
-@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("n", _BENCH_SIZES, ids="{}-norms".format)
 @pytest.mark.parametrize("policy", _BENCH_POLICIES)
-def test_bench_matches_the_reference(policy, metric):
-    for n, conflicts, trials, algorithms in _BENCH_SIZES:
-        for seed, duplicate in ((3, True), (4, False)):
-            cfg = BenchConfig(
-                policy=_bench_policies(n)[_BENCH_POLICIES[policy]],
-                metric=metric,
-                n_norms=n,
-                conflict_range=conflicts or (0, max_conflicts(n, duplicate)),
-                trials_per_point=trials,
-                duplicate_directed_pairs=duplicate,
-                seed=seed,
-                algorithms=algorithms,
-            )
-            assert run_benchmark(cfg) == _ref_run_benchmark(cfg), (n, seed, duplicate)
+def test_bench_matches_the_reference(policy, n):
+    conflicts, trials, algorithms = _BENCH_SIZES[n]
+    for seed, duplicate in ((3, True), (4, False)):
+        cfg = BenchConfig(
+            policy=_bench_policies(n)[_BENCH_POLICIES[policy]],
+            metric=Metric.ADMITTED_COUNT,
+            n_norms=n,
+            conflict_range=conflicts or (0, max_conflicts(n, duplicate)),
+            trials_per_point=trials,
+            duplicate_directed_pairs=duplicate,
+            seed=seed,
+            algorithms=algorithms,
+        )
+        expected = _ref_run_benchmark(cfg)
+        for metric in Metric:
+            assert run_benchmark(replace(cfg, metric=metric)) == expected[metric], (
+                seed, duplicate, metric)
 
 
 # -- reference: the norm-document parser, in isinstance checks only ---------

@@ -69,24 +69,24 @@ def graphs(draw, max_n=8, with_metadata=False):
     return build_graph(norms, edges)
 
 
-def rank_maps(g):
-    return st.fixed_dictionaries({v: st.integers(-4, 4) for v in g.ids})
-
-
 @st.composite
-def graphs_with_policies(draw, max_n=8):
+def graphs_with_policies(draw, max_n=8, pairwise_only=False):
+    """Graphs with metadata under any of the five policies (or only the four
+    pairwise ones), either scoring mode and, for lex posterior, either
+    direction."""
     g = draw(graphs(max_n=max_n, with_metadata=True))
     mode = draw(st.sampled_from(list(ScoreMode)))
-    policy = draw(
-        st.one_of(
-            st.just(Policy.max_class()),
-            st.just(Policy.lex_posterior(mode)),
-            st.just(Policy.lex_superior(mode)),
-            st.just(Policy.lex_specialis(mode)),
-            st.builds(lambda r: Policy.weak_order(r, mode), rank_maps(g)),
-        )
-    )
-    return g, policy
+    choices = [
+        st.booleans().map(lambda recent: Policy.lex_posterior(mode, prefer_recent=recent)),
+        st.just(Policy.lex_superior(mode)),
+        st.just(Policy.lex_specialis(mode)),
+        st.fixed_dictionaries({v: st.integers(-4, 4) for v in g.ids}).map(
+            lambda ranks: Policy.weak_order(ranks, mode)
+        ),
+    ]
+    if not pairwise_only:
+        choices.insert(0, st.just(Policy.max_class()))
+    return g, draw(st.one_of(choices))
 
 
 class TestGraphProperties:

@@ -17,8 +17,6 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
-import pytest
-
 from normcolour import ALGORITHMS, ConflictGraph, Norm, Policy, ScoreMode
 from normcolour import bench
 from normcolour.oracle import (
@@ -30,8 +28,7 @@ from normcolour.oracle import (
 from normcolour.policies import _score_masks
 from normcolour.resolution import _classes
 
-from . import test_differential
-from .test_differential import REFERENCE
+from .test_differential import _ref_max_cardinality_admissible, _ref_random_drop, reference
 
 _DECLARED_AT = (0, 1, 1, 0, 2)
 _AUTHORITY = (1, 1, 0, 2, 0)
@@ -71,37 +68,15 @@ def _weak_orders(n: int):
             yield ranks
 
 
-def _last_call(f, arity):
-    """f, computed again only when its arguments are not the last call's
-    very objects: f must be pure."""
-    last = [None] * (arity + 1)
-
-    def once(*args):
-        if any(a is not b for a, b in zip(args, last)):
-            last[:] = *args, f(*args)
-        return last[-1]
-
-    return once
-
-
-@pytest.fixture
-def shared_preparation(monkeypatch):
-    """The reference's colouring made once per graph, and its ranking once
-    per graph and policy, each shared by its four algorithms as the
-    package's are: pure steps, so the reference's outputs are unchanged."""
-    for name, arity in (("_ref_dsatur", 1), ("_prepare", 2)):
-        monkeypatch.setattr(test_differential, name,
-                            _last_call(getattr(test_differential, name), arity))
-
-
 def _check(g: ConflictGraph, adj: list[list[int]], nb: list[int], policy: Policy) -> None:
     ids = g.ids
     index = {v: i for i, v in enumerate(ids)}
     classes = _classes(adj, bench._scores(nb, _score_masks(policy, g.norms)))[1:]
+    expected = reference(g, policy)
     uncurtailed = {}
     for name, algorithm in ALGORITHMS.items():
         res = algorithm(g, policy)
-        assert res == REFERENCE[name](g, policy), (name, ids, adj)
+        assert res == expected[name], (name, ids, adj)
         if name.startswith("curtail"):
             # each norm is curtailed by exactly the neighbours admitted before it
             earlier: list[int] = []
@@ -120,7 +95,7 @@ def _check(g: ConflictGraph, adj: list[list[int]], nb: list[int], policy: Policy
     assert uncurtailed["curtail-complete"] == uncurtailed["resolve-complete"], (ids, adj)
 
 
-def test_every_small_graph_meets_the_reference_and_the_oracle(shared_preparation):
+def test_every_small_graph_meets_the_reference_and_the_oracle():
     for n in range(6):
         for g, adj, nb in _every_graph(n):
             for policy in _POLICIES:
@@ -131,11 +106,10 @@ def test_every_small_graph_meets_the_reference_and_the_oracle(shared_preparation
             dropped = bench._admitted("random-drop", 0, adj, nb, None)
             survivors = random_drop(g, random.Random(seed))
             assert frozenset(g.ids[i] for i in dropped) == survivors, adj
-            assert survivors == test_differential._ref_random_drop(g, random.Random(seed)), adj
+            assert survivors == _ref_random_drop(g, random.Random(seed)), adj
             best = bench._admitted("preferred", 0, adj, nb, None)
             assert frozenset(g.ids[i] for i in best) == max_cardinality_admissible(g), adj
-            assert frozenset(g.ids[i] for i in best) == (
-                test_differential._ref_max_cardinality_admissible(g)), adj
+            assert frozenset(g.ids[i] for i in best) == _ref_max_cardinality_admissible(g), adj
     weak_orders = [Policy.weak_order({f"n{i}": r for i, r in enumerate(ranks)})
                    for ranks in _weak_orders(4)]
     for g, adj, nb in _every_graph(4):
