@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 from .errors import EmptyInput, SchemaError, TooManyConflicts
 from .graph import Norm, NormId, _require_count, _require_int, _shown
-from .oracle import _max_admissible, _random_drop
+from .oracle import _max_admissible, _random_drop, _require_rng
 from .policies import Policy, _score_masks, policy_label
 from .resolution import ALGORITHMS, _admission, _classes
 
@@ -194,7 +194,8 @@ def generate_random_conflicts(
     _require_count(n_conflicts, "n_conflicts")
     _require_drawable(n_norms, n_conflicts, duplicate_directed_pairs, "")
     ids = _benchmark_ids(n_norms, "n_norms")  # refuses an n_norms too long to print, before _draw
-    return [(ids[i], ids[j]) for i, j in _draw(n_norms, n_conflicts, duplicate_directed_pairs, rng)]
+    pairs = _draw(n_norms, n_conflicts, duplicate_directed_pairs, _require_rng(rng))
+    return [(ids[i], ids[j]) for i, j in pairs]
 
 
 def _draw(n: int, k: int, directed: bool, rng: random.Random) -> list[tuple[int, int]]:

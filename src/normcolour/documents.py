@@ -65,6 +65,9 @@ def _collector_paused() -> Iterator[None]:
 
 
 def _loads(text: str) -> object:
+    if not isinstance(text, (str, bytes, bytearray)):
+        kind = type(text).__name__
+        raise SchemaError(f"document: expected a str, bytes or bytearray, not {kind}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
 from .colouring import dsatur
-from .errors import TooLarge
+from .errors import SchemaError, TooLarge
 from .graph import ConflictGraph, NormId, _read_members
 
 MAX_ADMISSIBLE_SEARCH = 24
@@ -179,7 +179,13 @@ def _colourable_with(earlier: list[list[int]], k: int) -> bool:
 def random_drop(g: ConflictGraph, rng: random.Random) -> frozenset[NormId]:
     """Baseline: drop a random endpoint of a random conflict until none
     remain, then keep the survivors. Always conflict-free."""
-    return frozenset(map(g.ids.__getitem__, _random_drop(g._adj, rng)))
+    return frozenset(map(g.ids.__getitem__, _random_drop(g._adj, _require_rng(rng))))
+
+
+def _require_rng(rng: object) -> random.Random:
+    if not isinstance(rng, random.Random):
+        raise SchemaError(f"rng: expected a random.Random, not {type(rng).__name__}")
+    return rng
 
 
 def _random_drop(adj: Sequence[Collection[int]], rng: random.Random) -> list[int]:

@@ -46,6 +46,9 @@ class TestGenerateRandomConflicts:
             (lambda rng: generate_random_conflicts(4, 2, "no", rng), "duplicate_directed_pairs"),
             (lambda rng: generate_random_conflicts(4, 2, None, rng), "duplicate_directed_pairs"),
             (lambda rng: generate_random_conflicts(4, 2, 1, rng), "duplicate_directed_pairs"),
+            (lambda rng: generate_random_conflicts(4, 2, True, None), "rng"),
+            (lambda rng: generate_random_conflicts(4, 0, True, 5), "rng"),
+            (lambda rng: generate_random_conflicts(4, -1, True, None), "n_conflicts"),
             (lambda rng: max_conflicts(-3, True), "n_norms"),
             (lambda rng: max_conflicts(2.5, True), "n_norms"),
             (lambda rng: max_conflicts("ab", True), "n_norms"),
@@ -53,7 +56,8 @@ class TestGenerateRandomConflicts:
         ],
         ids=["negative-conflicts", "negative-norms", "str-norms", "float-conflicts",
              "benchmark_norms", "default_weak_ordering", "bool-norms",
-             "str-directed", "none-directed", "int-directed", "max_conflicts-negative",
+             "str-directed", "none-directed", "int-directed", "none-rng", "int-rng-no-draw",
+             "counts-before-rng", "max_conflicts-negative",
              "max_conflicts-float", "max_conflicts-str", "max_conflicts-str-directed"],
     )
     def test_a_bad_count_is_named(self, call, name):

@@ -3,9 +3,10 @@ scoring kernel, the random-drop baseline, the bench loop and its conflict
 sampler, the norm-document parser and ``build_graph``, and the oracle's
 predicates and exhaustive searches against private copies of the
 implementations they replaced, plus fuzzing of the document parsers.
-Every algorithm's output is also checked against the oracle's predicates,
-and every colouring the package builds must equal its rebuild by the
-public ``Colouring`` constructor.
+Each drawn graph runs each public call once, and every output invariant
+is checked on that result: ``_assert_invariants`` for the four algorithms,
+``_assert_dsatur_matches_the_reference`` for DSATUR and
+``test_random_drop_matches_the_reference`` for random drop.
 
 The reference below colours with DSATUR's O(n²) selection scan, keeps the
 four algorithms as four separate loops and scores every pairwise policy
@@ -69,7 +70,13 @@ from normcolour.bench import (
     max_conflicts,
     run_benchmark,
 )
-from normcolour.documents import parse_norm_document, parse_rank_map, read_resolution
+from normcolour.documents import (
+    ResolutionDocument,
+    parse_norm_document,
+    parse_rank_map,
+    read_resolution,
+    write_resolution,
+)
 from normcolour.oracle import (
     MAX_ADMISSIBLE_SEARCH,
     MAX_CHROMATIC_SEARCH,
@@ -269,11 +276,57 @@ def _results(g: ConflictGraph, policy: Policy) -> dict[str, Resolution]:
     return {name: algorithm(g, policy) for name, algorithm in ALGORITHMS.items()}
 
 
+def _assert_invariants(g: ConflictGraph, results: dict[str, Resolution]) -> None:
+    """What the paper guarantees of the four algorithms' results on g."""
+    for res in results.values():
+        phi = res.colouring
+        assert is_valid_colouring(g, phi)
+        assert Colouring(phi.assignment, phi.num_colours) == phi
+        document = ResolutionDocument(res.algorithm, res.policy, phi.num_colours, res.entries)
+        assert read_resolution(write_resolution(res)) == document
+    resolved = results["resolve"].admitted
+    assert is_conflict_free(g, resolved) and is_admissible(g, resolved)
+    completed = frozenset(results["resolve-complete"].admitted)
+    assert is_stable_extension(g, completed) and is_complete_extension(g, completed)
+    # stable by the definition: a norm is outside exactly when a neighbour is inside
+    assert all((v in completed) == g.neighbours(v).isdisjoint(completed) for v in g.ids)
+    assert set(resolved) <= completed  # completion only grows the admitted set
+    assert len(completed) <= len(max_cardinality_admissible(g))
+    for name, plain in (("curtail", "resolve"), ("curtail-complete", "resolve-complete")):
+        res = results[name]
+        assert sorted(res.admitted) == sorted(g.ids)
+        uncurtailed = res.admitted_unconditionally
+        assert is_conflict_free(g, uncurtailed) and is_admissible(g, uncurtailed)
+        # each conflict curtails one end, the one admitted later, by the other
+        assert res.total_curtailments == len(g.edges)
+        order = [e.norm for e in res.entries]
+        for k, e in enumerate(res.entries):
+            assert e.curtailed_wrt == tuple(v for v in order[:k] if v in g.neighbours(e.norm))
+        if res.colour_order:  # the first class admitted is the plain variant's
+            first = [v for v in order if res.colouring.assignment[v] == res.colour_order[0]]
+            assert tuple(first) == results[plain].admitted
+    # each completed class blocks every later norm, so only the first is uncurtailed
+    res = results["curtail-complete"]
+    assert res.admitted_unconditionally == completed
+    later = set(g.ids)
+    for c in res.colour_order:
+        members = {v for v in later if res.colouring.assignment[v] == c}
+        later -= members
+        assert all(not g.neighbours(v).isdisjoint(members) for v in later)
+
+
 def _assert_dsatur_matches_the_reference(g: ConflictGraph) -> None:
     phi, ref = dsatur(g), _ref_dsatur(g)
     # the assignment's order is the selection order, so it is compared too
     assert list(phi.assignment.items()) == list(ref.assignment.items())
     assert phi.num_colours == ref.num_colours
+    assert Colouring(phi.assignment, phi.num_colours) == phi
+    assert is_valid_colouring(g, phi)
+    assert phi.num_colours <= max((g.degree(v) for v in g.ids), default=0) + 1  # Brooks-style
+    assert sorted(phi.assignment) == sorted(g.ids)
+    assert set(phi.assignment.values()) == set(range(phi.num_colours))
+    for v, c in phi.assignment.items():
+        assert all(phi.assignment[w] != c for w in g.neighbours(v))
 
 
 @settings(max_examples=200, deadline=None)
@@ -312,7 +365,9 @@ def test_dsatur_matches_the_reference_on_larger_graphs(shape):
 @settings(max_examples=200, deadline=None)
 @given(graphs_with_policies(max_n=16))
 def test_algorithms_match_the_reference(gp):
-    assert _results(*gp) == reference(*gp)
+    results = _results(*gp)
+    assert results == reference(*gp)
+    _assert_invariants(gp[0], results)
 
 
 def _seeded_document(seed: int, n: int, degree: int) -> str:
@@ -379,35 +434,6 @@ def test_a_built_in_policy_resolves_as_its_callable_does(seed, n, degree):
             assert built_in.colouring == called.colouring
             assert list(built_in.colouring.assignment) == list(called.colouring.assignment)
             assert built_in.colour_order == called.colour_order
-
-
-@settings(max_examples=200, deadline=None)
-@given(graphs_with_policies(max_n=16))
-def test_algorithm_outputs_meet_the_oracle(gp):
-    g, policy = gp
-    results = _results(g, policy)
-    for res in results.values():
-        assert is_valid_colouring(g, res.colouring)
-    resolved = results["resolve"].admitted
-    assert is_conflict_free(g, resolved) and is_admissible(g, resolved)
-    completed = results["resolve-complete"].admitted
-    assert is_stable_extension(g, completed) and is_complete_extension(g, completed)
-    assert len(completed) <= len(max_cardinality_admissible(g))
-    for name in ("curtail", "curtail-complete"):
-        res = results[name]
-        assert sorted(res.admitted) == sorted(g.ids)
-        assert is_admissible(g, res.admitted_unconditionally)
-    # the completed first class blocks every later norm, so only it is uncurtailed
-    assert results["curtail-complete"].admitted_unconditionally == frozenset(completed)
-
-
-@settings(max_examples=200, deadline=None)
-@given(graphs_with_policies(max_n=16))
-def test_internal_colourings_pass_the_public_check(gp):
-    g, policy = gp
-    colourings = [dsatur(g), *(algorithm(g, policy).colouring for algorithm in ALGORITHMS.values())]
-    for phi in colourings:
-        assert Colouring(phi.assignment, phi.num_colours) == phi
 
 
 @settings(max_examples=200, deadline=None)
@@ -489,7 +515,9 @@ def _ref_random_drop(g: ConflictGraph, rng: random.Random) -> frozenset[NormId]:
 @given(graphs(max_n=16), st.integers(0, 2**32))
 def test_random_drop_matches_the_reference(g, seed):
     rng, ref_rng = random.Random(seed), random.Random(seed)
-    assert random_drop(g, rng) == _ref_random_drop(g, ref_rng)
+    dropped = random_drop(g, rng)
+    assert dropped == _ref_random_drop(g, ref_rng)
+    assert is_conflict_free(g, dropped)
     # the same number of draws, so a caller's later draws are unchanged too
     assert rng.random() == ref_rng.random()
 

@@ -111,6 +111,20 @@ class TestParseNormDocument:
             parse_norm_document(text)
 
 
+_DOCUMENTS = {
+    parse_norm_document: '{"norms": [{"id": "a"}]}',
+    documents.parse_rank_map: '{"a": 1}',
+    read_resolution: write_resolution(colour_resolve(make_graph("a"), Policy.max_class())),
+}
+
+
+@pytest.mark.parametrize("parse, text", _DOCUMENTS.items(), ids=["norms", "ranks", "resolution"])
+def test_a_document_must_be_text_or_bytes(parse, text):
+    assert parse(text.encode()) == parse(bytearray(text.encode())) == parse(text)
+    with pytest.raises(SchemaError, match="^document: expected a str, bytes or bytearray, not NoneType$"):
+        parse(None)
+
+
 class TestTrustedNorms:
     TEXT = json.dumps(
         {

@@ -1,7 +1,8 @@
 """tools/mutants.py: its patching, its reading of pytest's summary, its
-catalogue against this checkout and ``MUTANTS.json``, a run on a small
-project written for the test and how a run of named mutants updates the
-results file."""
+catalogue against this checkout and ``MUTANTS.json``, whose killers must
+still exist, a run on a small project written for the test and how a run
+of named mutants updates the results file."""
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -94,3 +95,15 @@ def test_the_results_file_holds_exactly_the_catalogued_mutants():
     assert len(set(names)) == len(names)
     assert set(names) == {m.name for m in mutants.CATALOGUE}
     assert sum(data["totals"].values()) == len(names)
+    for result in data["mutants"]:  # each killer is a test that still exists
+        assert result["status"] != "killed" or _defines(result["killer"]), result["name"]
+    assert not _defines("tests/test_gone.py") and not _defines("tests/test_mutants.py::gone")
+
+
+def _defines(node_id: str) -> bool:
+    """Whether a pytest id names a test of this checkout; any [param] suffix is ignored."""
+    path, *names = node_id.split("[")[0].split("::")
+    scope = ast.parse((_REPO / path).read_text("utf-8")).body if (_REPO / path).is_file() else None
+    for name in names:  # each name is a def or class in the scope before it
+        scope = scope and next((n.body for n in scope if getattr(n, "name", None) == name), None)
+    return scope is not None

@@ -204,6 +204,11 @@ class TestRandomDrop:
         g = complete_graph("abcde")
         assert random_drop(g, random.Random(42)) == random_drop(g, random.Random(42))
 
+    @pytest.mark.parametrize("g", [complete_graph("abc"), make_graph("abc")], ids=["k3", "edgeless"])
+    def test_an_rng_that_is_not_a_random_is_refused(self, g):
+        with pytest.raises(SchemaError, match="^rng: expected a random.Random, not NoneType$"):
+            random_drop(g, None)
+
 
 def test_report_flags(k2_plus_isolated):
     rep = report(k2_plus_isolated, {"a", "b"})
