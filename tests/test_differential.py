@@ -370,6 +370,48 @@ def test_algorithms_match_the_reference(gp):
     _assert_invariants(gp[0], results)
 
 
+def _ring(n: int) -> list[tuple[int, int]]:
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+# Classic graphs of 6-12 norms, past the exhaustive 5-norm scope of
+# tests/test_small_graphs.py, whose structure a random draw rarely hits.
+_NAMED_GRAPHS = {
+    "cycle-6": _ring(6),
+    "cycle-7": _ring(7),
+    "wheel-7": _ring(6) + [(6, i) for i in range(6)],
+    "prism-6": _ring(3) + [(3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)],
+    "octahedron-6": [(i, j) for i, j in combinations(range(6), 2) if j - i != 3],
+    "complete-6": list(combinations(range(6), 2)),
+    "bipartite-3-3": [(i, j) for i in range(3) for j in range(3, 6)],
+    "crown-8": [(i, 4 + j) for i in range(4) for j in range(4) if i != j],
+    "cube-8": [(i, i ^ b) for i in range(8) for b in (1, 2, 4) if i < i ^ b],
+    "wagner-8": _ring(8) + [(i, i + 4) for i in range(4)],
+    "petersen-10": _ring(5) + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+    # the Mycielskian of the 5-cycle: triangle-free, yet four colours
+    "grotzsch-11": _ring(5) + [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+    + [(10, 5 + i) for i in range(5)],
+}
+
+
+@pytest.mark.parametrize("name", _NAMED_GRAPHS)
+def test_algorithms_match_the_reference_on_named_graphs(name):
+    edges = _NAMED_GRAPHS[name]
+    n = 1 + max(max(e) for e in edges)
+    # metadata from few values, so every pairwise policy meets ties
+    norms = [
+        Norm(f"n{i}", declared_at=i % 3, authority_rank=(2 * i) % 3,
+             antecedents=frozenset(("", "p", "pq", "q")[i % 4]))
+        for i in range(n)
+    ]
+    g = ConflictGraph(norms, [(f"n{i}", f"n{j}") for i, j in edges])
+    for policy in _every_built_in_policy(g):
+        results = _results(g, policy)
+        assert results == reference(g, policy), policy_label(policy)
+        _assert_invariants(g, results)
+
+
 def _seeded_document(seed: int, n: int, degree: int) -> str:
     """A norm document of n norms with metadata drawn from few values, so
     every policy meets ties, and about n * degree / 2 conflicts."""
