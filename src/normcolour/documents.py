@@ -76,6 +76,9 @@ def _loads(text: str) -> object:
         ) from None
     except RecursionError:
         raise DocumentSyntaxError("JSON nested too deeply") from None
+    except UnicodeDecodeError as exc:  # bytes not valid in the codec json.loads detects
+        message = f"not {exc.encoding} at byte {exc.start} ({exc.reason})"
+        raise DocumentSyntaxError(f"invalid JSON: {message}") from None
     except ValueError:  # an integer literal over Python's limit of digits
         message = f"an integer literal has over {sys.get_int_max_str_digits()} digits"
         raise DocumentSyntaxError(f"invalid JSON: {message}") from None

@@ -1,12 +1,18 @@
 """Differential tests: DSATUR, the admission engine, the per-norm
-scoring kernel, the random-drop baseline, the bench loop and its conflict
-sampler, the norm-document parser and ``build_graph``, and the oracle's
-predicates and exhaustive searches against private copies of the
+scoring kernel and its keys, the random-drop baseline, the bench loop and
+its conflict sampler, the norm-document parser and ``build_graph``, and the
+oracle's predicates and exhaustive searches against private copies of the
 implementations they replaced, plus fuzzing of the document parsers.
-Each drawn graph runs each public call once, and every output invariant
-is checked on that result: ``_assert_invariants`` for the four algorithms,
-``_assert_dsatur_matches_the_reference`` for DSATUR and
-``test_random_drop_matches_the_reference`` for random drop.
+A graph under a policy and a corrupted norm document are each drawn by
+one test, and each draw runs each public call once.
+``test_algorithms_match_the_reference`` holds the four algorithms, DSATUR,
+random drop, the class totals in both modes and the policy's keys to the
+reference on one drawn graph and policy. It checks every output invariant
+on those results (``_assert_invariants`` for the four algorithms,
+``_assert_dsatur_matches_the_reference`` for DSATUR) and the graph's own:
+symmetry, degrees, a rebuild and the norm document's round trip.
+``test_parse_errors_match_the_checking_parser`` holds the parser, and
+``build_graph`` on the pairs in each container, to the checking loop.
 
 The reference below colours with DSATUR's O(n²) selection scan, keeps the
 four algorithms as four separate loops and scores every pairwise policy
@@ -27,7 +33,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import replace
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Mapping
 
 import pytest
@@ -75,6 +81,7 @@ from normcolour.documents import (
     parse_norm_document,
     parse_rank_map,
     read_resolution,
+    write_norm_document,
     write_resolution,
 )
 from normcolour.oracle import (
@@ -170,6 +177,20 @@ def _ref_score_colour(g: ConflictGraph, phi: Colouring, c: int, policy: Policy) 
 def _ref_rank_colours(g: ConflictGraph, phi: Colouring, policy: Policy) -> list[int]:
     scores = {c: _ref_score_colour(g, phi, c, policy) for c in range(phi.num_colours)}
     return sorted(scores, key=lambda c: (-scores[c], c))
+
+
+# -- reference: random-drop baseline ---------------------------------------
+
+
+def _ref_random_drop(g: ConflictGraph, rng: random.Random) -> frozenset[NormId]:
+    # rebuilds the live-edge list from every edge after each drop
+    alive = set(g.ids)
+    while True:
+        live = [e for e in g.edges if e[0] in alive and e[1] in alive]
+        if not live:
+            return frozenset(alive)
+        edge = live[rng.randrange(len(live))]
+        alive.discard(edge[rng.randrange(2)])
 
 
 # -- reference: the four algorithms ----------------------------------------
@@ -315,7 +336,8 @@ def _assert_invariants(g: ConflictGraph, results: dict[str, Resolution]) -> None
         assert all(not g.neighbours(v).isdisjoint(members) for v in later)
 
 
-def _assert_dsatur_matches_the_reference(g: ConflictGraph) -> None:
+def _assert_dsatur_matches_the_reference(g: ConflictGraph) -> Colouring:
+    """DSATUR's colouring of g, once it is held equal to the reference's."""
     phi, ref = dsatur(g), _ref_dsatur(g)
     # the assignment's order is the selection order, so it is compared too
     assert list(phi.assignment.items()) == list(ref.assignment.items())
@@ -327,12 +349,7 @@ def _assert_dsatur_matches_the_reference(g: ConflictGraph) -> None:
     assert set(phi.assignment.values()) == set(range(phi.num_colours))
     for v, c in phi.assignment.items():
         assert all(phi.assignment[w] != c for w in g.neighbours(v))
-
-
-@settings(max_examples=200, deadline=None)
-@given(graphs(max_n=16))
-def test_dsatur_matches_the_reference(g):
-    _assert_dsatur_matches_the_reference(g)
+    return phi
 
 
 def _tie_heavy_graph(rng: random.Random, shape: str, n: int) -> ConflictGraph:
@@ -363,11 +380,42 @@ def test_dsatur_matches_the_reference_on_larger_graphs(shape):
 
 
 @settings(max_examples=200, deadline=None)
-@given(graphs_with_policies(max_n=16))
-def test_algorithms_match_the_reference(gp):
-    results = _results(*gp)
-    assert results == reference(*gp)
-    _assert_invariants(gp[0], results)
+@given(graphs_with_policies(max_n=16), st.integers(0, 2**32))
+def test_algorithms_match_the_reference(gp, seed):
+    g, policy = gp
+    results = _results(g, policy)
+    assert results == reference(g, policy)
+    _assert_invariants(g, results)
+    phi = _assert_dsatur_matches_the_reference(g)
+
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    dropped = random_drop(g, rng)
+    assert dropped == _ref_random_drop(g, ref_rng)
+    assert is_conflict_free(g, dropped)
+    # the same number of draws, so a caller's later draws are unchanged too
+    assert rng.random() == ref_rng.random()
+
+    # class totals under the policy and, if pairwise, its other mode
+    pairwise = policy.kind is not PolicyKind.MAX_CLASS
+    for p in [replace(policy, mode=mode) for mode in ScoreMode] if pairwise else [policy]:
+        assert class_totals(g, phi, p) == [
+            _ref_score_colour(g, phi, c, p) for c in range(phi.num_colours)
+        ]
+    assert sum(class_totals(g, phi, Policy.max_class())) == len(g)
+    if pairwise:  # a is preferred to b exactly when a's key is below b's
+        key = policies._keys(policy, g.norms)
+        for (i, a), (j, b) in product(enumerate(g.ids), repeat=2):
+            assert (key[i] < key[j]) == _ref_prefers(policy, g, a, b)
+
+    for v in g.ids:
+        assert all(v in g.neighbours(w) and w != v for w in g.neighbours(v))
+    assert sum(g.degree(v) for v in g.ids) == 2 * len(g.edges)
+    # a rebuild ignores the pairs' order and orientation, and repeats collapse
+    rnd = random.Random(seed)
+    pairs = [e[::-1] if rnd.random() < 0.5 else e for e in g.edges] + list(g.edges)
+    rnd.shuffle(pairs)
+    assert build_graph(g.norms, pairs) == g
+    assert parse_norm_document(write_norm_document(g)) == g
 
 
 def _ring(n: int) -> list[tuple[int, int]]:
@@ -478,26 +526,6 @@ def test_a_built_in_policy_resolves_as_its_callable_does(seed, n, degree):
             assert built_in.colour_order == called.colour_order
 
 
-@settings(max_examples=200, deadline=None)
-@given(graphs_with_policies(max_n=16))
-def test_class_scores_match_the_reference(gp):
-    g, policy = gp
-    phi = dsatur(g)
-    totals = class_totals(g, phi, policy)
-    assert [_ref_score_colour(g, phi, c, policy) for c in range(phi.num_colours)] == totals
-
-
-@settings(max_examples=200, deadline=None)
-@given(graphs_with_policies(max_n=16, pairwise_only=True))
-def test_key_order_matches_the_reference_preference(gp):
-    # a is preferred to b exactly when a's key is below b's
-    g, policy = gp
-    key = policies._keys(policy, g.norms)
-    for i, a in enumerate(g.ids):
-        for j, b in enumerate(g.ids):
-            assert (key[i] < key[j]) == _ref_prefers(policy, g, a, b)
-
-
 def _specific_graph(seed: int, n: int, atoms: int) -> ConflictGraph:
     """n norms whose antecedents come from `atoms` atoms, mostly distinct: half
     draw a fresh set, the other half drop or add one atom of an earlier norm's
@@ -537,31 +565,6 @@ def test_lex_specialis_keys_on_many_atoms_match_the_reference(mode):
     ]
     assert any(ref)
     assert policies._norm_scores(g, policy) == ref
-
-
-# -- reference: random-drop baseline ---------------------------------------
-
-
-def _ref_random_drop(g: ConflictGraph, rng: random.Random) -> frozenset[NormId]:
-    # rebuilds the live-edge list from every edge after each drop
-    alive = set(g.ids)
-    while True:
-        live = [e for e in g.edges if e[0] in alive and e[1] in alive]
-        if not live:
-            return frozenset(alive)
-        edge = live[rng.randrange(len(live))]
-        alive.discard(edge[rng.randrange(2)])
-
-
-@settings(max_examples=200, deadline=None)
-@given(graphs(max_n=16), st.integers(0, 2**32))
-def test_random_drop_matches_the_reference(g, seed):
-    rng, ref_rng = random.Random(seed), random.Random(seed)
-    dropped = random_drop(g, rng)
-    assert dropped == _ref_random_drop(g, ref_rng)
-    assert is_conflict_free(g, dropped)
-    # the same number of draws, so a caller's later draws are unchanged too
-    assert rng.random() == ref_rng.random()
 
 
 # -- reference: oracle predicates and exhaustive searches -------------------
@@ -919,11 +922,13 @@ def _ref_parse_norm_document(text: str):
 
 
 def _outcome(f, *args):
-    """f's result, or the type and full message of what it raised."""
+    """f's result, a graph as its norms and adjacency by position, or the
+    type and full message of what f raised."""
     try:
-        return f(*args)
+        got = f(*args)
     except NormColourError as exc:
         return type(exc), str(exc)
+    return (got.norms, got._adj) if isinstance(got, ConflictGraph) else got
 
 
 # Replacements of a norm's field or of the whole item, each of which the
@@ -989,39 +994,26 @@ def corrupted_norm_documents(draw):
     return json.dumps({"norms": norms, "conflicts": conflicts})
 
 
+# the conflicts as a list, as a tuple of tuples and as a one-shot iterator
+_CONTAINERS = (
+    list,
+    lambda pairs: tuple(tuple(p) if isinstance(p, list) else p for p in pairs),
+    iter,
+)
+
+
 @settings(max_examples=500, deadline=None)
 @given(corrupted_norm_documents())
 def test_parse_errors_match_the_checking_parser(text):
-    expected = _outcome(_ref_parse_norm_document, text)
-    got = _outcome(parse_norm_document, text)
-    if isinstance(got, ConflictGraph):
-        got = got.norms, got._adj
-    assert got == expected
-
-
-_CONTAINERS = {
-    "list": list,
-    "tuple of tuples": lambda pairs: tuple(tuple(p) if isinstance(p, list) else p for p in pairs),
-    "one-shot": iter,
-}
-
-
-@settings(max_examples=300, deadline=None)
-@given(corrupted_norm_documents(), st.sampled_from(sorted(_CONTAINERS)))
-def test_build_graph_errors_match_the_checking_loop(text, container):
+    assert _outcome(parse_norm_document, text) == _outcome(_ref_parse_norm_document, text)
     doc = json.loads(text)
     try:
         norms = [_ref_parse_norm(item, i) for i, item in enumerate(doc["norms"])]
     except SchemaError:
         return  # no graph to build
-    make = _CONTAINERS[container]
-    expected = _outcome(_ref_build_graph, norms, make(doc["conflicts"]))
-    got = _outcome(build_graph, norms, make(doc["conflicts"]))
-    if isinstance(got, ConflictGraph):
-        got = got.norms, got._adj
-    assert got == expected
-
-
+    for make in _CONTAINERS:
+        expected = _outcome(_ref_build_graph, norms, make(doc["conflicts"]))
+        assert _outcome(build_graph, norms, make(doc["conflicts"])) == expected
 # -- fuzzing: malformed documents raise NormColourError, nothing else -------
 
 # the field names both document shapes use, so that fuzzing gets past the top level
@@ -1055,10 +1047,10 @@ _json_texts = st.builds(
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(_json_texts, st.text()))
-def test_parsers_raise_only_package_errors(text):
+@given(st.one_of(_json_texts, st.text(), st.binary()))
+def test_parsers_raise_only_package_errors(document):
     for parse in (parse_norm_document, parse_rank_map, read_resolution):
         try:
-            parse(text)
+            parse(document)
         except NormColourError:
             pass

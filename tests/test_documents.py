@@ -118,11 +118,29 @@ _DOCUMENTS = {
 }
 
 
+@pytest.mark.parametrize(
+    "kind", ["bytes", "bytearray", "none", "undecodable", "bad-byte-in-a-string"]
+)
 @pytest.mark.parametrize("parse, text", _DOCUMENTS.items(), ids=["norms", "ranks", "resolution"])
-def test_a_document_must_be_text_or_bytes(parse, text):
-    assert parse(text.encode()) == parse(bytearray(text.encode())) == parse(text)
-    with pytest.raises(SchemaError, match="^document: expected a str, bytes or bytearray, not NoneType$"):
-        parse(None)
+def test_a_document_must_be_text_or_bytes(parse, text, kind):
+    data = text.encode()
+    at = data.index(b'"a"') + 2  # inside the document's first string "a"
+    not_utf8 = "invalid JSON: not utf-8 at byte {} (invalid start byte)"
+    # each input, and the error it raises (None: it parses as the text does)
+    document, error = {
+        "bytes": (data, None),
+        "bytearray": (bytearray(data), None),
+        "none": (None, (SchemaError, "document: expected a str, bytes or bytearray, not NoneType")),
+        "undecodable": (b"\xff", (DocumentSyntaxError, not_utf8.format(0))),
+        "bad-byte-in-a-string": (
+            bytearray(data[:at] + b"\xff" + data[at:]), (DocumentSyntaxError, not_utf8.format(at))
+        ),
+    }[kind]
+    if error is None:
+        assert parse(document) == parse(text)
+    else:
+        with pytest.raises(error[0], match=f"^{re.escape(error[1])}$"):
+            parse(document)
 
 
 class TestTrustedNorms:

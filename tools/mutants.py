@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 _REPO = Path(__file__).resolve().parents[1]
-TIMEOUT = 900.0  # seconds per step; the whole suite takes about 90
+TIMEOUT = 900.0  # seconds per step; the whole suite takes about 60
 _CRITERIA = "tests/test_acceptance.py::test_criterion_0"
 # the suite, goldens first; each step stops at its first failure.
 # tests/test_mutants.py is left out: it checks that every patch applies to
@@ -131,6 +131,11 @@ CATALOGUE = [
        "_loads no longer maps a RecursionError to DocumentSyntaxError",
        ('    except RecursionError:\n'
         '        raise DocumentSyntaxError("JSON nested too deeply") from None\n', "")),
+    _m("loads-reads-bad-bytes-as-a-long-literal", "documents.py",
+       "_loads no longer names undecodable bytes, so they read as an over-long integer literal",
+       ("    except UnicodeDecodeError as exc:  # bytes not valid in the codec json.loads detects\n"
+        '        message = f"not {exc.encoding} at byte {exc.start} ({exc.reason})"\n'
+        '        raise DocumentSyntaxError(f"invalid JSON: {message}") from None\n', "")),
     _m("norm-declared-at-isinstance", "graph.py",
        "Norm's exact int test for declared_at widened to isinstance, which lets a bool in",
        ("        if type(declared_at) is not int:\n",
