@@ -9,6 +9,12 @@ Seeding is paired: the graph for (conflict count, trial) is derived from
 the master seed alone, so every algorithm in a run sees the same instance
 and curves can be compared point by point. The only other consumer of
 randomness, the random-drop baseline, draws from its own derived stream.
+``run_benchmark`` reseeds one generator for each stream of each instance.
+Both draws read the generator through ``getrandbits`` alone: the
+instance by ``_sample``, CPython's ``Random.sample`` written out, and
+random drop by ``oracle._below``, its ``randrange``. Python promises to
+keep ``getrandbits``' sequence for a seed, but not ``sample``'s or
+``randrange``'s algorithm, so the bench owns the draws its outputs rest on.
 
 Each instance is drawn as norm positions and read into neighbour lists and
 Python-int bitmasks (the bitboard idiom of San Segundo, Rodríguez-Losada
@@ -35,6 +41,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import ceil, log
 from typing import Iterable, Sequence
 
 from .errors import EmptyInput, SchemaError, TooManyConflicts
@@ -189,6 +196,10 @@ def generate_random_conflicts(
     both count toward n_conflicts yet collapse to one undirected edge at
     graph build; that replicates the 240-conflict ceiling of the original
     directed-graph methodology. Without it, unordered pairs are sampled.
+
+    rng is read through ``getrandbits`` alone, so a subclass of
+    ``random.Random`` that overrides ``random()`` but not ``getrandbits()``
+    draws the same pairs as the plain generator of the same state.
     """
     _require_count(n_norms, "n_norms")
     _require_count(n_conflicts, "n_conflicts")
@@ -200,7 +211,40 @@ def generate_random_conflicts(
 
 def _draw(n: int, k: int, directed: bool, rng: random.Random) -> list[tuple[int, int]]:
     """``generate_random_conflicts`` on norm positions, for checked arguments."""
-    return rng.sample(_candidate_pairs(n, directed), k)
+    return _sample(rng, _candidate_pairs(n, directed), k)
+
+
+def _sample(rng: random.Random, population: Sequence, k: int) -> list:
+    """``rng.sample(population, k)`` for 0 <= k <= len(population), as
+    CPython 3.10-3.13 draws it, through ``rng.getrandbits`` alone: a partial
+    Fisher-Yates shuffle of a pool when that list is smaller than a set of
+    k, else rejection against the set. Each position is drawn as
+    ``_randbelow`` draws it: bits of the bound's width until under it."""
+    n = len(population)
+    bits = rng.getrandbits
+    setsize = 21  # size of a small set minus size of an empty list
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))  # table size for big sets
+    result = []
+    if n <= setsize:
+        pool = list(population)  # the unselected, at pool[:m]
+        for m in range(n, n - k, -1):
+            w = m.bit_length()
+            j = bits(w)
+            while j >= m:
+                j = bits(w)
+            result.append(pool[j])
+            pool[j] = pool[m - 1]
+        return result
+    w = n.bit_length()
+    selected: set[int] = set()
+    for _ in range(k):
+        j = bits(w)
+        while j >= n or j in selected:
+            j = bits(w)
+        selected.add(j)
+        result.append(population[j])
+    return result
 
 
 @lru_cache(maxsize=4)  # bounded, since n norms give about n² pairs
@@ -239,14 +283,17 @@ def _admitted(
     adj: list[list[int]],
     nb: list[int],
     classes: tuple[list[list[int]], list[int]] | None,
+    rng: random.Random,
 ) -> list[int]:
     """The positions that algorithm admits on one instance, given its
     neighbours as position lists and as masks and its classes and their
-    ranking (None if no colouring algorithm runs). A colouring algorithm
-    admits its uncurtailed norms: those with no neighbour admitted before
-    them; a class is independent, so its members never curtail each other."""
+    ranking (None if no colouring algorithm runs). Random drop reseeds rng
+    with its stream of point_seed. A colouring algorithm admits its
+    uncurtailed norms: those with no neighbour admitted before them; a
+    class is independent, so its members never curtail each other."""
     if algorithm == "random-drop":
-        return _random_drop(adj, random.Random(derive_seed(point_seed, "random-drop")))
+        rng.seed(derive_seed(point_seed, "random-drop"))
+        return _random_drop(adj, rng)
     if algorithm == "preferred":
         # zero-padded ids sort in position order, so the oracle's tie-break holds
         best = _max_admissible(nb)
@@ -277,19 +324,21 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
     label, column = policy_label(policy), metric.value.replace("-", "_")
     runs = [(a, "none" if a in BASELINES else label) for a in algorithms]
     bits = [1 << i for i in range(n)]
+    rng = random.Random()  # seeded as Random(seed) is, once per stream
     rows: list[BenchRow] = []
     lo, hi = cfg.conflict_range
     for num_conflicts in range(lo, hi + 1):
         for trial in range(cfg.trials_per_point):
             point_seed = derive_seed(cfg.seed, num_conflicts, trial)
-            pairs = _draw(n, num_conflicts, cfg.duplicate_directed_pairs, random.Random(point_seed))
+            rng.seed(point_seed)
+            pairs = _draw(n, num_conflicts, cfg.duplicate_directed_pairs, rng)
             adj, nb = _neighbours(pairs, bits)
             scores = _scores(nb, metric_masks)
             classes = None
             if colours:
                 classes = _classes(adj, scores if shared else _scores(nb, class_masks))[1:]
             for algorithm, name in runs:
-                admitted = _admitted(algorithm, point_seed, adj, nb, classes)
+                admitted = _admitted(algorithm, point_seed, adj, nb, classes, rng)
                 if metric is not Metric.ADMITTED_COUNT:
                     value = sum(map(scores.__getitem__, admitted))
                     if metric is Metric.SCORE_AVG:

@@ -17,6 +17,9 @@ budget-capped; they exist to verify the fast paths, not to replace them.
 This module also hosts the random-drop baseline used in benchmarks. Each
 baseline wraps a core on positions, which the bench calls:
 ``_max_admissible`` on neighbour masks, ``_random_drop`` on neighbour lists.
+Random drop draws through ``_below``, ``randrange``'s rejection loop on
+``getrandbits``, whose sequence Python keeps for a seed, while the
+algorithm of ``randrange`` is not promised.
 """
 from __future__ import annotations
 
@@ -178,7 +181,12 @@ def _colourable_with(earlier: list[list[int]], k: int) -> bool:
 
 def random_drop(g: ConflictGraph, rng: random.Random) -> frozenset[NormId]:
     """Baseline: drop a random endpoint of a random conflict until none
-    remain, then keep the survivors. Always conflict-free."""
+    remain, then keep the survivors. Always conflict-free.
+
+    rng is read through ``getrandbits`` alone, so a subclass of
+    ``random.Random`` that overrides ``random()`` but not ``getrandbits()``
+    keeps the same survivors as the plain generator of the same state.
+    """
     return frozenset(map(g.ids.__getitem__, _random_drop(g._adj, _require_rng(rng))))
 
 
@@ -195,7 +203,17 @@ def _random_drop(adj: Sequence[Collection[int]], rng: random.Random) -> list[int
     live = [(i, j) for i, js in enumerate(adj) for j in sorted(js) if j > i]
     alive = [True] * len(adj)
     while live:  # live: the conflicts with both ends alive, in that order
-        dropped = live[rng.randrange(len(live))][rng.randrange(2)]
+        dropped = live[_below(rng, len(live))][_below(rng, 2)]
         alive[dropped] = False
         live = [e for e in live if dropped not in e]
     return [i for i, a in enumerate(alive) if a]
+
+
+def _below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` for n >= 1, as CPython 3.10-3.13 draws it: bits
+    of n's width until the value is under n."""
+    w = n.bit_length()  # n's width, not n - 1's, as randrange draws
+    r = rng.getrandbits(w)
+    while r >= n:
+        r = rng.getrandbits(w)
+    return r

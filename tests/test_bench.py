@@ -17,6 +17,7 @@ from normcolour import (
     build_graph,
 )
 from normcolour import bench, colouring, graph, resolution
+from normcolour.oracle import random_drop
 from normcolour.bench import (
     BenchConfig,
     Metric,
@@ -162,6 +163,37 @@ class TestGenerateRandomConflicts:
                     (ids[i], ids[j]) for i, j in drawn
                 ]
                 assert rng.random() == at.random()  # the same number of draws
+
+    @pytest.mark.parametrize(
+        "n, directed, k",
+        [(4, True, 0), (4, True, 12), (6, True, 0), (6, True, 5), (6, True, 6), (6, True, 30),
+         (9, False, 5), (9, False, 6), (7, True, 5), (7, True, 6), (16, False, 21),
+         (16, False, 22), (16, False, 120), (16, True, 0), (16, True, 21), (16, True, 22),
+         (16, True, 240)],
+    )
+    def test_the_sample_is_the_running_interpreters(self, n, directed, k):
+        # every instance rests on _sample; if a Python release changes
+        # Random.sample, this test names it while the goldens keep the old draws.
+        # 30, 36 and 42 candidates flip from the set to the pool between k = 5 and 6,
+        # 120 and 240 between k = 21 and 22.
+        population = bench._candidate_pairs(n, directed)
+        for seed in range(100):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert bench._sample(ours, population, k) == theirs.sample(population, k)
+            assert ours.random() == theirs.random()  # the same bits drawn
+
+    def test_only_getrandbits_is_read(self):
+        class NoRandom(random.Random):  # so Random's own draws would call random()
+            def random(self):
+                raise AssertionError("random() was read")
+
+        norms = benchmark_norms(16)
+        for directed in (True, False):
+            for k in (5, 40):  # the set branch of the sample, then the pool
+                pairs = generate_random_conflicts(16, k, directed, NoRandom(k))
+                assert pairs == generate_random_conflicts(16, k, directed, random.Random(k))
+                g = build_graph(norms, pairs)
+                assert random_drop(g, NoRandom(k)) == random_drop(g, random.Random(k))
 
     def test_a_conflict_drawn_both_ways_is_one_neighbour(self):
         bits = [1 << i for i in range(4)]

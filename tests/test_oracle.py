@@ -7,6 +7,7 @@ import pytest
 from normcolour import SchemaError, TooLarge, UnknownNormId
 from normcolour.documents import parse_norm_document
 from normcolour.oracle import (
+    _below,
     chromatic_number,
     is_admissible,
     is_complete_extension,
@@ -203,6 +204,15 @@ class TestRandomDrop:
     def test_deterministic_for_a_seed(self):
         g = complete_graph("abcde")
         assert random_drop(g, random.Random(42)) == random_drop(g, random.Random(42))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 16, 17, 1000, 2**40 + 3])
+    def test_below_draws_as_the_running_interpreters_randrange(self, n):
+        # random drop's draws rest on _below; if a Python release changes
+        # randrange's algorithm, this test names it while the goldens keep the old draws
+        for seed in range(300):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert [_below(ours, n) for _ in range(4)] == [theirs.randrange(n) for _ in range(4)]
+            assert ours.random() == theirs.random()  # the same bits drawn
 
     @pytest.mark.parametrize("g", [complete_graph("abc"), make_graph("abc")], ids=["k3", "edgeless"])
     def test_an_rng_that_is_not_a_random_is_refused(self, g):

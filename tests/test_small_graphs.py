@@ -86,7 +86,7 @@ def _check(g: ConflictGraph, adj: list[list[int]], nb: list[int], policy: Policy
                 earlier.append(i)
         uncurtailed[name] = [e.norm for e in res.entries if not e.curtailed_wrt]
         # the bench admits, on its own instance, the norms the algorithm leaves uncurtailed
-        admitted = bench._admitted(name, 0, adj, nb, classes)
+        admitted = bench._admitted(name, 0, adj, nb, classes, random.Random())
         assert [ids[i] for i in admitted] == uncurtailed[name], (name, ids, adj)
     assert is_admissible(g, uncurtailed["resolve"]), (ids, adj)
     assert is_admissible(g, uncurtailed["curtail"]), (ids, adj)
@@ -103,11 +103,11 @@ def test_every_small_graph_meets_the_reference_and_the_oracle():
             # the bench's baselines are the oracle's and the reference's, random
             # drop on the bench's own stream
             seed = bench.derive_seed(0, "random-drop")
-            dropped = bench._admitted("random-drop", 0, adj, nb, None)
+            dropped = bench._admitted("random-drop", 0, adj, nb, None, random.Random())
             survivors = random_drop(g, random.Random(seed))
             assert frozenset(g.ids[i] for i in dropped) == survivors, adj
             assert survivors == _ref_random_drop(g, random.Random(seed)), adj
-            best = bench._admitted("preferred", 0, adj, nb, None)
+            best = bench._admitted("preferred", 0, adj, nb, None, random.Random())
             assert frozenset(g.ids[i] for i in best) == max_cardinality_admissible(g), adj
             assert frozenset(g.ids[i] for i in best) == _ref_max_cardinality_admissible(g), adj
     weak_orders = [Policy.weak_order({f"n{i}": r for i, r in enumerate(ranks)})

@@ -117,7 +117,7 @@ CATALOGUE = [
         '    "resolve": (True, True),\n    "resolve-complete": (False, True),')),
     _m("random-drop-orientation", "oracle.py",
        "random drop removes the other end of the drawn conflict",
-       ("[rng.randrange(2)]", "[1 - rng.randrange(2)]")),
+       ("[_below(rng, 2)]", "[1 - _below(rng, 2)]")),
     _m("derive-seed-parts-reordered", "bench.py",
        "derive_seed hashes the parts before the master seed",
        ('":".join(map(repr, (master, *parts)))', '":".join(map(repr, (*parts, master)))')),
@@ -198,6 +198,15 @@ CATALOGUE = [
     _m("bench-max-class-scores-zero", "bench.py",
        "the bench scores every norm 0 given no masks, so its max-class classes all tie",
        ("        return [1] * len(nb)\n", "        return [0] * len(nb)\n")),
+    _m("sample-set-size-from-k-5", "bench.py",
+       "the sample sizes its set for big samples from k = 5, so five of 22-37 draw from the pool",
+       ("    if k > 5:\n", "    if k >= 5:\n")),
+    _m("sample-pool-takes-the-bound", "bench.py",
+       "the pool's rejection loop accepts a draw equal to the bound, one past the unselected",
+       ("            while j >= m:\n", "            while j > m:\n")),
+    _m("below-draws-n-minus-1-bits", "oracle.py",
+       "_below draws (n - 1)'s width of bits, not n's, as randrange does",
+       ("    w = n.bit_length()", "    w = (n - 1).bit_length()")),
 ]
 
 
